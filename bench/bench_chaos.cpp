@@ -18,7 +18,7 @@
 // attached but every rate zero — and their event traces are compared:
 // attaching the (disabled) injector must not change behaviour at all.
 //
-// Usage: bench_chaos [out.json] [--quick] [--batch] [--trace-dump FILE]
+// Usage: bench_chaos [out.json] [--quick] [--trace-dump FILE]
 //
 // --trace-dump writes the normalised ASCT event log of every cell: for a
 // fixed seed two runs produce byte-identical files (CI diffs them).
@@ -62,10 +62,6 @@ struct Scenario {
   // reliably kills nodes mid-execution instead of between tasks.
   MInstr work = 300'000.0;
   SimDuration deadline = 40 * kMinute;
-  // Per-segment heartbeat batching (ClusterConfig::batch_heartbeats). The
-  // scheduler sees the same statuses either way; CI byte-diffs two batched
-  // runs, so batching is covered by the same determinism contract.
-  bool batch = false;
 };
 
 core::ClusterConfig resilient_cluster(int nodes) {
@@ -90,9 +86,7 @@ CellResult run_cell(const Scenario& scenario, double crash_per_node_per_min,
   out.loss = loss;
 
   core::Grid grid(seed);
-  auto config = resilient_cluster(scenario.nodes);
-  config.batch_heartbeats = scenario.batch;
-  auto& cluster = grid.add_cluster(std::move(config));
+  auto& cluster = grid.add_cluster(resilient_cluster(scenario.nodes));
 
   std::optional<sim::FaultInjector> faults;
   if (attach_injector) {
@@ -227,12 +221,9 @@ int main(int argc, char** argv) {
   const char* json_path = "BENCH_chaos.json";
   const char* trace_dump_path = nullptr;
   bool quick = false;
-  bool batch = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      batch = true;
     } else if (std::strcmp(argv[i], "--trace-dump") == 0 && i + 1 < argc) {
       trace_dump_path = argv[++i];
     } else {
@@ -245,7 +236,6 @@ int main(int argc, char** argv) {
     scenario.nodes = 40;
     scenario.tasks = 24;
   }
-  scenario.batch = batch;
   const std::uint64_t seed = 11;
 
   bench::banner("E12", "chaos resilience: crash churn x message loss",

@@ -108,7 +108,7 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
   // The primary periodically captures Trader/GRM/GUPA/ORB-dedup sections
   // and ships them to a SnapshotStore on the standby's node; the standby
   // installs them dormant and wakes the image only at promotion (first
-  // status frame or task resync it receives). The GUPA section is captured
+  // status update or task resync it receives). The GUPA section is captured
   // for warm-start files but has no loader here: primary and standby share
   // the cluster's one GUPA object.
   if (config_.snapshot.enabled && standby_grm_) {
@@ -141,7 +141,7 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
            return w.take_buffer();
          }});
     snapshot_coordinator_->add_provider(
-        {"grm", primary->snapshot_version(), [primary] {
+        {"grm", grm::Grm::kSnapshotVersion, [primary] {
            cdr::Writer w;
            primary->save(w);
            return w.take_buffer();
@@ -197,12 +197,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
     worker->orb->set_tracer(&grid_.tracer());
 
     lrm::LrmOptions lrm_options = config_.lrm;
-    if (config_.batch_heartbeats) {
-      // The per-segment batcher owns the heartbeat cadence and the LUPA
-      // sampling tick; the LRM arms neither timer itself.
-      lrm_options.batched_updates = true;
-      lrm_options.lupa_options.external_ticks = true;
-    }
     ncc::SharingPolicy policy = node_config.policy;
     if (node_config.dedicated) {
       lrm_options.run_lupa = false;  // paper: "LUPA is not executed in
@@ -255,47 +249,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
     if (standby_grm_) standby_grm_->set_ckpt_agents(agent_refs);
   }
 
-  // --- Per-segment heartbeat batchers ---
-  // Built after every worker so enabling batching never shifts worker
-  // endpoint addresses (fault-injection configs address nodes by endpoint).
-  // Segments with no provider nodes get no batcher. The first frame of each
-  // segment is staggered deterministically — period·(s+1)/(S+1) — so frames
-  // spread across the period without consuming any grid randomness.
-  if (config_.batch_heartbeats) {
-    const std::size_t num_segments = segment_ids_.size();
-    batchers_.resize(num_segments);
-    for (std::size_t s = 0; s < num_segments; ++s) {
-      std::vector<lrm::Lrm*> members;
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (static_cast<std::size_t>(config_.nodes[i].segment) == s) {
-          members.push_back(workers_[i]->lrm.get());
-        }
-      }
-      if (members.empty()) continue;
-      const auto segment = segment_ids_[s];
-      const auto addr = grid_.allocate_endpoint(segment);
-      SegmentBatcher& slot = batchers_[s];
-      slot.orb = std::make_unique<orb::Orb>(addr, grid_.transport(),
-                                            &grid_.engine(), config_.orb);
-      slot.orb->set_tracer(&grid_.tracer());
-      lrm::BatcherOptions batcher_options;
-      batcher_options.update_period = config_.lrm.update_period;
-      batcher_options.initial_stagger =
-          config_.lrm.update_period * static_cast<SimDuration>(s + 1) /
-          static_cast<SimDuration>(num_segments + 1);
-      batcher_options.drive_lupa = config_.lrm.run_lupa;
-      batcher_options.lupa_sample_interval =
-          config_.lrm.lupa_options.sample_interval;
-      batcher_options.reliable = config_.lrm.reliable_updates;
-      batcher_options.grm_failure_threshold = config_.lrm.grm_failure_threshold;
-      slot.batcher = std::make_unique<lrm::HeartbeatBatcher>(
-          grid_.engine(), *slot.orb, segment, batcher_options);
-      for (lrm::Lrm* member : members) slot.batcher->add(member);
-      slot.batcher->start(grm_->ref(), standby_grm_ ? standby_grm_->ref()
-                                                    : orb::ObjectRef{});
-    }
-  }
-
   // --- MetricsHub registrations ---
   // Every component's private registry becomes visible under a stable
   // "component/instance" name; the per-LRM sources also derive the
@@ -322,11 +275,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
                  &snapshot_store_->metrics());
   }
   add_registry("orb/" + config_.name + "/user", &user_orb_->metrics());
-  for (std::size_t s = 0; s < batchers_.size(); ++s) {
-    if (!batchers_[s].batcher) continue;
-    add_registry("batcher/" + config_.name + "-s" + std::to_string(s),
-                 &batchers_[s].batcher->metrics());
-  }
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     lrm::Lrm* lrm = workers_[i]->lrm.get();
     std::string name =
@@ -362,11 +310,7 @@ Cluster::~Cluster() {
   for (const std::string& name : hub_names_) {
     grid_.metrics_hub().remove(name);
   }
-  // Stop protocol actors before their ORBs die underneath them. Batchers
-  // first: their ticks dereference member LRMs.
-  for (auto& slot : batchers_) {
-    if (slot.batcher) slot.batcher->stop();
-  }
+  // Stop protocol actors before their ORBs die underneath them.
   for (auto& worker : workers_) {
     if (worker->owner) worker->owner->stop();
     worker->lrm->stop();

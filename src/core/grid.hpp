@@ -33,7 +33,6 @@
 #include "ckpt/repository.hpp"
 #include "common/rng.hpp"
 #include "grm/grm.hpp"
-#include "lrm/batcher.hpp"
 #include "lrm/lrm.hpp"
 #include "lupa/gupa.hpp"
 #include "ncc/ncc.hpp"
@@ -71,15 +70,6 @@ struct ClusterConfig {
   /// Run a warm-standby GRM on its own node; every LRM gets it as the
   /// failover target (requires lrm.reliable_updates to actually fail over).
   bool standby_grm = false;
-  /// Batch the Information Update Protocol per network segment: one
-  /// HeartbeatBatcher per segment polls its members' status on a single
-  /// timer tick and ships one NodeStatusBatch frame to the GRM, replacing
-  /// per-node heartbeat timers and messages; LUPA sampling ticks batch the
-  /// same way. Scheduling decisions are unchanged (statuses carry the same
-  /// content through the same Grm::on_update path) — only the event and
-  /// message counts drop. With lrm.reliable_updates, the per-segment frame
-  /// also takes over GRM liveness probing and failover.
-  bool batch_heartbeats = false;
   /// Control-plane snapshots (requires standby_grm): the primary manager
   /// periodically captures Trader/GRM/GUPA/ORB-dedup state and ships it —
   /// full image per epoch, then per-period deltas — to a SnapshotStore on
@@ -143,12 +133,6 @@ class Cluster {
   /// Wire ref of the repository's chunk-store servant (nil when disabled).
   [[nodiscard]] const orb::ObjectRef& ckpt_store_ref() const {
     return ckpt_store_ref_;
-  }
-  /// Per-segment heartbeat batcher (ClusterConfig::batch_heartbeats); null
-  /// when batching is off or the segment has no provider nodes.
-  [[nodiscard]] lrm::HeartbeatBatcher* batcher(int local_segment) {
-    const auto idx = static_cast<std::size_t>(local_segment);
-    return idx < batchers_.size() ? batchers_[idx].batcher.get() : nullptr;
   }
   [[nodiscard]] node::Machine& machine(std::size_t i) {
     return *workers_[i]->machine;
@@ -216,16 +200,6 @@ class Cluster {
   std::unique_ptr<asct::Asct> asct_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  /// One per local segment index when batch_heartbeats is set (entries with
-  /// no provider nodes hold nulls). Each batcher gets its own lightweight
-  /// ORB on the segment, allocated after all worker endpoints so enabling
-  /// batching never shifts worker addresses.
-  struct SegmentBatcher {
-    std::unique_ptr<orb::Orb> orb;
-    std::unique_ptr<lrm::HeartbeatBatcher> batcher;
-  };
-  std::vector<SegmentBatcher> batchers_;
   /// Names this cluster registered in the grid's MetricsHub (removed in the
   /// destructor so a cluster never leaves dangling scrape callbacks behind).
   std::vector<std::string> hub_names_;

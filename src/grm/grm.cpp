@@ -18,7 +18,6 @@ using protocol::TaskOutcome;
 namespace {
 
 constexpr const char* kOpUpdateStatus = "update_status";
-constexpr const char* kOpUpdateStatusBatch = "update_status_batch";
 constexpr const char* kOpSubmit = "submit";
 constexpr const char* kOpReport = "report";
 constexpr const char* kOpRemoteSubmit = "remote_submit";
@@ -32,12 +31,6 @@ class GrmServant final : public orb::SkeletonBase {
         kOpUpdateStatus,
         [&grm](const protocol::NodeStatus& status) -> Result<cdr::Empty> {
           grm.handle_update_status(status);
-          return cdr::Empty{};
-        });
-    register_op<protocol::NodeStatusBatch, cdr::Empty>(
-        kOpUpdateStatusBatch,
-        [&grm](const protocol::NodeStatusBatch& batch) -> Result<cdr::Empty> {
-          grm.handle_update_status_batch(batch);
           return cdr::Empty{};
         });
     register_op<protocol::ApplicationSpec, protocol::SubmitReply>(
@@ -149,44 +142,14 @@ void Grm::stop() {
 // ---------------------------------------------------------------------------
 
 void Grm::handle_update_status(const protocol::NodeStatus& status) {
+  // Promotion: nothing addresses a standby while the primary lives, so the
+  // first status it receives means an LRM failed over to it — wake the
+  // dormant snapshot image before applying.
+  if (restored_dormant_) recover_in_flight();
   metrics_.counter("status_updates_received").add();
   on_update(status);
   // Fresh capacity may unblock queued tasks.
   if (status.shareable) kick_scheduler();
-}
-
-void Grm::handle_update_status_batch(const protocol::NodeStatusBatch& batch) {
-  // Epoch guard: after a failover the demoted primary's network queues can
-  // still drain batches stamped with the old epoch. Applying them would
-  // resurrect offers the new GRM just learned are stale. Epoch 0 marks an
-  // unversioned sender (tests, legacy paths) and is never dropped.
-  bool epoch_advanced = false;
-  if (batch.epoch != 0) {
-    std::uint64_t& seen = segment_epochs_[batch.segment];
-    if (batch.epoch < seen) {
-      metrics_.counter("stale_epoch_batches_dropped").add();
-      return;
-    }
-    epoch_advanced = batch.epoch > seen;
-    seen = batch.epoch;
-  }
-  // Promotion: the first frame a snapshot-restored standby receives means
-  // the segment adopted it — wake the dormant image before applying.
-  if (restored_dormant_) recover_in_flight();
-  metrics_.counter("status_batches_received").add();
-  metrics_.counter("status_updates_received")
-      .add(static_cast<std::int64_t>(batch.updates.size()));
-  // One dispatch applies the whole segment: each member refreshes its
-  // Trader offer in place, then the scheduler is kicked once — not once per
-  // node — if any member can take work.
-  bool any_shareable = false;
-  for (const protocol::NodeStatus& status : batch.updates) {
-    on_update(status);
-    any_shareable = any_shareable || status.shareable;
-  }
-  if (any_shareable) {
-    kick_scheduler(epoch_advanced ? options_.adoption_grace : 0);
-  }
 }
 
 void Grm::handle_task_resync(const protocol::TaskResync& resync) {
@@ -1523,12 +1486,6 @@ void Grm::save(cdr::Writer& w) const {
   cdr::Codec<Rng::State>::encode(w, rng_.state());
   cdr::Codec<Rng::State>::encode(w, backoff_rng_.state());
 
-  w.write_u32(static_cast<std::uint32_t>(segment_epochs_.size()));
-  for (const auto& [segment, epoch] : segment_epochs_) {
-    w.write_i32(segment);
-    w.write_u64(epoch);
-  }
-
   // nodes_ is hash-keyed; sort for deterministic bytes.
   std::vector<NodeId> node_ids;
   node_ids.reserve(nodes_.size());
@@ -1544,15 +1501,13 @@ void Grm::save(cdr::Writer& w) const {
 
   // encode_base: the spec's bid extension is a *wire* tail (detected via
   // remaining()); in this nesting context the economy fields are written
-  // explicitly, version-gated, right after the base layout.
+  // explicitly, right after the base layout.
   w.write_u32(static_cast<std::uint32_t>(apps_.size()));
   for (const auto& [_, app] : apps_) {
     cdr::Codec<protocol::ApplicationSpec>::encode_base(w, app.spec);
-    if (sched_.enabled) {
-      w.write_string(app.spec.tenant);
-      w.write_f64(app.spec.bid_budget);
-      w.write_i64(app.spec.bid_deadline);
-    }
+    w.write_string(app.spec.tenant);
+    w.write_f64(app.spec.bid_budget);
+    w.write_i64(app.spec.bid_deadline);
     w.write_bool(app.adopted_remote);
     cdr::Codec<orb::ObjectRef>::encode(w, app.origin);
     w.write_i32(app.outstanding);
@@ -1574,23 +1529,21 @@ void Grm::save(cdr::Writer& w) const {
     w.write_i64(task.eligible_at);
     w.write_i32(task.topology_segment);
     w.write_i64(task.remote_deadline);
-    if (sched_.enabled) {
-      w.write_string(task.tenant);
-      w.write_i64(task.deadline);
-    }
+    w.write_string(task.tenant);
+    w.write_i64(task.deadline);
     // remote_timeout (event handle) and span (tracer state) are transients:
     // load() re-arms the former from remote_deadline; spans restart cold.
     // ckpt_peers and the preempting set are transient too: an in-flight
     // preemption resolves through the eviction report either way.
   }
 
-  // Queue ids in FIFO (arrival) order — the version-1 layout; version 2
-  // appends the per-entry tenant/deadline metadata and the tenant passes so
-  // long-run fair shares survive a failover.
+  // Queue ids in FIFO (arrival) order, then the per-entry tenant/deadline
+  // metadata and the tenant passes so long-run fair shares survive a
+  // failover.
   const std::vector<TaskId> fifo = queue_.fifo_order();
   w.write_u32(static_cast<std::uint32_t>(fifo.size()));
   for (const TaskId id : fifo) w.write_id(id);
-  if (sched_.enabled) queue_.save(w);
+  queue_.save(w);
 
   std::vector<NodeId> inflight_ids;
   inflight_ids.reserve(inflight_.size());
@@ -1614,7 +1567,10 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
                   "grm snapshot version " + std::to_string(version) +
                       " unsupported");
   }
+  // Migration only: version 1 predates the economy fields; versions 1 and
+  // 2 carry a per-segment heartbeat-epoch table nothing reads any more.
   const bool has_sched = version >= 2;
+  const bool has_epoch_table = version <= 2;
 
   // Decode everything into scratch state first: a truncated or corrupt
   // section must leave the live GRM untouched.
@@ -1622,11 +1578,12 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   const Rng::State rng_state = cdr::Codec<Rng::State>::decode(r);
   const Rng::State backoff_state = cdr::Codec<Rng::State>::decode(r);
 
-  std::map<std::int32_t, std::uint64_t> segment_epochs;
-  const std::uint32_t n_epochs = r.read_u32();
-  for (std::uint32_t i = 0; i < n_epochs && r.ok(); ++i) {
-    const std::int32_t segment = r.read_i32();
-    segment_epochs[segment] = r.read_u64();
+  if (has_epoch_table) {
+    const std::uint32_t n_epochs = r.read_u32();
+    for (std::uint32_t i = 0; i < n_epochs && r.ok(); ++i) {
+      (void)r.read_i32();  // segment
+      (void)r.read_u64();  // epoch
+    }
   }
 
   std::unordered_map<NodeId, NodeRecord> nodes;
@@ -1733,7 +1690,6 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   next_reservation_ = next_reservation;
   rng_.set_state(rng_state);
   backoff_rng_.set_state(backoff_state);
-  segment_epochs_ = std::move(segment_epochs);
   nodes_ = std::move(nodes);
   apps_ = std::move(apps);
   tasks_ = std::move(tasks);

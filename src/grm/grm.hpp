@@ -69,12 +69,6 @@ struct GrmOptions {
   double cpu_request = 1.0;
   /// Summary push cadence toward the parent cluster.
   SimDuration summary_period = 60 * kSecond;
-  /// Extra delay before the first scheduler pass after a batch arrives with
-  /// a higher GRM epoch (standby adoption): gives TaskResync frames and
-  /// journal replays time to land before the new GRM re-places tasks the
-  /// old primary already placed. 0 (default) = no grace, byte-identical to
-  /// the historical behaviour.
-  SimDuration adoption_grace = 0;
 };
 
 enum class TaskState {
@@ -124,7 +118,6 @@ class Grm {
 
   // ---- protocol entry points (servant ops; public for tests) ----
   void handle_update_status(const protocol::NodeStatus& status);
-  void handle_update_status_batch(const protocol::NodeStatusBatch& batch);
   protocol::SubmitReply handle_submit(const protocol::ApplicationSpec& spec);
   void handle_report(const protocol::TaskReport& report);
   void handle_remote_submit(const protocol::RemoteSubmit& request);
@@ -171,26 +164,25 @@ class Grm {
   [[nodiscard]] std::optional<protocol::NodeStatus> node_view(NodeId node) const;
 
   // ---- control-plane snapshots (see docs/snapshots.md) ----
-  /// Highest snapshot format version for the "grm" section. Version 2
-  /// appends the scheduling-economy state (per-app bids, per-task tenant
-  /// and deadline, fair-queue passes); version 1 is the pre-economy layout.
-  static constexpr std::uint32_t kSnapshotVersion = 2;
-  /// Version save() actually writes: 2 with the economy enabled, else 1 —
-  /// a sched-disabled GRM's snapshot stream stays byte-identical to the
-  /// pre-economy format.
-  [[nodiscard]] std::uint32_t snapshot_version() const {
-    return sched_.enabled ? 2 : 1;
-  }
+  /// Snapshot format version of the "grm" section; save() writes only this
+  /// layout. Version 3 always carries the scheduling-economy fields
+  /// (per-app bids, per-task tenant and deadline, fair-queue metadata and
+  /// passes). Versions 1 (pre-economy) and 2 (economy fields only when the
+  /// economy was on) also carried a per-segment heartbeat-epoch table;
+  /// load() still reads both layouts, for migration only, and discards
+  /// that table.
+  static constexpr std::uint32_t kSnapshotVersion = 3;
   /// Serialize scheduler state: node records, apps, tasks, the pending
-  /// queue, in-flight counts, child summaries, reservation counter, epoch
-  /// guards, and both RNG streams. Engine-coupled transients (armed timers,
-  /// active negotiation waves, trace spans) are intentionally excluded; a
-  /// loaded GRM re-derives them. The Trader is its own snapshot section.
+  /// queue, in-flight counts, child summaries, reservation counter, and
+  /// both RNG streams. Engine-coupled transients (armed timers, active
+  /// negotiation waves, trace spans) are intentionally excluded; a loaded
+  /// GRM re-derives them. The Trader is its own snapshot section.
   void save(cdr::Writer& w) const;
-  /// Replace scheduler state from a snapshot section. Decode-into-scratch:
-  /// on any error the GRM is untouched. Requires the Trader section to have
-  /// been loaded first (node records must reference live offers). The loaded
-  /// state is dormant until recover_in_flight().
+  /// Replace scheduler state from a snapshot section of any version up to
+  /// kSnapshotVersion. Decode-into-scratch: on any error the GRM is
+  /// untouched. Requires the Trader section to have been loaded first (node
+  /// records must reference live offers). The loaded state is dormant until
+  /// recover_in_flight().
   Status load(std::uint32_t version, cdr::Reader& r);
   /// After a failover load: tasks the snapshot froze mid-negotiation have
   /// no surviving wave callbacks on this GRM — return them to the pending
@@ -198,7 +190,7 @@ class Grm {
   /// them, and kRemote adoption timeouts are re-armed. Separate from load():
   /// a warm standby installs snapshots while the primary is alive and must
   /// stay dormant (no timers, no kicks) until promoted — the first status
-  /// frame or task resync after adoption calls this automatically. Also
+  /// update or task resync after adoption calls this automatically. Also
   /// keeps save→load→save byte-identical.
   void recover_in_flight();
 
@@ -322,10 +314,6 @@ class Grm {
   std::set<TaskId> preempting_;
   std::vector<std::pair<NodeId, orb::ObjectRef>> ckpt_agents_;
   std::map<ClusterId, protocol::ClusterSummary> child_summaries_;
-  /// Highest NodeStatusBatch epoch seen per segment: batches below it are
-  /// stale traffic from a demoted primary's queues and are dropped. Epoch 0
-  /// (unversioned senders) is never tracked or dropped.
-  std::map<std::int32_t, std::uint64_t> segment_epochs_;
   /// True between load() and recover_in_flight(): snapshot state installed
   /// but not yet activated (standby awaiting promotion).
   bool restored_dormant_ = false;

@@ -112,9 +112,6 @@ void Lrm::start(const orb::ObjectRef& grm, const orb::ObjectRef& gupa,
 
   // Information Update Protocol: stagger the first update uniformly within
   // one period so a 100-node cluster does not stampede the GRM in lockstep.
-  // In batched mode the segment batcher owns the cadence — one frame per
-  // segment per period replaces the per-node timers (and their staggers).
-  if (options_.batched_updates) return;
   const SimDuration stagger = static_cast<SimDuration>(
       rng_.uniform(0.0, static_cast<double>(options_.update_period)));
   update_timer_.start(engine_, options_.update_period, [this] { push_update(); },
@@ -189,10 +186,7 @@ void Lrm::restart() {
   // Re-announce immediately (the information update protocol makes GRM
   // state soft — re-registration IS recovery), then resume the periodic
   // heartbeat with a fresh stagger so mass restarts don't re-synchronise.
-  // Batched mode: the segment batcher resumes including this node on its
-  // next tick; only the immediate re-announce is individual.
   push_update();
-  if (options_.batched_updates) return;
   const SimDuration stagger = static_cast<SimDuration>(
       rng_.uniform(0.0, static_cast<double>(options_.update_period)));
   update_timer_.start(engine_, options_.update_period, [this] { push_update(); },
@@ -246,10 +240,7 @@ const protocol::NodeStatus& Lrm::current_status() const {
 void Lrm::push_update() {
   if (!grm_.valid() || crashed_) return;
   metrics_.counter("status_updates_sent").add();
-  if (!options_.reliable_updates || !standby_grm_.valid() ||
-      options_.batched_updates) {
-    // Batched mode never probes here: the segment batcher's own reliable
-    // frame is the liveness probe, and it rotates members on failover.
+  if (!options_.reliable_updates || !standby_grm_.valid()) {
     orb::oneway(orb_, grm_, "update_status", current_status());
     return;
   }
@@ -277,17 +268,8 @@ void Lrm::push_update() {
       });
 }
 
-void Lrm::adopt_grm(const orb::ObjectRef& grm, const orb::ObjectRef& standby) {
-  const orb::ObjectRef old_grm = grm_;
-  grm_ = grm;
-  standby_grm_ = standby;
-  grm_misses_ = 0;
-  resync_with_grm(old_grm);
-}
-
 void Lrm::resync_with_grm(const orb::ObjectRef& old_grm) {
   if (options_.report_journal_window <= 0 || crashed_ || !grm_.valid()) return;
-  if (grm_ == old_grm) return;  // nothing changed
   // Declare the tasks still running here so a snapshot-restored GRM marks
   // them running instead of re-placing them, and route their completion
   // reports to the live manager.

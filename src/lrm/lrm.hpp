@@ -60,14 +60,6 @@ struct LrmOptions {
   /// consecutive misses. Off by default — oneway updates, no failover.
   bool reliable_updates = false;
   int grm_failure_threshold = 3;
-  /// Heartbeats are driven by a per-segment HeartbeatBatcher instead of a
-  /// per-node timer: the LRM arms no update timer, and the batcher polls
-  /// current_status() on one shared tick, shipping the whole segment in a
-  /// single NodeStatusBatch frame. Event-driven pushes (state changes,
-  /// restart re-announce) stay individual; with reliable_updates the
-  /// batcher also takes over GRM liveness probing and failover (it calls
-  /// adopt_grm on its members), so push_update never probes in this mode.
-  bool batched_updates = false;
   /// Keep a sliding-window journal of outgoing TaskReports and replay it to
   /// a newly adopted GRM (snapshot-restore failover): terminal outcomes the
   /// dead primary swallowed are re-delivered, and the GRM's duplicate/stale
@@ -113,14 +105,6 @@ class Lrm {
   /// node (its chunk store, modeling disk, survives the outage).
   void set_ckpt_agent(ckpt::CkptAgent* agent) { ckpt_agent_ = agent; }
   [[nodiscard]] const orb::ObjectRef& grm() const { return grm_; }
-
-  /// Batched mode: the segment batcher detected a GRM failover and rotates
-  /// every member onto the new primary so event-driven pushes and restart
-  /// re-announces go to the live manager. With report_journal_window set,
-  /// adoption also resyncs the new GRM: running tasks are declared via a
-  /// TaskResync frame (and their report routing rewritten), and the recent
-  /// TaskReport journal is replayed.
-  void adopt_grm(const orb::ObjectRef& grm, const orb::ObjectRef& standby);
 
   [[nodiscard]] const orb::ObjectRef& ref() const { return self_ref_; }
   [[nodiscard]] NodeId node_id() const { return machine_.id(); }

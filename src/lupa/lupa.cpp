@@ -21,7 +21,6 @@ Lupa::Lupa(sim::Engine& engine, const node::Machine& machine, Rng rng,
 
 void Lupa::start() {
   current_day_index_ = static_cast<int>(engine_.now() / kDay);
-  if (options_.external_ticks) return;  // a segment batcher drives sample()
   timer_.start(engine_, options_.sample_interval, [this] { sample(); });
 }
 

@@ -37,13 +37,6 @@ struct LupaOptions {
   int recluster_every_days = 1;
   /// Sliding window of retained day vectors (8 weeks by default).
   std::size_t max_history_days = 56;
-  /// When true the LUPA arms no timer of its own: an external per-segment
-  /// batcher drives sampling by calling sample_tick() on every member at
-  /// the shared cadence (one engine event per segment instead of one per
-  /// node). Tick times must match the timer the LUPA would have armed —
-  /// start + k*sample_interval — so the sampled values, and therefore the
-  /// learned usage model, are identical either way.
-  bool external_ticks = false;
 };
 
 /// A finished day of observation.
@@ -95,11 +88,6 @@ class Lupa {
   /// Re-cluster immediately from current history.
   void recluster();
 
-  /// One externally-driven sample (LupaOptions::external_ticks): the
-  /// per-segment batcher calls this where the internal timer would have
-  /// fired.
-  void sample_tick() { sample(); }
-
   /// Control-plane snapshot format version for the "lupa" section.
   static constexpr std::uint32_t kSnapshotVersion = 1;
 
@@ -110,7 +98,7 @@ class Lupa {
 
   /// Restore from a snapshot section (decode-into-scratch, validate, then
   /// commit; on error the model is untouched). Timers are not snapshot
-  /// state: the caller's start()/batcher cadence keeps driving sampling.
+  /// state: the caller's start() cadence keeps driving sampling.
   Status load(std::uint32_t version, cdr::Reader& r);
 
  private:

@@ -33,7 +33,17 @@ Orb::Orb(NodeAddress self, Transport& transport, sim::Engine* engine,
   });
 }
 
-Orb::~Orb() { shutdown(); }
+Orb::~Orb() {
+  // Destruction is not shutdown(): the components that own the pending
+  // callbacks share this node and may already be destroyed (a Cluster tears
+  // its LRMs, ASCT and GRMs down before their ORBs), so the callbacks are
+  // dropped unfired instead of failed.
+  if (!shutdown_) transport_.unbind(self_);
+  for (auto& [id, p] : pending_) {
+    p.timeout.cancel();
+    p.retransmit.cancel();
+  }
+}
 
 void Orb::shutdown() {
   if (shutdown_) return;

@@ -123,7 +123,8 @@ class Orb {
   void send_oneway(const ObjectRef& target, const std::string& operation,
                    std::vector<std::uint8_t> args);
 
-  /// Fail all pending requests and stop receiving. Idempotent.
+  /// Fail all pending requests and stop receiving. Idempotent. (The
+  /// destructor stops receiving too, but drops pending requests unfired.)
   void shutdown();
   [[nodiscard]] bool is_shutdown() const { return shutdown_; }
 

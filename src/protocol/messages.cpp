@@ -113,20 +113,6 @@ NodeStatus Codec<NodeStatus>::decode(Reader& r) {
   return v;
 }
 
-void Codec<NodeStatusBatch>::encode(Writer& w, const NodeStatusBatch& v) {
-  w.write_i32(v.segment);
-  w.write_u64(v.epoch);
-  encode_sequence(w, v.updates);
-}
-
-NodeStatusBatch Codec<NodeStatusBatch>::decode(Reader& r) {
-  NodeStatusBatch v;
-  v.segment = r.read_i32();
-  v.epoch = r.read_u64();
-  v.updates = decode_sequence<NodeStatus>(r);
-  return v;
-}
-
 void Codec<TaskResync>::encode(Writer& w, const TaskResync& v) {
   w.write_id(v.node);
   Codec<orb::ObjectRef>::encode(w, v.lrm);

@@ -59,25 +59,6 @@ struct NodeStatus {
   bool operator==(const NodeStatus&) const = default;
 };
 
-/// A segment's worth of heartbeats coalesced into one frame. Per-segment
-/// batchers poll their members on a single timer tick and ship all statuses
-/// in one ORB message, so 50 nodes cost the GRM one dispatch (applied as a
-/// Trader::refresh loop) and the simulation one event instead of 50. The
-/// frame is atomic on the wire: a partition or loss drops *all* of a
-/// segment's updates for that period, never a prefix.
-struct NodeStatusBatch {
-  std::int32_t segment = 0;  // reporting segment, for diagnostics
-  /// GRM incarnation the sender believes it is reporting to. Bumped by the
-  /// batcher when it fails over to the standby, so an adopting GRM can drop
-  /// stale batches still draining from the old primary's queues instead of
-  /// resurrecting dead offers. 0 = unversioned (legacy senders, unit
-  /// tests); never dropped.
-  std::uint64_t epoch = 0;
-  std::vector<NodeStatus> updates;
-
-  bool operator==(const NodeStatusBatch&) const = default;
-};
-
 // ---------------------------------------------------------------------------
 // Application & task descriptors
 // ---------------------------------------------------------------------------
@@ -675,10 +656,6 @@ namespace integrade::cdr {
 template <> struct Codec<protocol::NodeStatus> {
   static void encode(Writer& w, const protocol::NodeStatus& v);
   static protocol::NodeStatus decode(Reader& r);
-};
-template <> struct Codec<protocol::NodeStatusBatch> {
-  static void encode(Writer& w, const protocol::NodeStatusBatch& v);
-  static protocol::NodeStatusBatch decode(Reader& r);
 };
 template <> struct Codec<protocol::TaskDescriptor> {
   static void encode(Writer& w, const protocol::TaskDescriptor& v);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "asct/asct.hpp"
 #include "common/rng.hpp"
 #include "core/grid.hpp"
 #include "core/workloads.hpp"
@@ -247,65 +248,44 @@ TEST(FaultsDeterminism, LossPlanStreamIsIsolatedFromJitterStream) {
   EXPECT_EQ(sorted(no_jitter.to_ep2), sorted(jitter.to_ep2));
 }
 
-TEST(FaultsBatchedFrames, PartitionDropsWholeSegmentFrameAtomically) {
-  // With per-segment heartbeat batching the atomicity of the frame is a
-  // feature: a partitioned segment loses ALL of its statuses for a period,
-  // never a prefix. Observable from the manager: while the far segment is
-  // cut off, the GRM's update counter advances only in whole near-segment
-  // frames — every batch that lands carries exactly the four near nodes.
-  core::Grid grid(151);
-  auto config = core::quiet_cluster(8, 151, 1000.0, "atomic");
-  SegmentSpec far = config.segments.front();
-  far.name = "atomic-far";
-  config.segments.push_back(far);
-  for (int i = 4; i < 8; ++i) {
-    config.nodes[static_cast<std::size_t>(i)].segment = 1;
-  }
-  config.batch_heartbeats = true;
+TEST(FaultsFailover, ManagerCrashRotatesEveryLrmToStandby) {
+  // Reliable per-node status updates double as each LRM's liveness probe of
+  // the Cluster Manager. Kill the manager node: every LRM's two-way updates
+  // start missing, and after grm_failure_threshold misses each LRM rotates
+  // onto the warm standby on its own and re-announces there.
+  core::Grid grid(131);
+  auto config = core::quiet_cluster(6, 131, 1000.0, "failover");
   config.lrm.update_period = 10 * kSecond;
+  config.standby_grm = true;
+  config.lrm.reliable_updates = true;
   auto& cluster = grid.add_cluster(config);
-  FaultInjector faults(grid.engine(), grid.network(), Rng(3));
+  FaultInjector faults(grid.engine(), grid.network(), Rng(7));
 
-  // Past the initial announces, NCC grace flips, and batcher staggers:
-  // steady state is periodic frames only.
+  grid.run_for(2 * kMinute);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    ASSERT_EQ(cluster.lrm(i).grm(), cluster.grm_ref());
+  }
+
+  faults.crash_endpoint(cluster.manager_address());
   grid.run_for(3 * kMinute);
 
-  const auto updates_before =
-      cluster.grm().metrics().counter_value("status_updates_received");
-  const auto batches_before =
-      cluster.grm().metrics().counter_value("status_batches_received");
-  auto* far_batcher = cluster.batcher(1);
-  ASSERT_NE(far_batcher, nullptr);
-  const auto far_frames_before =
-      far_batcher->metrics().counter_value("status_frames_sent");
+  ASSERT_NE(cluster.standby_grm(), nullptr);
+  grm::Grm& standby = *cluster.standby_grm();
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.lrm(i).grm(), standby.ref()) << "LRM " << i;
+    EXPECT_GE(cluster.lrm(i).metrics().counter_value("grm_failovers"), 1)
+        << "LRM " << i;
+  }
+  EXPECT_EQ(standby.known_nodes(), cluster.size());
 
-  faults.partition(cluster.segment_id(0), cluster.segment_id(1));
-  grid.run_for(100 * kSecond);  // ten update periods
-
-  const auto updates =
-      cluster.grm().metrics().counter_value("status_updates_received") -
-      updates_before;
-  const auto batches =
-      cluster.grm().metrics().counter_value("status_batches_received") -
-      batches_before;
-  // The manager node lives on segment 0: only near-segment frames arrive,
-  // each one whole. No partial frame can exist.
-  EXPECT_GT(batches, 0);
-  EXPECT_EQ(updates, batches * 4);
-  // The far batcher kept sending; the partition ate every frame in one
-  // piece rather than letting single statuses leak through.
-  EXPECT_GT(far_batcher->metrics().counter_value("status_frames_sent"),
-            far_frames_before);
-  EXPECT_GT(faults.stats().partition_drops, 0);
-
-  // Healed: the far segment's next frame restores all four nodes at once.
-  faults.heal(cluster.segment_id(0), cluster.segment_id(1));
-  const auto healed_before =
-      cluster.grm().metrics().counter_value("status_updates_received");
-  grid.run_for(30 * kSecond);
-  EXPECT_GE(cluster.grm().metrics().counter_value("status_updates_received") -
-                healed_before,
-            8);
+  // The standby is a working manager: an application submitted to it runs
+  // to completion on the re-announced nodes.
+  asct::AppBuilder builder("after-failover");
+  builder.kind(protocol::AppKind::kParametric).tasks(3, 30'000.0);
+  const AppId app = cluster.asct().submit(standby.ref(),
+                                          builder.build(cluster.asct().ref()));
+  EXPECT_TRUE(
+      grid.run_until_app_done(cluster, app, grid.engine().now() + kHour));
 }
 
 TEST(FaultsLifetime, DetachingInjectorRestoresCleanNetwork) {

@@ -229,6 +229,30 @@ TEST(OrbSimTransport, TimeoutFiresWhenHostDark) {
   EXPECT_EQ(client.metrics().counter_value("requests_timed_out"), 1);
 }
 
+TEST(OrbSimTransport, DestructionDropsPendingCallbacksUnfired) {
+  // The owner of a pending callback may die before its ORB (a Cluster tears
+  // its components down first), so destruction must not run callbacks.
+  sim::Engine engine;
+  sim::Network network(engine, Rng(3));
+  auto lan = network.add_segment(sim::SegmentSpec{});
+  network.attach(1, lan);
+  network.attach(2, lan);
+  SimNetworkTransport transport(network);
+  ObjectRef dark;
+  dark.host = 2;
+  dark.key = ObjectId(1);
+
+  bool fired = false;
+  {
+    Orb client(1, transport, &engine);
+    client.invoke(dark, "echo", {},
+                  [&fired](Result<std::vector<std::uint8_t>>) { fired = true; });
+  }
+  EXPECT_FALSE(fired);
+  engine.run_until(10 * kSecond);  // the cancelled deadline never fires
+  EXPECT_FALSE(fired);
+}
+
 TEST(OrbSimTransport, RequestReplyOverSimulatedNetworkTakesLatency) {
   sim::Engine engine;
   sim::Network network(engine, Rng(3));

@@ -73,24 +73,6 @@ TaskDescriptor sample_task() {
 
 TEST(ProtocolRoundTrip, NodeStatus) { expect_round_trip(sample_status()); }
 
-TEST(ProtocolRoundTrip, NodeStatusBatch) {
-  NodeStatusBatch batch;
-  batch.segment = 3;
-  batch.updates.push_back(sample_status());
-  NodeStatus other = sample_status();
-  other.node = NodeId(6);
-  other.hostname = "lab-n6";
-  other.shareable = true;
-  other.running_tasks = 0;
-  batch.updates.push_back(other);
-  batch.epoch = 7;  // failover incarnation stamp
-  expect_round_trip(batch);
-
-  NodeStatusBatch empty;
-  empty.segment = 0;
-  expect_round_trip(empty);  // epoch 0 = unversioned legacy sender
-}
-
 TEST(ProtocolRoundTrip, FailoverMessages) {
   TaskResync resync;
   resync.node = NodeId(11);

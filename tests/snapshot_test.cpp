@@ -17,6 +17,7 @@
 #include "sim/faults.hpp"
 #include "snapshot/coordinator.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot/state_codecs.hpp"
 
 namespace integrade {
 namespace {
@@ -218,7 +219,7 @@ TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
                   .load(services::Trader::kSnapshotVersion, tr)
                   .is_ok());
   cdr::Reader gr(grm_bytes.data(), grm_bytes.size());
-  const Status loaded = standby.load(cluster.grm().snapshot_version(), gr);
+  const Status loaded = standby.load(grm::Grm::kSnapshotVersion, gr);
   ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
 
   cdr::Writer tw2;
@@ -262,11 +263,212 @@ TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
   for (const std::size_t len :
        {grm_bytes.size() / 4, grm_bytes.size() / 2, grm_bytes.size() - 1}) {
     cdr::Reader cut(grm_bytes.data(), len);
-    EXPECT_FALSE(standby.load(cluster.grm().snapshot_version(), cut).is_ok())
+    EXPECT_FALSE(standby.load(grm::Grm::kSnapshotVersion, cut).is_ok())
         << "accepted at " << len;
     EXPECT_EQ(standby.known_nodes(), 0u);
     EXPECT_EQ(standby.pending_tasks(), 0);
   }
+}
+
+TEST(SnapshotComponents, RestoredStandbyWakesOnFirstStatusUpdate) {
+  // Without report journals no TaskResync ever reaches a promoted standby:
+  // the first per-node status update is its only promotion signal, and it
+  // alone must wake the dormant image.
+  core::Grid grid(308);
+  auto config = core::quiet_cluster(4, 308);
+  config.standby_grm = true;
+  auto& cluster = grid.add_cluster(config);
+  grid.run_for(2 * kMinute);
+
+  // Catch the primary mid-negotiation: reserve requests sent, no reply yet.
+  AppBuilder builder("frozen");
+  builder.kind(protocol::AppKind::kSequential).tasks(1, 60'000.0);
+  const protocol::ApplicationSpec spec = builder.build(cluster.asct().ref());
+  const TaskId task = spec.tasks.front().id;
+  cluster.asct().submit(cluster.grm_ref(), spec);
+  for (int i = 0; i < 10'000; ++i) {
+    if (cluster.grm().task_state(task) == grm::TaskState::kNegotiating) break;
+    ASSERT_TRUE(grid.engine().step());
+  }
+  ASSERT_EQ(cluster.grm().task_state(task), grm::TaskState::kNegotiating);
+
+  cdr::Writer tw;
+  cluster.grm().trader().save(tw);
+  const auto trader_bytes = tw.take_buffer();
+  cdr::Writer gw;
+  cluster.grm().save(gw);
+  const auto grm_bytes = gw.take_buffer();
+
+  grm::Grm& standby = *cluster.standby_grm();
+  cdr::Reader tr(trader_bytes.data(), trader_bytes.size());
+  ASSERT_TRUE(standby.trader()
+                  .load(services::Trader::kSnapshotVersion, tr)
+                  .is_ok());
+  cdr::Reader gr(grm_bytes.data(), grm_bytes.size());
+  ASSERT_TRUE(standby.load(grm::Grm::kSnapshotVersion, gr).is_ok());
+  EXPECT_EQ(standby.task_state(task), grm::TaskState::kNegotiating);  // dormant
+
+  standby.handle_update_status(cluster.lrm(0).current_status());
+  EXPECT_EQ(standby.task_state(task), grm::TaskState::kPending);
+  EXPECT_EQ(
+      standby.metrics().counter_value("tasks_recovered_from_snapshot"), 1);
+}
+
+// One node, one app, one queued task: the GRM state the migration tests
+// hand-encode in every snapshot layout.
+struct GrmImageState {
+  protocol::NodeStatus node;
+  services::OfferId offer;
+  protocol::ApplicationSpec app;
+  std::uint64_t pass = 0;  // the app tenant's fair-queue pass
+};
+
+// The "grm" section as the writer of `version` laid it out. Versions 1 and
+// 2 carry a per-segment heartbeat-epoch table (non-empty here) after the
+// RNG states; versions 2 and 3 carry the economy fields; version 3 is the
+// current writer's layout.
+std::vector<std::uint8_t> encode_grm_image(std::uint32_t version,
+                                           const GrmImageState& state) {
+  const protocol::TaskDescriptor& task = state.app.tasks.front();
+  const bool economy = version >= 2;
+  cdr::Writer w;
+  w.write_u64(5);  // next reservation
+  cdr::Codec<Rng::State>::encode(w, Rng(11).state());
+  cdr::Codec<Rng::State>::encode(w, Rng(12).state());
+  if (version <= 2) {
+    w.write_u32(2);
+    w.write_i32(0);
+    w.write_u64(3);
+    w.write_i32(1);
+    w.write_u64(1);
+  }
+
+  w.write_u32(1);  // nodes
+  cdr::Codec<protocol::NodeStatus>::encode(w, state.node);
+  w.write_id(state.offer);
+  w.write_i64(90 * kSecond);  // last update
+
+  w.write_u32(1);  // apps
+  cdr::Codec<protocol::ApplicationSpec>::encode_base(w, state.app);
+  if (economy) {
+    w.write_string(state.app.tenant);
+    w.write_f64(state.app.bid_budget);
+    w.write_i64(state.app.bid_deadline);
+  }
+  w.write_bool(false);  // adopted_remote
+  cdr::Codec<orb::ObjectRef>::encode(w, orb::ObjectRef{});
+  w.write_i32(1);  // outstanding
+  w.write_i32(0);  // running
+  w.write_bool(false);
+  w.write_bool(false);
+
+  w.write_u32(1);  // tasks
+  cdr::Codec<protocol::TaskDescriptor>::encode(w, task);
+  w.write_id(state.app.id);
+  w.write_u8(static_cast<std::uint8_t>(grm::TaskState::kPending));
+  w.write_id(NodeId{});
+  cdr::Codec<orb::ObjectRef>::encode(w, orb::ObjectRef{});
+  w.write_i32(1);                // waves
+  w.write_i32(0);                // evictions
+  w.write_i64(20 * kSecond);     // backoff
+  w.write_i64(120 * kSecond);    // eligible_at
+  w.write_i32(-1);               // topology segment
+  w.write_i64(0);                // remote deadline
+  const SimTime deadline =
+      state.app.bid_deadline > 0 ? 60 * kSecond + state.app.bid_deadline : 0;
+  if (economy) {
+    w.write_string(state.app.tenant);
+    w.write_i64(deadline);
+  }
+
+  w.write_u32(1);  // queue, FIFO order
+  w.write_id(task.id);
+  if (economy) {
+    w.write_u32(1);  // per-entry metadata
+    w.write_string(state.app.tenant);
+    w.write_i64(deadline);
+    w.write_u32(1);  // tenant passes
+    w.write_string(state.app.tenant);
+    w.write_u64(state.pass);
+  }
+
+  w.write_u32(0);  // in-flight reserves
+  w.write_u32(0);  // child summaries
+  return w.take_buffer();
+}
+
+GrmImageState image_state(grm::Grm& into) {
+  GrmImageState state;
+  state.node.node = NodeId(77);
+  state.node.hostname = "migrated-n77";
+  state.node.cpu_mips = 1500.0;
+  state.node.lrm.host = 9;
+  state.node.lrm.key = ObjectId(4);
+  state.node.lrm.type_id = "IDL:integrade/Lrm:1.0";
+  state.node.shareable = true;
+  // Node records must reference a live offer in the (already loaded) Trader.
+  state.offer = into.trader().export_offer(
+      protocol::kNodeServiceType, state.node.lrm,
+      protocol::to_properties(state.node));
+  AppBuilder builder("migrated");
+  builder.kind(protocol::AppKind::kSequential).tasks(1, 60'000.0);
+  state.app = builder.build(orb::ObjectRef{});
+  return state;
+}
+
+TEST(SnapshotComponents, GrmLoadsV1ImageAndDiscardsEpochTable) {
+  core::Grid grid(309);
+  auto config = core::quiet_cluster(1, 309);
+  config.standby_grm = true;
+  auto& cluster = grid.add_cluster(config);
+  grm::Grm& standby = *cluster.standby_grm();
+  const GrmImageState state = image_state(standby);
+
+  const auto v1 = encode_grm_image(1, state);
+  cdr::Reader r(v1.data(), v1.size());
+  const Status loaded = standby.load(1, r);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(standby.known_nodes(), 1u);
+  EXPECT_TRUE(standby.app_known(state.app.id));
+  EXPECT_EQ(standby.task_state(state.app.tasks.front().id),
+            grm::TaskState::kPending);
+  EXPECT_EQ(standby.queue_length(), 1u);
+
+  // Re-saving writes the current layout: no epoch table, default economy
+  // fields.
+  cdr::Writer w;
+  standby.save(w);
+  EXPECT_EQ(w.buffer(), encode_grm_image(grm::Grm::kSnapshotVersion, state));
+}
+
+TEST(SnapshotComponents, GrmLoadsV2ImageAndDiscardsEpochTable) {
+  core::Grid grid(310);
+  auto config = core::quiet_cluster(1, 310);
+  config.standby_grm = true;
+  config.sched.enabled = true;
+  auto& cluster = grid.add_cluster(config);
+  grm::Grm& standby = *cluster.standby_grm();
+  GrmImageState state = image_state(standby);
+  state.app.tenant = "physics";
+  state.app.bid_budget = 40.0;
+  state.app.bid_deadline = 30 * kMinute;
+  state.pass = 3 * sched::kStrideScale;
+
+  const auto v2 = encode_grm_image(2, state);
+  cdr::Reader r(v2.data(), v2.size());
+  const Status loaded = standby.load(2, r);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
+  EXPECT_EQ(r.remaining(), 0u);
+  ASSERT_NE(standby.app_spec(state.app.id), nullptr);
+  EXPECT_EQ(standby.app_spec(state.app.id)->tenant, "physics");
+  EXPECT_EQ(standby.app_spec(state.app.id)->bid_deadline, 30 * kMinute);
+  EXPECT_EQ(standby.queue_length(), 1u);
+
+  // Re-saving writes version 3: version 2 without the epoch table.
+  cdr::Writer w;
+  standby.save(w);
+  EXPECT_EQ(w.buffer(), encode_grm_image(grm::Grm::kSnapshotVersion, state));
 }
 
 TEST(SnapshotComponents, OrbDedupWindowRoundTrips) {
@@ -372,7 +574,6 @@ TEST(SnapshotFailover, RestoredStandbyLosesNoTaskAndDuplicatesNone) {
   grid.network().set_jitter(0.0);
   auto config = core::quiet_cluster(8, 307);
   config.standby_grm = true;
-  config.batch_heartbeats = true;
   config.lrm.reliable_updates = true;
   config.lrm.update_period = 10 * kSecond;
   config.lrm.report_journal_window = 5 * kMinute;
@@ -402,7 +603,7 @@ TEST(SnapshotFailover, RestoredStandbyLosesNoTaskAndDuplicatesNone) {
   // The standby actually started from the installed image (it knew the
   // cluster before its first post-failover heartbeat could have told it).
   grm::Grm& standby = *cluster.standby_grm();
-  EXPECT_GT(standby.metrics().counter_value("status_batches_received"), 0);
+  EXPECT_GT(standby.metrics().counter_value("status_updates_received"), 0);
   EXPECT_TRUE(standby.app_known(app));
 }
 

@@ -34,7 +34,7 @@ FAILOVER_TOP_KEYS = {
     "nodes": int,
     "tasks": int,
     "warm_start_ok": bool,
-    "snapshot_vs_unbatched_speedup": (int, float),
+    "snapshot_vs_heartbeat_30s_speedup": (int, float),
 }
 FAILOVER_CELL_KEYS = {
     "mode": str,
@@ -49,7 +49,7 @@ FAILOVER_CELL_KEYS = {
     "tasks_recovered_from_snapshot": int,
     "app_known": bool,
 }
-FAILOVER_MODES = {"snapshot", "heartbeat-batched", "heartbeat-unbatched"}
+FAILOVER_MODES = {"snapshot", "heartbeat-10s", "heartbeat-30s"}
 
 
 def validate_failover(path, doc):
@@ -73,7 +73,7 @@ def validate_failover(path, doc):
         modes.add(cell["mode"])
     if not FAILOVER_MODES <= modes:
         return fail(path, "failover: cells must cover the snapshot, "
-                          "heartbeat-batched, and heartbeat-unbatched modes")
+                          "heartbeat-10s, and heartbeat-30s modes")
     return 0
 
 
