@@ -1,6 +1,7 @@
 #include "cdr/cdr.hpp"
 
 #include <bit>
+#include <type_traits>
 
 namespace integrade::cdr {
 
@@ -67,18 +68,38 @@ bool Reader::ensure(std::size_t n) {
   return true;
 }
 
-void Reader::align(std::size_t alignment) {
-  const std::size_t rem = pos_ % alignment;
-  if (rem == 0) return;
-  const std::size_t pad = alignment - rem;
-  if (!ensure(pad)) return;
-  pos_ += pad;
+namespace {
+
+// True when the `pad` bytes before `end` are zero, as Writer pads. They end
+// an aligned N-byte word that lies inside the buffer, so one load reads them.
+template <std::size_t N>
+bool padding_is_zero(const std::uint8_t* end, std::size_t pad) {
+  static_assert(N == 2 || N == 4 || N == 8);
+  using Word = std::conditional_t<
+      N == 8, std::uint64_t,
+      std::conditional_t<N == 4, std::uint32_t, std::uint16_t>>;
+  Word word;
+  std::memcpy(&word, end - N, N);
+  // Shift out the N - pad bytes that precede the padding.
+  const unsigned before = 8 * static_cast<unsigned>(N - pad);
+  return static_cast<Word>(std::endian::native == std::endian::little
+                               ? word >> before
+                               : word << before) == 0;
 }
+
+}  // namespace
 
 template <class T>
 T Reader::read_scalar() {
-  align(sizeof(T));
-  if (!ensure(sizeof(T))) return T{};
+  const std::size_t pad = (sizeof(T) - pos_ % sizeof(T)) % sizeof(T);
+  if (!ensure(pad + sizeof(T))) return T{};
+  if (pad != 0) {
+    if (!padding_is_zero<sizeof(T)>(data_ + pos_ + pad, pad)) {
+      ok_ = false;
+      return T{};
+    }
+    pos_ += pad;
+  }
   std::uint8_t bytes[sizeof(T)];
   const bool swap = order_ != native_byte_order();
   if (swap) {
@@ -96,7 +117,9 @@ T Reader::read_scalar() {
 
 bool Reader::read_bool() {
   if (!ensure(1)) return false;
-  return data_[pos_++] != 0;
+  const std::uint8_t b = data_[pos_++];
+  if (b > 1) ok_ = false;  // Writer emits 0 or 1 only
+  return b == 1;
 }
 
 std::uint8_t Reader::read_u8() {
@@ -114,16 +137,22 @@ float Reader::read_f32() { return read_scalar<float>(); }
 double Reader::read_f64() { return read_scalar<double>(); }
 
 std::string Reader::read_string() {
+  std::string s;
+  read_string_into(s);
+  return s;
+}
+
+void Reader::read_string_into(std::string& out) {
   const std::uint32_t len = read_u32();
   if (len == 0 || !ensure(len)) {
     ok_ = false;
-    return {};
+    out.clear();
+    return;
   }
   // len includes the trailing NUL.
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len - 1);
+  out.assign(reinterpret_cast<const char*>(data_ + pos_), len - 1);
   if (data_[pos_ + len - 1] != 0) ok_ = false;  // malformed: missing NUL
   pos_ += len;
-  return s;
 }
 
 std::vector<std::uint8_t> Reader::read_octets() {

@@ -13,9 +13,13 @@
 // numbers are meaningful proxies for the real protocol cost.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -68,9 +72,12 @@ class Writer {
   ByteOrder order_;
 };
 
-/// Reader mirrors Writer. Errors (truncated buffer) latch a failure flag;
-/// after a failure every read returns a zero value. Callers check ok() once
-/// after decoding a whole message, which keeps decode functions linear.
+/// Reader mirrors Writer. Errors latch a failure flag; after a failure every
+/// read returns a zero value. Callers check ok() once after decoding a whole
+/// message, which keeps decode functions linear. Besides truncation, the
+/// reader rejects bytes Writer never produces (a bool other than 0 or 1,
+/// non-zero alignment padding), so whatever it accepts re-encodes to the
+/// same bytes.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size,
@@ -89,6 +96,8 @@ class Reader {
   float read_f32();
   double read_f64();
   std::string read_string();
+  /// Same, into an existing string (no temporary to move from).
+  void read_string_into(std::string& out);
   std::vector<std::uint8_t> read_octets();
 
   template <class Tag>
@@ -96,7 +105,8 @@ class Reader {
     return Id<Tag>(read_u64());
   }
 
-  void align(std::size_t alignment);
+  /// Latch a failure for a value that decoded but is not canonical.
+  void fail() { ok_ = false; }
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t position() const { return pos_; }
@@ -117,40 +127,245 @@ class Reader {
 };
 
 // ---------------------------------------------------------------------------
-// Codec<T>: the extension point protocol structs specialize. A struct's
-// encode/decode must be exact mirrors; tests/cdr_test.cpp round-trips every
-// protocol message through both byte orders to enforce that.
+// Codec<T>: how a type crosses the wire. A struct gets its codec from its
+// field list; scalars, strings, ids, enums, sequences and fixed-size arrays
+// have the codecs after it. Only tagged unions (cdr::Value,
+// services::PropertySet) still specialize Codec by hand.
 // ---------------------------------------------------------------------------
-template <class T>
-struct Codec;  // specialize: static void encode(Writer&, const T&);
-               //             static T decode(Reader&);
 
-/// Empty request/ack payload for operations that need no arguments.
-struct Empty {
-  bool operator==(const Empty&) const = default;
-};
-template <>
-struct Codec<Empty> {
-  static void encode(Writer&, const Empty&) {}
-  static Empty decode(Reader&) { return {}; }
+/// A struct's wire layout: its fields in wire order (`base`), then an
+/// optional trailing extension (`tail`). Entries are pointers to data
+/// members, or BaseOf/TailOf entries for a nested struct.
+///
+/// The tail rule, for every struct that has one: the tail is written only
+/// when one of its fields differs from its value-initialized default, and
+/// read only when bytes remain after the base. A struct with a tail must
+/// therefore end its message; nest it elsewhere through BaseOf/TailOf.
+template <class Base, class Tail = std::tuple<>>
+struct FieldList {
+  Base base;
+  Tail tail;
+
+  template <class... F>
+  constexpr FieldList<Base, std::tuple<F...>> with_tail(F... f) const {
+    return {base, std::tuple<F...>(f...)};
+  }
 };
 
-template <class T>
-std::vector<std::uint8_t> encode_message(const T& value,
-                                         ByteOrder order = native_byte_order()) {
-  Writer w(order);
-  Codec<T>::encode(w, value);
-  return w.take_buffer();
+template <class... F>
+constexpr FieldList<std::tuple<F...>> fields(F... f) {
+  return {std::tuple<F...>(f...), {}};
 }
 
+/// `BaseOf{&S::m}`: the nested struct m without its tail.
+template <class M>
+struct BaseOf {
+  M member;
+};
+
+/// `TailOf{&S::m}`: the nested struct m's tail, as one entry of the
+/// enclosing struct's own tail.
+template <class M>
+struct TailOf {
+  M member;
+};
+
+/// A struct declares its layout once, next to the struct and in its
+/// namespace, by an overload found through argument-dependent lookup:
+///
+///   constexpr auto wire_fields(const TaskReport*) {
+///     using S = TaskReport;
+///     return cdr::fields(&S::task, &S::node, &S::outcome, &S::work_done,
+///                        &S::detail);
+///   }
 template <class T>
-Result<T> decode_message(const std::vector<std::uint8_t>& bytes,
-                         ByteOrder order = native_byte_order()) {
-  Reader r(bytes, order);
-  T value = Codec<T>::decode(r);
-  if (!r.ok()) return Status(ErrorCode::kInternal, "truncated CDR message");
-  return value;
+concept HasFieldList = requires(const T* p) { wire_fields(p); };
+
+template <class T>
+struct Codec;
+
+namespace detail {
+
+template <class T>
+constexpr auto field_list() {
+  return wire_fields(static_cast<const T*>(nullptr));
 }
+
+/// T's base entries, or its tail entries, as a compile-time constant: every
+/// field access below compiles to a fixed offset. The folds over them take
+/// the Writer/Reader and the struct as parameters, not captures, so those
+/// stay in registers when a long list is not inlined.
+template <class T, bool kTail>
+inline constexpr auto kEntries = [] {
+  if constexpr (kTail) {
+    return field_list<T>().tail;
+  } else {
+    return field_list<T>().base;
+  }
+}();
+
+template <class T, bool kTail>
+using EntryIndices =
+    std::make_index_sequence<std::tuple_size_v<decltype(kEntries<T, kTail>)>>;
+
+template <bool kTail, class S>
+void put_all(Writer& w, const S& v);
+template <bool kTail, class S>
+void get_all(Reader& r, S& v);
+template <class S>
+void get_struct(Reader& r, S& v);
+template <class S>
+bool tail_set(const S& v);
+
+template <class S, class M>
+void put_field(Writer& w, const S& v, M S::*f) {
+  Codec<M>::encode(w, v.*f);
+}
+template <class S, class M>
+void put_field(Writer& w, const S& v, BaseOf<M> f) {
+  put_all<false>(w, v.*(f.member));
+}
+template <class S, class M>
+void put_field(Writer& w, const S& v, TailOf<M> f) {
+  put_all<true>(w, v.*(f.member));
+}
+
+// Nested structs and strings decode in place: a fresh struct's field is
+// filled directly instead of being move-assigned from a temporary.
+template <class S, class M>
+void get_field(Reader& r, S& v, M S::*f) {
+  if constexpr (HasFieldList<M>) {
+    get_struct(r, v.*f);
+  } else if constexpr (std::is_same_v<M, std::string>) {
+    r.read_string_into(v.*f);
+  } else {
+    v.*f = Codec<M>::decode(r);
+  }
+}
+template <class S, class M>
+void get_field(Reader& r, S& v, BaseOf<M> f) {
+  get_all<false>(r, v.*(f.member));
+}
+template <class S, class M>
+void get_field(Reader& r, S& v, TailOf<M> f) {
+  get_all<true>(r, v.*(f.member));
+}
+
+template <class S, class M>
+bool is_set(const S& v, M S::*f) {
+  return !(v.*f == M{});
+}
+template <class S, class M>
+bool is_set(const S& v, TailOf<M> f) {
+  return tail_set(v.*(f.member));
+}
+
+template <bool kTail, class S, std::size_t... I>
+void put_each(Writer& w, const S& v, std::index_sequence<I...>) {
+  (put_field(w, v, std::get<I>(kEntries<S, kTail>)), ...);
+}
+template <bool kTail, class S>
+void put_all(Writer& w, const S& v) {
+  put_each<kTail>(w, v, EntryIndices<S, kTail>{});
+}
+
+template <bool kTail, class S, std::size_t... I>
+void get_each(Reader& r, S& v, std::index_sequence<I...>) {
+  (get_field(r, v, std::get<I>(kEntries<S, kTail>)), ...);
+}
+template <bool kTail, class S>
+void get_all(Reader& r, S& v) {
+  get_each<kTail>(r, v, EntryIndices<S, kTail>{});
+}
+
+template <class S, std::size_t... I>
+bool any_set(const S& v, std::index_sequence<I...>) {
+  return (is_set(v, std::get<I>(kEntries<S, true>)) || ...);
+}
+/// True when some tail field differs from its value-initialized default.
+template <class S>
+bool tail_set(const S& v) {
+  return any_set(v, EntryIndices<S, true>{});
+}
+
+/// Decode a whole struct, tail included, into a default-constructed v.
+template <class S>
+void get_struct(Reader& r, S& v) {
+  get_all<false>(r, v);
+  if constexpr (EntryIndices<S, true>::size() != 0) {
+    if (r.ok() && r.remaining() > 0) {
+      get_all<true>(r, v);
+      // An all-default tail is never written, so it is not canonical.
+      if (!tail_set(v)) r.fail();
+    }
+  }
+}
+
+}  // namespace detail
+
+/// The codec of every struct with a field list. encode and decode walk the
+/// same list, so they are mirrors by construction.
+template <class T>
+struct Codec {
+  static_assert(HasFieldList<T>,
+                "no Codec for T: declare wire_fields(const T*) next to T");
+
+  static void encode(Writer& w, const T& v) {
+    encode_base(w, v);
+    if (detail::tail_set(v)) detail::put_all<true>(w, v);
+  }
+  static T decode(Reader& r) {
+    T v;
+    detail::get_struct(r, v);
+    return v;
+  }
+
+  /// The fields before the tail only: nesting contexts (snapshot images)
+  /// that carry the tail elsewhere or not at all.
+  static void encode_base(Writer& w, const T& v) { detail::put_all<false>(w, v); }
+  static T decode_base(Reader& r) {
+    T v;
+    detail::get_all<false>(r, v);
+    return v;
+  }
+};
+
+/// Codec of a type that maps onto one Writer/Reader member pair.
+template <auto Put, auto Get>
+struct PrimitiveCodec {
+  static void encode(Writer& w, const auto& v) { (w.*Put)(v); }
+  static auto decode(Reader& r) { return (r.*Get)(); }
+};
+
+// clang-format off
+template <> struct Codec<bool> : PrimitiveCodec<&Writer::write_bool, &Reader::read_bool> {};
+template <> struct Codec<std::uint8_t> : PrimitiveCodec<&Writer::write_u8, &Reader::read_u8> {};
+template <> struct Codec<std::int16_t> : PrimitiveCodec<&Writer::write_i16, &Reader::read_i16> {};
+template <> struct Codec<std::uint16_t> : PrimitiveCodec<&Writer::write_u16, &Reader::read_u16> {};
+template <> struct Codec<std::int32_t> : PrimitiveCodec<&Writer::write_i32, &Reader::read_i32> {};
+template <> struct Codec<std::uint32_t> : PrimitiveCodec<&Writer::write_u32, &Reader::read_u32> {};
+template <> struct Codec<std::int64_t> : PrimitiveCodec<&Writer::write_i64, &Reader::read_i64> {};
+template <> struct Codec<std::uint64_t> : PrimitiveCodec<&Writer::write_u64, &Reader::read_u64> {};
+template <> struct Codec<float> : PrimitiveCodec<&Writer::write_f32, &Reader::read_f32> {};
+template <> struct Codec<double> : PrimitiveCodec<&Writer::write_f64, &Reader::read_f64> {};
+template <> struct Codec<std::string> : PrimitiveCodec<&Writer::write_string, &Reader::read_string> {};
+// clang-format on
+
+/// Ids travel as their u64 value.
+template <class Tag>
+struct Codec<Id<Tag>> {
+  static void encode(Writer& w, Id<Tag> v) { w.write_id(v); }
+  static Id<Tag> decode(Reader& r) { return r.read_id<Tag>(); }
+};
+
+/// Enums travel as their declared underlying type.
+template <class T>
+  requires std::is_enum_v<T>
+struct Codec<T> {
+  using U = std::underlying_type_t<T>;
+  static void encode(Writer& w, T v) { Codec<U>::encode(w, static_cast<U>(v)); }
+  static T decode(Reader& r) { return static_cast<T>(Codec<U>::decode(r)); }
+};
 
 /// Encode a sequence as u32 count + elements.
 template <class T>
@@ -175,6 +390,65 @@ std::vector<T> decode_sequence(Reader& r) {
     items.push_back(Codec<T>::decode(r));
   }
   return items;
+}
+
+/// Byte payloads take the bulk octet path; every other element type goes
+/// through the one guarded sequence loop. Both encode as u32 count +
+/// elements.
+template <class T>
+struct Codec<std::vector<T>> {
+  static void encode(Writer& w, const std::vector<T>& v) {
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      w.write_octets(v);
+    } else {
+      encode_sequence(w, v);
+    }
+  }
+  static std::vector<T> decode(Reader& r) {
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      return r.read_octets();
+    } else {
+      return decode_sequence<T>(r);
+    }
+  }
+};
+
+/// Fixed-size arrays (a SHA-256 digest, an RNG state): the elements only.
+template <class T, std::size_t N>
+struct Codec<std::array<T, N>> {
+  static void encode(Writer& w, const std::array<T, N>& v) {
+    for (const T& item : v) Codec<T>::encode(w, item);
+  }
+  static std::array<T, N> decode(Reader& r) {
+    std::array<T, N> v{};
+    for (T& item : v) item = Codec<T>::decode(r);
+    return v;
+  }
+};
+
+/// Empty request/ack payload for operations that need no arguments.
+struct Empty {
+  bool operator==(const Empty&) const = default;
+};
+constexpr auto wire_fields(const Empty*) { return fields(); }
+
+template <class T>
+std::vector<std::uint8_t> encode_message(const T& value,
+                                         ByteOrder order = native_byte_order()) {
+  Writer w(order);
+  Codec<T>::encode(w, value);
+  return w.take_buffer();
+}
+
+/// Accepts exactly one canonical encoding of a T: the decode must succeed
+/// and consume every byte.
+template <class T>
+Result<T> decode_message(const std::vector<std::uint8_t>& bytes,
+                         ByteOrder order = native_byte_order()) {
+  Reader r(bytes, order);
+  T value = Codec<T>::decode(r);
+  if (!r.exhausted()) return Status(ErrorCode::kInternal, "malformed CDR message");
+  return value;
 }
 
 }  // namespace integrade::cdr

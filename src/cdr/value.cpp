@@ -93,7 +93,8 @@ Value Codec<Value>::decode(Reader& r) {
     case ValueKind::kList:
       return Value(decode_sequence<Value>(r));
   }
-  return Value();  // corrupt tag: reader will be !ok via subsequent underrun
+  r.fail();  // corrupt tag: no encoder writes it
+  return Value();
 }
 
 }  // namespace integrade::cdr

@@ -35,12 +35,19 @@ struct Checkpoint {
 
   bool operator==(const Checkpoint&) const = default;
 };
+constexpr auto wire_fields(const Checkpoint*) {
+  using S = Checkpoint;
+  return cdr::fields(&S::app, &S::rank, &S::version, &S::created_at, &S::state);
+}
 
 /// Portable progress state for sequential/parametric tasks.
 struct SequentialState {
   MInstr work_done = 0;
   bool operator==(const SequentialState&) const = default;
 };
+constexpr auto wire_fields(const SequentialState*) {
+  return cdr::fields(&SequentialState::work_done);
+}
 
 class CheckpointRepository {
  public:
@@ -95,39 +102,3 @@ class CheckpointRepository {
 };
 
 }  // namespace integrade::ckpt
-
-namespace integrade::cdr {
-
-template <>
-struct Codec<ckpt::SequentialState> {
-  static void encode(Writer& w, const ckpt::SequentialState& v) {
-    w.write_f64(v.work_done);
-  }
-  static ckpt::SequentialState decode(Reader& r) {
-    ckpt::SequentialState v;
-    v.work_done = r.read_f64();
-    return v;
-  }
-};
-
-template <>
-struct Codec<ckpt::Checkpoint> {
-  static void encode(Writer& w, const ckpt::Checkpoint& v) {
-    w.write_id(v.app);
-    w.write_i32(v.rank);
-    w.write_i64(v.version);
-    w.write_i64(v.created_at);
-    w.write_octets(v.state);
-  }
-  static ckpt::Checkpoint decode(Reader& r) {
-    ckpt::Checkpoint v;
-    v.app = r.read_id<AppTag>();
-    v.rank = r.read_i32();
-    v.version = r.read_i64();
-    v.created_at = r.read_i64();
-    v.state = r.read_octets();
-    return v;
-  }
-};
-
-}  // namespace integrade::cdr

@@ -7,6 +7,7 @@
 // more than enough for workload synthesis.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -52,9 +53,10 @@ class Rng {
   /// set_state(state()), every subsequent draw matches the original stream
   /// (including a buffered Box-Muller spare).
   struct State {
-    std::uint64_t s[4] = {0, 0, 0, 0};
+    std::array<std::uint64_t, 4> s{};
     bool have_spare_normal = false;
     double spare_normal = 0.0;
+    bool operator==(const State&) const = default;
   };
   [[nodiscard]] State state() const {
     return State{{s_[0], s_[1], s_[2], s_[3]}, have_spare_normal_, spare_normal_};

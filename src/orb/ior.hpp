@@ -25,28 +25,12 @@ struct ObjectRef {
   [[nodiscard]] bool valid() const { return key.valid(); }
   bool operator==(const ObjectRef&) const = default;
 };
+constexpr auto wire_fields(const ObjectRef*) {
+  using S = ObjectRef;
+  return cdr::fields(&S::host, &S::key, &S::type_id);
+}
 
 /// A nil reference, in the CORBA sense.
 inline ObjectRef nil_ref() { return ObjectRef{}; }
 
 }  // namespace integrade::orb
-
-namespace integrade::cdr {
-
-template <>
-struct Codec<orb::ObjectRef> {
-  static void encode(Writer& w, const orb::ObjectRef& ref) {
-    w.write_u64(ref.host);
-    w.write_id(ref.key);
-    w.write_string(ref.type_id);
-  }
-  static orb::ObjectRef decode(Reader& r) {
-    orb::ObjectRef ref;
-    ref.host = r.read_u64();
-    ref.key = r.read_id<ObjectTag>();
-    ref.type_id = r.read_string();
-    return ref;
-  }
-};
-
-}  // namespace integrade::cdr

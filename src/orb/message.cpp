@@ -110,6 +110,12 @@ Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes) {
   if (bytes[4] != kProtocolVersion) {
     return Status(ErrorCode::kInternal, "unsupported protocol version");
   }
+  if (bytes[5] > static_cast<std::uint8_t>(cdr::ByteOrder::kLittleEndian)) {
+    return Status(ErrorCode::kInternal, "bad byte-order flag");
+  }
+  if (bytes[7] != 0) {
+    return Status(ErrorCode::kInternal, "non-zero reserved header byte");
+  }
   ParsedFrame out;
   out.byte_order = static_cast<cdr::ByteOrder>(bytes[5]);
   out.type = static_cast<MessageType>(bytes[6]);
@@ -129,7 +135,7 @@ Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes) {
       return Status(ErrorCode::kInternal, "unknown message type");
   }
   out.payload = r.read_octets();
-  if (!r.ok()) return Status(ErrorCode::kInternal, "truncated message body");
+  if (!r.exhausted()) return Status(ErrorCode::kInternal, "malformed message body");
   return out;
 }
 

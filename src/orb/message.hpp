@@ -78,7 +78,8 @@ struct ParsedFrame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Parse a wire frame. Rejects bad magic, version, or truncation.
+/// Parse a wire frame. Rejects bad magic, version, byte-order flag or
+/// reserved byte, truncation, and body bytes after the payload.
 Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace integrade::orb

@@ -58,7 +58,7 @@ class SkeletonBase : public Servant {
     register_raw(operation,
                  [handler = std::move(handler)](cdr::Reader& r, cdr::Writer& w) {
                    Req req = cdr::Codec<Req>::decode(r);
-                   if (!r.ok()) {
+                   if (!r.exhausted()) {
                      return Status(ErrorCode::kInvalidArgument,
                                    "unmarshalable request");
                    }

@@ -9,8 +9,10 @@
 //   * Usage Pattern Protocol — LUPA uploads per-node behavioural categories
 //     to the GUPA; the GRM asks the GUPA for idleness forecasts.
 //
-// Every struct here has a CDR codec (messages.cpp) and is round-trip tested
-// in tests/protocol_test.cpp under both byte orders.
+// Every struct here lists its fields once, in wire order, in the
+// wire_fields() overload right after it; cdr::Codec derives both encode and
+// decode from that list (src/cdr/cdr.hpp). tests/protocol_test.cpp
+// round-trips each one under both byte orders.
 #pragma once
 
 #include <array>
@@ -58,6 +60,15 @@ struct NodeStatus {
 
   bool operator==(const NodeStatus&) const = default;
 };
+constexpr auto wire_fields(const NodeStatus*) {
+  using S = NodeStatus;
+  return cdr::fields(&S::node, &S::lrm, &S::hostname, &S::cpu_mips,
+                     &S::ram_total, &S::disk_total, &S::os, &S::arch,
+                     &S::platforms, &S::segment, &S::dedicated, &S::owner_cpu,
+                     &S::grid_cpu, &S::exportable_cpu, &S::free_ram,
+                     &S::owner_present, &S::shareable, &S::running_tasks,
+                     &S::timestamp);
+}
 
 // ---------------------------------------------------------------------------
 // Application & task descriptors
@@ -95,6 +106,14 @@ struct TaskDescriptor {
 
   bool operator==(const TaskDescriptor&) const = default;
 };
+constexpr auto wire_fields(const TaskDescriptor*) {
+  using S = TaskDescriptor;
+  return cdr::fields(&S::id, &S::app, &S::kind, &S::binary_platform, &S::work,
+                     &S::ram_needed, &S::input_bytes, &S::output_bytes,
+                     &S::bsp_rank, &S::bsp_processes, &S::bsp_supersteps,
+                     &S::bsp_comm_bytes_per_step, &S::checkpoint_every,
+                     &S::checkpoint_bytes, &S::checkpoint_period);
+}
 
 // ---------------------------------------------------------------------------
 // Application submission (ASCT -> GRM)
@@ -111,6 +130,10 @@ struct ResourceRequirements {
 
   bool operator==(const ResourceRequirements&) const = default;
 };
+constexpr auto wire_fields(const ResourceRequirements*) {
+  using S = ResourceRequirements;
+  return cdr::fields(&S::constraint, &S::preference);
+}
 
 /// Virtual topology request (paper §3's "two groups of 50 nodes..." example).
 struct TopologyGroup {
@@ -119,6 +142,10 @@ struct TopologyGroup {
 
   bool operator==(const TopologyGroup&) const = default;
 };
+constexpr auto wire_fields(const TopologyGroup*) {
+  using S = TopologyGroup;
+  return cdr::fields(&S::nodes, &S::min_intra_bandwidth);
+}
 
 struct TopologySpec {
   std::vector<TopologyGroup> groups;
@@ -127,6 +154,10 @@ struct TopologySpec {
   [[nodiscard]] bool empty() const { return groups.empty(); }
   bool operator==(const TopologySpec&) const = default;
 };
+constexpr auto wire_fields(const TopologySpec*) {
+  using S = TopologySpec;
+  return cdr::fields(&S::groups, &S::min_inter_bandwidth);
+}
 
 struct ApplicationSpec {
   AppId id;
@@ -150,12 +181,14 @@ struct ApplicationSpec {
   double bid_budget = 0.0;
   SimDuration bid_deadline = 0;  // 0 = no deadline bid
 
-  [[nodiscard]] bool has_bid() const {
-    return !tenant.empty() || bid_budget != 0.0 || bid_deadline != 0;
-  }
-
   bool operator==(const ApplicationSpec&) const = default;
 };
+constexpr auto wire_fields(const ApplicationSpec*) {
+  using S = ApplicationSpec;
+  return cdr::fields(&S::id, &S::name, &S::kind, &S::tasks, &S::requirements,
+                     &S::topology, &S::estimated_duration, &S::notify)
+      .with_tail(&S::tenant, &S::bid_budget, &S::bid_deadline);
+}
 
 struct SubmitReply {
   AppId app;
@@ -164,6 +197,10 @@ struct SubmitReply {
 
   bool operator==(const SubmitReply&) const = default;
 };
+constexpr auto wire_fields(const SubmitReply*) {
+  using S = SubmitReply;
+  return cdr::fields(&S::app, &S::accepted, &S::reason);
+}
 
 /// Application lifecycle notifications (GRM -> ASCT).
 enum class AppEventKind : std::uint8_t {
@@ -187,6 +224,10 @@ struct AppEvent {
 
   bool operator==(const AppEvent&) const = default;
 };
+constexpr auto wire_fields(const AppEvent*) {
+  using S = AppEvent;
+  return cdr::fields(&S::app, &S::task, &S::kind, &S::node, &S::at, &S::detail);
+}
 
 // ---------------------------------------------------------------------------
 // BSP chunk execution (coordinator <-> LRM)
@@ -201,6 +242,10 @@ struct BspComputeRequest {
 
   bool operator==(const BspComputeRequest&) const = default;
 };
+constexpr auto wire_fields(const BspComputeRequest*) {
+  using S = BspComputeRequest;
+  return cdr::fields(&S::task, &S::rank, &S::superstep, &S::work, &S::notify);
+}
 
 struct BspChunkDone {
   TaskId task;
@@ -210,16 +255,26 @@ struct BspChunkDone {
 
   bool operator==(const BspChunkDone&) const = default;
 };
+constexpr auto wire_fields(const BspChunkDone*) {
+  using S = BspChunkDone;
+  return cdr::fields(&S::task, &S::rank, &S::superstep, &S::node);
+}
 
 struct CancelTask {
   TaskId task;
   bool operator==(const CancelTask&) const = default;
 };
+constexpr auto wire_fields(const CancelTask*) {
+  return cdr::fields(&CancelTask::task);
+}
 
 struct CancelApp {
   AppId app;
   bool operator==(const CancelApp&) const = default;
 };
+constexpr auto wire_fields(const CancelApp*) {
+  return cdr::fields(&CancelApp::app);
+}
 
 /// BOINC-style pull protocol: a worker asks the master for work and gets a
 /// unit (or nothing). Defined here so the baseline speaks the same wire
@@ -229,6 +284,10 @@ struct WorkReply {
   TaskDescriptor task;
   bool operator==(const WorkReply&) const = default;
 };
+constexpr auto wire_fields(const WorkReply*) {
+  using S = WorkReply;
+  return cdr::fields(&S::has_work, &S::task);
+}
 
 // ---------------------------------------------------------------------------
 // Inter-cluster protocol (paper §4: clusters "arranged in a hierarchy";
@@ -249,6 +308,12 @@ struct ClusterSummary {
 
   bool operator==(const ClusterSummary&) const = default;
 };
+constexpr auto wire_fields(const ClusterSummary*) {
+  using S = ClusterSummary;
+  return cdr::fields(&S::cluster, &S::grm, &S::total_nodes, &S::shareable_nodes,
+                     &S::total_exportable_mips, &S::max_free_ram_mb,
+                     &S::platforms, &S::timestamp);
+}
 
 /// A task travelling the hierarchy looking for a cluster that can host it.
 /// Exactly one copy walks the tree (children-with-capacity first, then the
@@ -261,6 +326,14 @@ struct RemoteSubmit {
 
   bool operator==(const RemoteSubmit&) const = default;
 };
+// The spec travels without its bid; the bid rides this frame's own tail, so
+// a bid-less RemoteSubmit keeps the pre-economy bytes.
+constexpr auto wire_fields(const RemoteSubmit*) {
+  using S = RemoteSubmit;
+  return cdr::fields(cdr::BaseOf{&S::spec}, &S::ttl, &S::visited_clusters,
+                     &S::origin_grm)
+      .with_tail(cdr::TailOf{&S::spec});
+}
 
 struct RemoteAdopted {
   AppId app;
@@ -270,6 +343,10 @@ struct RemoteAdopted {
 
   bool operator==(const RemoteAdopted&) const = default;
 };
+constexpr auto wire_fields(const RemoteAdopted*) {
+  using S = RemoteAdopted;
+  return cdr::fields(&S::app, &S::task, &S::by_cluster, &S::hops);
+}
 
 // ---------------------------------------------------------------------------
 // Resource Reservation & Execution Protocol
@@ -298,6 +375,11 @@ struct ReservationRequest {
 
   bool operator==(const ReservationRequest&) const = default;
 };
+constexpr auto wire_fields(const ReservationRequest*) {
+  using S = ReservationRequest;
+  return cdr::fields(&S::id, &S::task, &S::cpu_fraction, &S::ram, &S::hold)
+      .with_tail(&S::tenant, &S::bid_budget, &S::bid_deadline);
+}
 
 struct ReservationReply {
   ReservationId id;
@@ -310,6 +392,11 @@ struct ReservationReply {
 
   bool operator==(const ReservationReply&) const = default;
 };
+constexpr auto wire_fields(const ReservationReply*) {
+  using S = ReservationReply;
+  return cdr::fields(&S::id, &S::granted, &S::reason, &S::exportable_cpu,
+                     &S::free_ram);
+}
 
 struct ExecuteRequest {
   ReservationId reservation;
@@ -330,6 +417,12 @@ struct ExecuteRequest {
 
   bool operator==(const ExecuteRequest&) const = default;
 };
+constexpr auto wire_fields(const ExecuteRequest*) {
+  using S = ExecuteRequest;
+  return cdr::fields(&S::reservation, &S::task, &S::report_to,
+                     &S::restore_state)
+      .with_tail(&S::ckpt_peers);
+}
 
 struct ExecuteReply {
   ReservationId reservation;
@@ -338,6 +431,10 @@ struct ExecuteReply {
 
   bool operator==(const ExecuteReply&) const = default;
 };
+constexpr auto wire_fields(const ExecuteReply*) {
+  using S = ExecuteReply;
+  return cdr::fields(&S::reservation, &S::accepted, &S::reason);
+}
 
 enum class TaskOutcome : std::uint8_t {
   kCompleted = 0,
@@ -357,6 +454,11 @@ struct TaskReport {
 
   bool operator==(const TaskReport&) const = default;
 };
+constexpr auto wire_fields(const TaskReport*) {
+  using S = TaskReport;
+  return cdr::fields(&S::task, &S::node, &S::outcome, &S::work_done,
+                     &S::detail);
+}
 
 /// GRM -> LRM (scheduling economy): vacate `task` via checkpoint migration,
 /// not kill. The LRM settles progress, saves a checkpoint through its
@@ -370,6 +472,10 @@ struct PreemptRequest {
 
   bool operator==(const PreemptRequest&) const = default;
 };
+constexpr auto wire_fields(const PreemptRequest*) {
+  using S = PreemptRequest;
+  return cdr::fields(&S::task, &S::peers);
+}
 
 // ---------------------------------------------------------------------------
 // Failover & snapshot protocol (see docs/snapshots.md)
@@ -387,6 +493,10 @@ struct TaskResync {
 
   bool operator==(const TaskResync&) const = default;
 };
+constexpr auto wire_fields(const TaskResync*) {
+  using S = TaskResync;
+  return cdr::fields(&S::node, &S::lrm, &S::running);
+}
 
 /// A control-plane snapshot image (snapshot::Envelope wire bytes) shipped
 /// from the primary's SnapshotCoordinator to the standby's SnapshotStore.
@@ -397,6 +507,9 @@ struct SnapshotInstall {
 
   bool operator==(const SnapshotInstall&) const = default;
 };
+constexpr auto wire_fields(const SnapshotInstall*) {
+  return cdr::fields(&SnapshotInstall::image);
+}
 
 struct SnapshotInstallReply {
   bool accepted = false;
@@ -404,6 +517,10 @@ struct SnapshotInstallReply {
 
   bool operator==(const SnapshotInstallReply&) const = default;
 };
+constexpr auto wire_fields(const SnapshotInstallReply*) {
+  using S = SnapshotInstallReply;
+  return cdr::fields(&S::accepted, &S::reason);
+}
 
 // ---------------------------------------------------------------------------
 // Checkpoint data plane (see docs/checkpoints.md)
@@ -425,6 +542,10 @@ struct CkptChunkRef {
 
   bool operator==(const CkptChunkRef&) const = default;
 };
+constexpr auto wire_fields(const CkptChunkRef*) {
+  using S = CkptChunkRef;
+  return cdr::fields(&S::hash, &S::raw_size);
+}
 
 /// A checkpoint as a recipe: ordered chunk references reassembling the
 /// image. Byte-identical chunks across versions share one stored copy.
@@ -439,6 +560,11 @@ struct CkptManifest {
 
   bool operator==(const CkptManifest&) const = default;
 };
+constexpr auto wire_fields(const CkptManifest*) {
+  using S = CkptManifest;
+  return cdr::fields(&S::app, &S::rank, &S::version, &S::chunker,
+                     &S::chunk_size, &S::image_bytes, &S::chunks);
+}
 
 /// Sender -> store: "I want to install this manifest; which chunks do you
 /// lack?" The reply's `missing` indexes into manifest.chunks.
@@ -447,6 +573,9 @@ struct CkptManifestOffer {
 
   bool operator==(const CkptManifestOffer&) const = default;
 };
+constexpr auto wire_fields(const CkptManifestOffer*) {
+  return cdr::fields(&CkptManifestOffer::manifest);
+}
 
 struct CkptChunkNeed {
   bool accepted = false;
@@ -455,6 +584,10 @@ struct CkptChunkNeed {
 
   bool operator==(const CkptChunkNeed&) const = default;
 };
+constexpr auto wire_fields(const CkptChunkNeed*) {
+  using S = CkptChunkNeed;
+  return cdr::fields(&S::accepted, &S::reason, &S::missing);
+}
 
 /// One chunk payload in transit: raw or LZ-compressed (ckpt::Encoding).
 struct CkptChunkData {
@@ -465,6 +598,10 @@ struct CkptChunkData {
 
   bool operator==(const CkptChunkData&) const = default;
 };
+constexpr auto wire_fields(const CkptChunkData*) {
+  using S = CkptChunkData;
+  return cdr::fields(&S::hash, &S::encoding, &S::raw_size, &S::payload);
+}
 
 struct CkptChunkPut {
   AppId app;  // for diagnostics; chunks are content-addressed, not per-app
@@ -472,6 +609,10 @@ struct CkptChunkPut {
 
   bool operator==(const CkptChunkPut&) const = default;
 };
+constexpr auto wire_fields(const CkptChunkPut*) {
+  using S = CkptChunkPut;
+  return cdr::fields(&S::app, &S::chunks);
+}
 
 struct CkptPutReply {
   std::int32_t stored = 0;
@@ -479,6 +620,10 @@ struct CkptPutReply {
 
   bool operator==(const CkptPutReply&) const = default;
 };
+constexpr auto wire_fields(const CkptPutReply*) {
+  using S = CkptPutReply;
+  return cdr::fields(&S::stored, &S::rejected);
+}
 
 /// Commit a manifest at the destination store (all chunks must be present).
 /// prune_below >= 0 additionally drops this rank's manifests with older
@@ -489,6 +634,10 @@ struct CkptManifestInstall {
 
   bool operator==(const CkptManifestInstall&) const = default;
 };
+constexpr auto wire_fields(const CkptManifestInstall*) {
+  using S = CkptManifestInstall;
+  return cdr::fields(&S::manifest, &S::prune_below);
+}
 
 struct CkptInstallReply {
   bool accepted = false;
@@ -496,6 +645,10 @@ struct CkptInstallReply {
 
   bool operator==(const CkptInstallReply&) const = default;
 };
+constexpr auto wire_fields(const CkptInstallReply*) {
+  using S = CkptInstallReply;
+  return cdr::fields(&S::accepted, &S::reason);
+}
 
 /// Fetch chunks by hash (restart path). The reply carries the subset the
 /// store actually has; absent hashes are simply omitted.
@@ -504,12 +657,18 @@ struct CkptChunkGet {
 
   bool operator==(const CkptChunkGet&) const = default;
 };
+constexpr auto wire_fields(const CkptChunkGet*) {
+  return cdr::fields(&CkptChunkGet::hashes);
+}
 
 struct CkptChunkGetReply {
   std::vector<CkptChunkData> chunks;
 
   bool operator==(const CkptChunkGetReply&) const = default;
 };
+constexpr auto wire_fields(const CkptChunkGetReply*) {
+  return cdr::fields(&CkptChunkGetReply::chunks);
+}
 
 /// Ask a store for the newest manifest of an (app, rank) line — the warm
 /// prefetch of the preemption-by-migration path: the new host learns what
@@ -520,6 +679,10 @@ struct CkptManifestQuery {
 
   bool operator==(const CkptManifestQuery&) const = default;
 };
+constexpr auto wire_fields(const CkptManifestQuery*) {
+  using S = CkptManifestQuery;
+  return cdr::fields(&S::app, &S::rank);
+}
 
 struct CkptManifestQueryReply {
   bool found = false;
@@ -527,6 +690,10 @@ struct CkptManifestQueryReply {
 
   bool operator==(const CkptManifestQueryReply&) const = default;
 };
+constexpr auto wire_fields(const CkptManifestQueryReply*) {
+  using S = CkptManifestQueryReply;
+  return cdr::fields(&S::found, &S::manifest);
+}
 
 /// Release recovery lines older than keep_from on a peer/agent store after a
 /// newer line is complete everywhere (refcounted GC reclaims chunk bytes).
@@ -536,12 +703,19 @@ struct CkptPrune {
 
   bool operator==(const CkptPrune&) const = default;
 };
+constexpr auto wire_fields(const CkptPrune*) {
+  using S = CkptPrune;
+  return cdr::fields(&S::app, &S::keep_from);
+}
 
 struct CkptDrop {
   AppId app;
 
   bool operator==(const CkptDrop&) const = default;
 };
+constexpr auto wire_fields(const CkptDrop*) {
+  return cdr::fields(&CkptDrop::app);
+}
 
 /// Coordinator -> rank agent: capture superstep `version` and persist it to
 /// the repository store plus the listed peer stores; report to `notify`.
@@ -558,6 +732,11 @@ struct CkptSaveRequest {
 
   bool operator==(const CkptSaveRequest&) const = default;
 };
+constexpr auto wire_fields(const CkptSaveRequest*) {
+  using S = CkptSaveRequest;
+  return cdr::fields(&S::app, &S::rank, &S::version, &S::epoch, &S::image_bytes,
+                     &S::repository, &S::peers, &S::prune_below, &S::notify);
+}
 
 struct CkptSaveDone {
   AppId app;
@@ -573,6 +752,12 @@ struct CkptSaveDone {
 
   bool operator==(const CkptSaveDone&) const = default;
 };
+constexpr auto wire_fields(const CkptSaveDone*) {
+  using S = CkptSaveDone;
+  return cdr::fields(&S::app, &S::rank, &S::version, &S::epoch, &S::ok,
+                     &S::image_bytes, &S::chunks_total, &S::chunks_shipped,
+                     &S::chunks_deduped, &S::bytes_shipped);
+}
 
 /// Coordinator -> rank agent (rollback): materialize `manifest` locally,
 /// pulling missing chunks peers-first, repository as fallback.
@@ -588,6 +773,11 @@ struct CkptRestoreRequest {
 
   bool operator==(const CkptRestoreRequest&) const = default;
 };
+constexpr auto wire_fields(const CkptRestoreRequest*) {
+  using S = CkptRestoreRequest;
+  return cdr::fields(&S::app, &S::rank, &S::version, &S::epoch, &S::manifest,
+                     &S::repository, &S::peers, &S::notify);
+}
 
 struct CkptRestoreDone {
   AppId app;
@@ -602,6 +792,12 @@ struct CkptRestoreDone {
 
   bool operator==(const CkptRestoreDone&) const = default;
 };
+constexpr auto wire_fields(const CkptRestoreDone*) {
+  using S = CkptRestoreDone;
+  return cdr::fields(&S::app, &S::rank, &S::version, &S::epoch, &S::ok,
+                     &S::chunks_local, &S::chunks_from_peers,
+                     &S::chunks_from_repository, &S::bytes_pulled);
+}
 
 // ---------------------------------------------------------------------------
 // Usage Pattern Protocol (LUPA -> GUPA, GRM -> GUPA)
@@ -620,6 +816,10 @@ struct UsageCategory {
 
   bool operator==(const UsageCategory&) const = default;
 };
+constexpr auto wire_fields(const UsageCategory*) {
+  using S = UsageCategory;
+  return cdr::fields(&S::centroid, &S::weight, &S::weekday_fraction);
+}
 
 struct UsagePatternUpload {
   NodeId node;
@@ -628,14 +828,22 @@ struct UsagePatternUpload {
 
   bool operator==(const UsagePatternUpload&) const = default;
 };
+constexpr auto wire_fields(const UsagePatternUpload*) {
+  using S = UsagePatternUpload;
+  return cdr::fields(&S::node, &S::categories, &S::days_observed);
+}
 
 struct ForecastRequest {
   NodeId node;
-  SimTime at;            // "now" from the asker's viewpoint
-  SimDuration horizon;   // will the node stay idle this long?
+  SimTime at = 0;           // "now" from the asker's viewpoint
+  SimDuration horizon = 0;  // will the node stay idle this long?
 
   bool operator==(const ForecastRequest&) const = default;
 };
+constexpr auto wire_fields(const ForecastRequest*) {
+  using S = ForecastRequest;
+  return cdr::fields(&S::node, &S::at, &S::horizon);
+}
 
 struct ForecastReply {
   NodeId node;
@@ -645,244 +853,10 @@ struct ForecastReply {
 
   bool operator==(const ForecastReply&) const = default;
 };
+constexpr auto wire_fields(const ForecastReply*) {
+  using S = ForecastReply;
+  return cdr::fields(&S::node, &S::known, &S::p_idle_through,
+                     &S::expected_idle_remaining);
+}
 
 }  // namespace integrade::protocol
-
-// ---------------------------------------------------------------------------
-// Codecs
-// ---------------------------------------------------------------------------
-namespace integrade::cdr {
-
-template <> struct Codec<protocol::NodeStatus> {
-  static void encode(Writer& w, const protocol::NodeStatus& v);
-  static protocol::NodeStatus decode(Reader& r);
-};
-template <> struct Codec<protocol::TaskDescriptor> {
-  static void encode(Writer& w, const protocol::TaskDescriptor& v);
-  static protocol::TaskDescriptor decode(Reader& r);
-};
-template <> struct Codec<protocol::ReservationRequest> {
-  static void encode(Writer& w, const protocol::ReservationRequest& v);
-  static protocol::ReservationRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::ReservationReply> {
-  static void encode(Writer& w, const protocol::ReservationReply& v);
-  static protocol::ReservationReply decode(Reader& r);
-};
-template <> struct Codec<protocol::ExecuteRequest> {
-  static void encode(Writer& w, const protocol::ExecuteRequest& v);
-  static protocol::ExecuteRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::ExecuteReply> {
-  static void encode(Writer& w, const protocol::ExecuteReply& v);
-  static protocol::ExecuteReply decode(Reader& r);
-};
-template <> struct Codec<protocol::TaskReport> {
-  static void encode(Writer& w, const protocol::TaskReport& v);
-  static protocol::TaskReport decode(Reader& r);
-};
-template <> struct Codec<protocol::PreemptRequest> {
-  static void encode(Writer& w, const protocol::PreemptRequest& v);
-  static protocol::PreemptRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestQuery> {
-  static void encode(Writer& w, const protocol::CkptManifestQuery& v);
-  static protocol::CkptManifestQuery decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestQueryReply> {
-  static void encode(Writer& w, const protocol::CkptManifestQueryReply& v);
-  static protocol::CkptManifestQueryReply decode(Reader& r);
-};
-template <> struct Codec<protocol::UsageCategory> {
-  static void encode(Writer& w, const protocol::UsageCategory& v);
-  static protocol::UsageCategory decode(Reader& r);
-};
-template <> struct Codec<protocol::UsagePatternUpload> {
-  static void encode(Writer& w, const protocol::UsagePatternUpload& v);
-  static protocol::UsagePatternUpload decode(Reader& r);
-};
-template <> struct Codec<protocol::ForecastRequest> {
-  static void encode(Writer& w, const protocol::ForecastRequest& v);
-  static protocol::ForecastRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::ForecastReply> {
-  static void encode(Writer& w, const protocol::ForecastReply& v);
-  static protocol::ForecastReply decode(Reader& r);
-};
-template <> struct Codec<protocol::ResourceRequirements> {
-  static void encode(Writer& w, const protocol::ResourceRequirements& v);
-  static protocol::ResourceRequirements decode(Reader& r);
-};
-template <> struct Codec<protocol::TopologyGroup> {
-  static void encode(Writer& w, const protocol::TopologyGroup& v);
-  static protocol::TopologyGroup decode(Reader& r);
-};
-template <> struct Codec<protocol::TopologySpec> {
-  static void encode(Writer& w, const protocol::TopologySpec& v);
-  static protocol::TopologySpec decode(Reader& r);
-};
-template <> struct Codec<protocol::ApplicationSpec> {
-  static void encode(Writer& w, const protocol::ApplicationSpec& v);
-  static protocol::ApplicationSpec decode(Reader& r);
-  /// Pre-economy field set only, no trailing bid extension. Nesting
-  /// contexts (RemoteSubmit, GRM snapshots) use these and append their own
-  /// extension, so the outer frame stays unambiguous to old decoders.
-  static void encode_base(Writer& w, const protocol::ApplicationSpec& v);
-  static protocol::ApplicationSpec decode_base(Reader& r);
-};
-template <> struct Codec<protocol::SubmitReply> {
-  static void encode(Writer& w, const protocol::SubmitReply& v);
-  static protocol::SubmitReply decode(Reader& r);
-};
-template <> struct Codec<protocol::AppEvent> {
-  static void encode(Writer& w, const protocol::AppEvent& v);
-  static protocol::AppEvent decode(Reader& r);
-};
-template <> struct Codec<protocol::BspComputeRequest> {
-  static void encode(Writer& w, const protocol::BspComputeRequest& v);
-  static protocol::BspComputeRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::BspChunkDone> {
-  static void encode(Writer& w, const protocol::BspChunkDone& v);
-  static protocol::BspChunkDone decode(Reader& r);
-};
-template <> struct Codec<protocol::WorkReply> {
-  static void encode(Writer& w, const protocol::WorkReply& v) {
-    w.write_bool(v.has_work);
-    Codec<protocol::TaskDescriptor>::encode(w, v.task);
-  }
-  static protocol::WorkReply decode(Reader& r) {
-    protocol::WorkReply v;
-    v.has_work = r.read_bool();
-    v.task = Codec<protocol::TaskDescriptor>::decode(r);
-    return v;
-  }
-};
-template <> struct Codec<protocol::ClusterSummary> {
-  static void encode(Writer& w, const protocol::ClusterSummary& v);
-  static protocol::ClusterSummary decode(Reader& r);
-};
-template <> struct Codec<protocol::RemoteSubmit> {
-  static void encode(Writer& w, const protocol::RemoteSubmit& v);
-  static protocol::RemoteSubmit decode(Reader& r);
-};
-template <> struct Codec<protocol::RemoteAdopted> {
-  static void encode(Writer& w, const protocol::RemoteAdopted& v);
-  static protocol::RemoteAdopted decode(Reader& r);
-};
-template <> struct Codec<protocol::CancelApp> {
-  static void encode(Writer& w, const protocol::CancelApp& v) {
-    w.write_id(v.app);
-  }
-  static protocol::CancelApp decode(Reader& r) {
-    protocol::CancelApp v;
-    v.app = r.read_id<AppTag>();
-    return v;
-  }
-};
-template <> struct Codec<protocol::TaskResync> {
-  static void encode(Writer& w, const protocol::TaskResync& v);
-  static protocol::TaskResync decode(Reader& r);
-};
-template <> struct Codec<protocol::SnapshotInstall> {
-  static void encode(Writer& w, const protocol::SnapshotInstall& v);
-  static protocol::SnapshotInstall decode(Reader& r);
-};
-template <> struct Codec<protocol::SnapshotInstallReply> {
-  static void encode(Writer& w, const protocol::SnapshotInstallReply& v);
-  static protocol::SnapshotInstallReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkRef> {
-  static void encode(Writer& w, const protocol::CkptChunkRef& v);
-  static protocol::CkptChunkRef decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifest> {
-  static void encode(Writer& w, const protocol::CkptManifest& v);
-  static protocol::CkptManifest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestOffer> {
-  static void encode(Writer& w, const protocol::CkptManifestOffer& v);
-  static protocol::CkptManifestOffer decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkNeed> {
-  static void encode(Writer& w, const protocol::CkptChunkNeed& v);
-  static protocol::CkptChunkNeed decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkData> {
-  static void encode(Writer& w, const protocol::CkptChunkData& v);
-  static protocol::CkptChunkData decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkPut> {
-  static void encode(Writer& w, const protocol::CkptChunkPut& v);
-  static protocol::CkptChunkPut decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptPutReply> {
-  static void encode(Writer& w, const protocol::CkptPutReply& v);
-  static protocol::CkptPutReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestInstall> {
-  static void encode(Writer& w, const protocol::CkptManifestInstall& v);
-  static protocol::CkptManifestInstall decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptInstallReply> {
-  static void encode(Writer& w, const protocol::CkptInstallReply& v);
-  static protocol::CkptInstallReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkGet> {
-  static void encode(Writer& w, const protocol::CkptChunkGet& v);
-  static protocol::CkptChunkGet decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkGetReply> {
-  static void encode(Writer& w, const protocol::CkptChunkGetReply& v);
-  static protocol::CkptChunkGetReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptPrune> {
-  static void encode(Writer& w, const protocol::CkptPrune& v) {
-    w.write_id(v.app);
-    w.write_i64(v.keep_from);
-  }
-  static protocol::CkptPrune decode(Reader& r) {
-    protocol::CkptPrune v;
-    v.app = r.read_id<AppTag>();
-    v.keep_from = r.read_i64();
-    return v;
-  }
-};
-template <> struct Codec<protocol::CkptDrop> {
-  static void encode(Writer& w, const protocol::CkptDrop& v) {
-    w.write_id(v.app);
-  }
-  static protocol::CkptDrop decode(Reader& r) {
-    protocol::CkptDrop v;
-    v.app = r.read_id<AppTag>();
-    return v;
-  }
-};
-template <> struct Codec<protocol::CkptSaveRequest> {
-  static void encode(Writer& w, const protocol::CkptSaveRequest& v);
-  static protocol::CkptSaveRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptSaveDone> {
-  static void encode(Writer& w, const protocol::CkptSaveDone& v);
-  static protocol::CkptSaveDone decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptRestoreRequest> {
-  static void encode(Writer& w, const protocol::CkptRestoreRequest& v);
-  static protocol::CkptRestoreRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptRestoreDone> {
-  static void encode(Writer& w, const protocol::CkptRestoreDone& v);
-  static protocol::CkptRestoreDone decode(Reader& r);
-};
-template <> struct Codec<protocol::CancelTask> {
-  static void encode(Writer& w, const protocol::CancelTask& v) {
-    w.write_id(v.task);
-  }
-  static protocol::CancelTask decode(Reader& r) {
-    protocol::CancelTask v;
-    v.task = r.read_id<TaskTag>();
-    return v;
-  }
-};
-
-}  // namespace integrade::cdr

@@ -67,9 +67,14 @@ void Codec<services::PropertySet>::encode(Writer& w,
 services::PropertySet Codec<services::PropertySet>::decode(Reader& r) {
   services::PropertySet ps;
   const std::uint32_t n = r.read_u32();
+  std::string previous;
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     std::string name = r.read_string();
+    // Entries encode in map order; an unsorted or repeated name would
+    // re-encode to different bytes.
+    if (i > 0 && !(previous < name)) r.fail();
     ps.set(name, Codec<Value>::decode(r));
+    previous = std::move(name);
   }
   return ps;
 }

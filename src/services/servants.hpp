@@ -31,23 +31,38 @@ struct NameBinding {
   orb::ObjectRef ref;
   bool operator==(const NameBinding&) const = default;
 };
+constexpr auto wire_fields(const NameBinding*) {
+  using S = NameBinding;
+  return cdr::fields(&S::path, &S::ref);
+}
 
 struct NameRequest {
   std::string path;
   bool operator==(const NameRequest&) const = default;
 };
+constexpr auto wire_fields(const NameRequest*) {
+  return cdr::fields(&NameRequest::path);
+}
 
 struct ResolveReply {
   bool found = false;
   orb::ObjectRef ref;
   bool operator==(const ResolveReply&) const = default;
 };
+constexpr auto wire_fields(const ResolveReply*) {
+  using S = ResolveReply;
+  return cdr::fields(&S::found, &S::ref);
+}
 
 struct BoolReply {
   bool ok = false;
   std::string detail;
   bool operator==(const BoolReply&) const = default;
 };
+constexpr auto wire_fields(const BoolReply*) {
+  using S = BoolReply;
+  return cdr::fields(&S::ok, &S::detail);
+}
 
 struct OfferExport {
   OfferId id;  // invalid for export, set for modify
@@ -56,11 +71,18 @@ struct OfferExport {
   PropertySet properties;
   bool operator==(const OfferExport&) const = default;
 };
+constexpr auto wire_fields(const OfferExport*) {
+  using S = OfferExport;
+  return cdr::fields(&S::id, &S::service_type, &S::provider, &S::properties);
+}
 
 struct OfferIdReply {
   OfferId id;
   bool operator==(const OfferIdReply&) const = default;
 };
+constexpr auto wire_fields(const OfferIdReply*) {
+  return cdr::fields(&OfferIdReply::id);
+}
 
 struct OfferQuery {
   std::string service_type;
@@ -69,6 +91,11 @@ struct OfferQuery {
   std::int32_t max_matches = 0;
   bool operator==(const OfferQuery&) const = default;
 };
+constexpr auto wire_fields(const OfferQuery*) {
+  using S = OfferQuery;
+  return cdr::fields(&S::service_type, &S::constraint, &S::preference,
+                     &S::max_matches);
+}
 
 struct OfferDescription {
   OfferId id;
@@ -76,6 +103,10 @@ struct OfferDescription {
   PropertySet properties;
   bool operator==(const OfferDescription&) const = default;
 };
+constexpr auto wire_fields(const OfferDescription*) {
+  using S = OfferDescription;
+  return cdr::fields(&S::id, &S::provider, &S::properties);
+}
 
 struct OfferQueryReply {
   bool ok = false;
@@ -83,6 +114,10 @@ struct OfferQueryReply {
   std::vector<OfferDescription> offers;
   bool operator==(const OfferQueryReply&) const = default;
 };
+constexpr auto wire_fields(const OfferQueryReply*) {
+  using S = OfferQueryReply;
+  return cdr::fields(&S::ok, &S::error, &S::offers);
+}
 
 // ---- servants ----
 
@@ -107,129 +142,3 @@ class TraderServant final : public orb::SkeletonBase {
 };
 
 }  // namespace integrade::services
-
-// ---- codecs ----
-namespace integrade::cdr {
-
-template <> struct Codec<services::NameBinding> {
-  static void encode(Writer& w, const services::NameBinding& v) {
-    w.write_string(v.path);
-    Codec<orb::ObjectRef>::encode(w, v.ref);
-  }
-  static services::NameBinding decode(Reader& r) {
-    services::NameBinding v;
-    v.path = r.read_string();
-    v.ref = Codec<orb::ObjectRef>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::NameRequest> {
-  static void encode(Writer& w, const services::NameRequest& v) {
-    w.write_string(v.path);
-  }
-  static services::NameRequest decode(Reader& r) {
-    return services::NameRequest{r.read_string()};
-  }
-};
-
-template <> struct Codec<services::ResolveReply> {
-  static void encode(Writer& w, const services::ResolveReply& v) {
-    w.write_bool(v.found);
-    Codec<orb::ObjectRef>::encode(w, v.ref);
-  }
-  static services::ResolveReply decode(Reader& r) {
-    services::ResolveReply v;
-    v.found = r.read_bool();
-    v.ref = Codec<orb::ObjectRef>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::BoolReply> {
-  static void encode(Writer& w, const services::BoolReply& v) {
-    w.write_bool(v.ok);
-    w.write_string(v.detail);
-  }
-  static services::BoolReply decode(Reader& r) {
-    services::BoolReply v;
-    v.ok = r.read_bool();
-    v.detail = r.read_string();
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferExport> {
-  static void encode(Writer& w, const services::OfferExport& v) {
-    w.write_id(v.id);
-    w.write_string(v.service_type);
-    Codec<orb::ObjectRef>::encode(w, v.provider);
-    Codec<services::PropertySet>::encode(w, v.properties);
-  }
-  static services::OfferExport decode(Reader& r) {
-    services::OfferExport v;
-    v.id = r.read_id<services::OfferTag>();
-    v.service_type = r.read_string();
-    v.provider = Codec<orb::ObjectRef>::decode(r);
-    v.properties = Codec<services::PropertySet>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferIdReply> {
-  static void encode(Writer& w, const services::OfferIdReply& v) {
-    w.write_id(v.id);
-  }
-  static services::OfferIdReply decode(Reader& r) {
-    return services::OfferIdReply{r.read_id<services::OfferTag>()};
-  }
-};
-
-template <> struct Codec<services::OfferQuery> {
-  static void encode(Writer& w, const services::OfferQuery& v) {
-    w.write_string(v.service_type);
-    w.write_string(v.constraint);
-    w.write_string(v.preference);
-    w.write_i32(v.max_matches);
-  }
-  static services::OfferQuery decode(Reader& r) {
-    services::OfferQuery v;
-    v.service_type = r.read_string();
-    v.constraint = r.read_string();
-    v.preference = r.read_string();
-    v.max_matches = r.read_i32();
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferDescription> {
-  static void encode(Writer& w, const services::OfferDescription& v) {
-    w.write_id(v.id);
-    Codec<orb::ObjectRef>::encode(w, v.provider);
-    Codec<services::PropertySet>::encode(w, v.properties);
-  }
-  static services::OfferDescription decode(Reader& r) {
-    services::OfferDescription v;
-    v.id = r.read_id<services::OfferTag>();
-    v.provider = Codec<orb::ObjectRef>::decode(r);
-    v.properties = Codec<services::PropertySet>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferQueryReply> {
-  static void encode(Writer& w, const services::OfferQueryReply& v) {
-    w.write_bool(v.ok);
-    w.write_string(v.error);
-    encode_sequence(w, v.offers);
-  }
-  static services::OfferQueryReply decode(Reader& r) {
-    services::OfferQueryReply v;
-    v.ok = r.read_bool();
-    v.error = r.read_string();
-    v.offers = decode_sequence<services::OfferDescription>(r);
-    return v;
-  }
-};
-
-}  // namespace integrade::cdr

@@ -1,27 +1,16 @@
-// CDR codecs for small pieces of component-internal state that control-plane
-// snapshots persist (snapshot/snapshot.hpp). Header-only so components can
-// serialize these without linking the snapshot library.
+// Wire layouts for small pieces of component-internal state that
+// control-plane snapshots persist (snapshot/snapshot.hpp). Header-only so
+// components can serialize these without linking the snapshot library.
 #pragma once
 
 #include "cdr/cdr.hpp"
 #include "common/rng.hpp"
 
-namespace integrade::cdr {
+namespace integrade {
 
-template <>
-struct Codec<Rng::State> {
-  static void encode(Writer& w, const Rng::State& v) {
-    for (const std::uint64_t word : v.s) w.write_u64(word);
-    w.write_bool(v.have_spare_normal);
-    w.write_f64(v.spare_normal);
-  }
-  static Rng::State decode(Reader& r) {
-    Rng::State v;
-    for (auto& word : v.s) word = r.read_u64();
-    v.have_spare_normal = r.read_bool();
-    v.spare_normal = r.read_f64();
-    return v;
-  }
-};
+constexpr auto wire_fields(const Rng::State*) {
+  using S = Rng::State;
+  return cdr::fields(&S::s, &S::have_spare_normal, &S::spare_normal);
+}
 
-}  // namespace integrade::cdr
+}  // namespace integrade

@@ -119,6 +119,43 @@ TEST(CdrTest, TruncatedStringLatchesError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(CdrTest, RejectsBoolOtherThanZeroOrOne) {
+  // Writer emits 0 or 1; any other byte would re-encode differently.
+  const std::vector<std::uint8_t> bytes{2};
+  Reader r(bytes);
+  EXPECT_FALSE(r.read_bool());
+  EXPECT_FALSE(r.ok());
+}
+
+TEST_P(CdrBothOrders, RejectsNonZeroPadding) {
+  // A u8 of all ones, then a u16, u32 or u64 of all ones: 1, 3 or 7 zero pad
+  // bytes between them. Setting any single pad byte must be rejected.
+  for (const std::size_t width : {2u, 4u, 8u}) {
+    auto read_pair = [&](const std::vector<std::uint8_t>& bytes) {
+      Reader r(bytes, GetParam());
+      (void)r.read_u8();
+      if (width == 2) (void)r.read_u16();
+      if (width == 4) (void)r.read_u32();
+      if (width == 8) (void)r.read_u64();
+      return r.exhausted();
+    };
+    Writer w(GetParam());
+    w.write_u8(0xFF);
+    if (width == 2) w.write_u16(0xFFFF);
+    if (width == 4) w.write_u32(0xFFFFFFFFU);
+    if (width == 8) w.write_u64(~std::uint64_t{0});
+    const auto bytes = w.take_buffer();
+    ASSERT_EQ(bytes.size(), 2 * width);
+    EXPECT_TRUE(read_pair(bytes));
+    for (std::size_t i = 1; i < width; ++i) {
+      auto bad = bytes;
+      bad[i] = 0x01;
+      EXPECT_FALSE(read_pair(bad)) << "pad byte " << i << " before a " << width
+                                   << "-byte value";
+    }
+  }
+}
+
 TEST(CdrTest, IdRoundTrip) {
   Writer w;
   w.write_id(NodeId(7));
@@ -228,6 +265,12 @@ TEST(TruncationSweep, OversizedLengthPrefixesFailWithoutAllocating) {
   Reader r2(bytes.data(), bytes.size());
   EXPECT_TRUE(r2.read_octets().empty());
   EXPECT_FALSE(r2.ok());
+}
+
+TEST(ValueTest, UnknownTagIsRejected) {
+  // Decoding a lone unknown tag as null would not be canonical: null
+  // re-encodes as tag 0.
+  EXPECT_FALSE(decode_message<Value>(std::vector<std::uint8_t>{99}).is_ok());
 }
 
 TEST(ValueTest, CorruptTagDecodesWithoutCrash) {

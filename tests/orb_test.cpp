@@ -86,6 +86,31 @@ TEST(FrameTest, RejectsBadMagicVersionAndTruncation) {
   EXPECT_FALSE(parse_frame({1, 2, 3}).is_ok());
 }
 
+TEST(FrameTest, RejectsTrailingBodyBytesAndHeaderFlags) {
+  RequestHeader header;
+  header.request_id = RequestId(1);
+  header.object_key = ObjectId(1);
+  header.operation = "x";
+  const auto wire = frame_request(header, {1, 2, 3});
+  ASSERT_TRUE(parse_frame(wire).is_ok());
+
+  // One body byte after the payload, with the length field covering it.
+  auto longer = wire;
+  longer.push_back(0);
+  longer[11] += 1;  // body length is big-endian; small bodies fit one byte
+  EXPECT_FALSE(parse_frame(longer).is_ok());
+
+  auto reserved = wire;
+  reserved[7] = 1;
+  EXPECT_FALSE(parse_frame(reserved).is_ok());
+
+  // Only 0 (big-endian) and 1 (little-endian) are byte orders.
+  auto big = frame_request(header, {1, 2, 3}, cdr::ByteOrder::kBigEndian);
+  ASSERT_TRUE(parse_frame(big).is_ok());
+  big[5] = 2;
+  EXPECT_FALSE(parse_frame(big).is_ok());
+}
+
 class OrbPairFixture : public ::testing::Test {
  protected:
   OrbPairFixture()
@@ -138,6 +163,30 @@ TEST_F(OrbPairFixture, TypedCallHelpers) {
         called = true;
       });
   EXPECT_TRUE(called);
+}
+
+TEST_F(OrbPairFixture, TypedOpRejectsTrailingRequestBytes) {
+  class TypedServant final : public SkeletonBase {
+   public:
+    TypedServant() {
+      register_op<protocol::CancelTask, cdr::Empty>(
+          "cancel", [](const protocol::CancelTask&) -> Result<cdr::Empty> {
+            return cdr::Empty{};
+          });
+    }
+    [[nodiscard]] const char* type_id() const override { return "IDL:test/T:1.0"; }
+  };
+  auto ref = server.activate(std::make_shared<TypedServant>());
+  auto args = cdr::encode_message(protocol::CancelTask{TaskId(5)});
+  args.push_back(0);
+  Status status;
+  client.invoke(ref, "cancel", args, [&](Result<std::vector<std::uint8_t>> reply) {
+    status = reply.status();
+  });
+  // The servant's refusal comes back as a system exception.
+  EXPECT_EQ(status.code(), ErrorCode::kInternal);
+  EXPECT_NE(status.to_string().find("unmarshalable request"), std::string::npos)
+      << status.to_string();
 }
 
 TEST_F(OrbPairFixture, UnknownObjectYieldsNotFound) {

@@ -1,9 +1,13 @@
-// Protocol messages: exhaustive CDR round-trips in both byte orders, plus
-// the NodeStatus <-> Trader property-schema conversion.
+// Wire types: exhaustive CDR round-trips in both byte orders, with the
+// canonical-decoding checks (no trailing byte, no prefix that re-encodes to
+// other bytes), plus the NodeStatus <-> Trader property-schema conversion.
 #include <gtest/gtest.h>
 
+#include "ckpt/repository.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/properties.hpp"
+#include "services/servants.hpp"
+#include "snapshot/state_codecs.hpp"
 
 namespace integrade::protocol {
 namespace {
@@ -16,6 +20,22 @@ void expect_round_trip(const T& value) {
     auto decoded = cdr::decode_message<T>(bytes, order);
     ASSERT_TRUE(decoded.is_ok()) << "decode failed";
     EXPECT_EQ(decoded.value(), value);
+
+    auto longer = bytes;
+    longer.push_back(0);
+    EXPECT_FALSE(cdr::decode_message<T>(longer, order).is_ok())
+        << "accepted a trailing byte";
+
+    // A proper prefix is either rejected or a shorter valid message (one
+    // without its trailing extension) that re-encodes to exactly itself.
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+      auto partial = cdr::decode_message<T>(prefix, order);
+      if (partial.is_ok()) {
+        ASSERT_EQ(cdr::encode_message(partial.value(), order), prefix)
+            << "accepted a " << len << "-byte prefix that re-encodes differently";
+      }
+    }
   }
 }
 
@@ -362,6 +382,89 @@ TEST(ProtocolRoundTrip, CkptLifecycleFrames) {
   rdone.chunks_from_repository = 1;
   rdone.bytes_pulled = 140'000;
   expect_round_trip(rdone);
+}
+
+TEST(ProtocolRoundTrip, BidExtensionsOnlyWhenPresent) {
+  ReservationRequest req;
+  req.id = ReservationId(11);
+  req.task = TaskId(9);
+  req.tenant = "physics";
+  req.bid_budget = 12.5;
+  req.bid_deadline = kHour;
+  expect_round_trip(req);
+
+  ExecuteRequest exec;
+  exec.reservation = ReservationId(11);
+  exec.restore_state = {1, 2, 3};
+  exec.ckpt_peers = {sample_ref()};
+  expect_round_trip(exec);
+
+  ApplicationSpec spec;
+  spec.id = AppId(4);
+  spec.name = "render";
+  spec.tenant = "physics";
+  spec.bid_deadline = kHour;
+  expect_round_trip(spec);
+
+  RemoteSubmit remote;
+  remote.spec = spec;
+  remote.visited_clusters = {1};
+  expect_round_trip(remote);
+
+  // The bid rides RemoteSubmit's own tail, after the origin reference.
+  RemoteSubmit bidless = remote;
+  bidless.spec.tenant.clear();
+  bidless.spec.bid_deadline = 0;
+  const auto with_bid = cdr::encode_message(remote);
+  const auto without = cdr::encode_message(bidless);
+  ASSERT_LT(without.size(), with_bid.size());
+  EXPECT_TRUE(std::equal(without.begin(), without.end(), with_bid.begin()));
+}
+
+TEST(ProtocolRoundTrip, AllDefaultExtensionIsRejected) {
+  // The encoder never writes an extension whose fields all hold their
+  // defaults, so a decoder that accepted one would not be canonical.
+  ReservationRequest req;
+  req.id = ReservationId(11);
+  cdr::Writer w;
+  cdr::Codec<ReservationRequest>::encode(w, req);
+  w.write_string("");
+  w.write_f64(0.0);
+  w.write_i64(0);
+  EXPECT_FALSE(cdr::decode_message<ReservationRequest>(w.buffer()).is_ok());
+
+  ExecuteRequest exec;
+  cdr::Writer w2;
+  cdr::Codec<ExecuteRequest>::encode(w2, exec);
+  w2.write_u32(0);  // an empty ckpt_peers extension
+  EXPECT_FALSE(cdr::decode_message<ExecuteRequest>(w2.buffer()).is_ok());
+}
+
+TEST(ProtocolRoundTrip, ServiceCheckpointAndStateTypes) {
+  expect_round_trip(sample_ref());
+  expect_round_trip(orb::ObjectRef{});
+
+  services::PropertySet props;
+  props.set("cpu_mips", cdr::Value(1400.5));
+  props.set("os", cdr::Value("linux"));
+  expect_round_trip(services::NameBinding{"grid/cluster0/grm", sample_ref()});
+  expect_round_trip(services::NameRequest{"grid/cluster0/grm"});
+  expect_round_trip(services::ResolveReply{true, sample_ref()});
+  expect_round_trip(services::BoolReply{false, "no such name"});
+  expect_round_trip(
+      services::OfferExport{services::OfferId(3), "Lrm", sample_ref(), props});
+  expect_round_trip(services::OfferIdReply{services::OfferId(3)});
+  expect_round_trip(services::OfferQuery{"Lrm", "cpu_mips > 500", "max cpu_mips", 4});
+  const services::OfferDescription offer{services::OfferId(3), sample_ref(), props};
+  expect_round_trip(offer);
+  expect_round_trip(services::OfferQueryReply{true, "", {offer, offer}});
+
+  expect_round_trip(ckpt::Checkpoint{AppId(4), 2, 7, kHour, {9, 8, 7}});
+  expect_round_trip(ckpt::SequentialState{5.5e5});
+
+  Rng rng(11);
+  (void)rng.normal(0.0, 1.0);  // leaves a buffered spare
+  expect_round_trip(rng.state());
 }
 
 TEST(ProtocolRoundTrip, TruncatedStatusFailsCleanly) {

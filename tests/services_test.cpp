@@ -61,6 +61,23 @@ TEST(PropertySetTest, CdrRoundTrip) {
   EXPECT_EQ(decoded.value(), p);
 }
 
+TEST(PropertySetTest, CdrRejectsUnsortedOrRepeatedNames) {
+  // Entries encode in name order, so only sorted, distinct names can be the
+  // encoder's bytes.
+  auto entries = [](const char* first, const char* second) {
+    cdr::Writer w;
+    w.write_u32(2);
+    w.write_string(first);
+    cdr::Codec<cdr::Value>::encode(w, cdr::Value(1));
+    w.write_string(second);
+    cdr::Codec<cdr::Value>::encode(w, cdr::Value(2));
+    return w.take_buffer();
+  };
+  EXPECT_TRUE(cdr::decode_message<PropertySet>(entries("a", "b")).is_ok());
+  EXPECT_FALSE(cdr::decode_message<PropertySet>(entries("b", "a")).is_ok());
+  EXPECT_FALSE(cdr::decode_message<PropertySet>(entries("a", "a")).is_ok());
+}
+
 TEST(TraderTest, ExportQueryModifyWithdraw) {
   Trader trader;
   auto id1 = trader.export_offer("node", ref(1, 1), props(1000, true));
