@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "core/grid.hpp"
 #include "core/workloads.hpp"
+#include "orb/message.hpp"
 
 using namespace integrade;
 
@@ -44,7 +45,6 @@ Outcome run(SimDuration period) {
 
   // Start mid-morning on a Tuesday: owners come and go frequently.
   grid.run_until(kDay + 9 * kHour);
-  const auto net_before = grid.network().stats().bytes;
   const SimTime start = grid.engine().now();
 
   std::vector<AppId> apps;
@@ -61,11 +61,17 @@ Outcome run(SimDuration period) {
   const double elapsed_s = to_seconds(end - start);
   auto& gm = cluster.grm().metrics();
   const auto updates = gm.counter_value("status_updates_received");
-  // Estimate update traffic from message count x typical update frame size.
-  const auto frame = cdr::encode_message(cluster.lrm(0).current_status());
+  // Update traffic: message count x the periodic update_status frame as the
+  // network bills it (protocol and request headers plus the NodeLoad).
+  orb::RequestHeader header;
+  header.object_key = cluster.grm_ref().key;
+  header.operation = "update_status";
+  header.response_expected = false;
+  const auto load = protocol::load_of(cluster.lrm(0).current_status());
+  const auto frame = orb::frame_request(header, cdr::encode_message(load));
   out.updates_per_sec = static_cast<double>(updates) / elapsed_s;
   out.update_bytes_per_sec =
-      static_cast<double>(updates) * (static_cast<double>(frame.size()) + 40.0) /
+      static_cast<double>(updates) * static_cast<double>(frame.size()) /
       elapsed_s;
   const auto rounds = gm.counter_value("negotiation_rounds");
   const auto refused = gm.counter_value("reservations_refused_remote") +
@@ -77,7 +83,6 @@ Outcome run(SimDuration period) {
   int completed = 0;
   for (const AppId app : apps) completed += cluster.asct().progress(app)->completed;
   out.completed = completed;
-  (void)net_before;
   return out;
 }
 

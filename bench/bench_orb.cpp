@@ -230,7 +230,10 @@ void print_wire_sizes() {
   auto show = [](const char* name, std::size_t payload) {
     std::printf("  %-28s %5zu\n", name, payload + 12);
   };
-  show("NodeStatus update", cdr::encode_message(sample_status()).size());
+  const std::size_t load_payload =
+      cdr::encode_message(protocol::load_of(sample_status())).size();
+  show("NodeLoad (periodic)", load_payload);
+  show("NodeStatus (registration)", cdr::encode_message(sample_status()).size());
   protocol::ReservationRequest reserve;
   show("ReservationRequest", cdr::encode_message(reserve).size());
   protocol::ReservationReply reply;
@@ -246,11 +249,11 @@ void print_wire_sizes() {
   protocol::ForecastRequest forecast;
   show("ForecastRequest", cdr::encode_message(forecast).size());
   std::printf("\nat a 30 s update period a provider node costs ~%.1f B/s of\n"
-              "control traffic — negligible beside any LAN (paper: the\n"
-              "provider-side footprint must be tiny).\n",
-              static_cast<double>(cdr::encode_message(sample_status()).size() +
-                                  12) /
-                  30.0);
+              "control traffic (one NodeLoad per period; NodeStatus crosses\n"
+              "the wire once, when the GRM registers the node) — negligible\n"
+              "beside any LAN (paper: the provider-side footprint must be\n"
+              "tiny).\n",
+              static_cast<double>(load_payload + 12) / 30.0);
 }
 
 }  // namespace

@@ -91,7 +91,8 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
   // Runs from the start on its own node with an empty Trader. It shares
   // the co-located GUPA/checkpoint services (they live on the primary's
   // node and have their own liveness); its state rebuilds from LRM
-  // re-announcements after a failover — the paper's information update
+  // re-announcements after a failover (each unknown node's first load makes
+  // it pull that node's NodeStatus) — the paper's information update
   // protocol makes that state soft by construction.
   if (config_.standby_grm) {
     const auto standby_addr = grid_.allocate_endpoint(segment_ids_.front());

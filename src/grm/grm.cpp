@@ -27,10 +27,10 @@ constexpr const char* kOpClusterSummary = "cluster_summary";
 class GrmServant final : public orb::SkeletonBase {
  public:
   explicit GrmServant(Grm& grm) {
-    register_op<protocol::NodeStatus, cdr::Empty>(
+    register_op<protocol::NodeLoad, cdr::Empty>(
         kOpUpdateStatus,
-        [&grm](const protocol::NodeStatus& status) -> Result<cdr::Empty> {
-          grm.handle_update_status(status);
+        [&grm](const protocol::NodeLoad& load) -> Result<cdr::Empty> {
+          grm.handle_node_load(load);
           return cdr::Empty{};
         });
     register_op<protocol::ApplicationSpec, protocol::SubmitReply>(
@@ -141,15 +141,62 @@ void Grm::stop() {
 // Information Update Protocol (consumer side)
 // ---------------------------------------------------------------------------
 
-void Grm::handle_update_status(const protocol::NodeStatus& status) {
+void Grm::handle_node_load(const protocol::NodeLoad& load) {
   // Promotion: nothing addresses a standby while the primary lives, so the
-  // first status it receives means an LRM failed over to it — wake the
+  // first load it receives means an LRM failed over to it — wake the
   // dormant snapshot image before applying.
   if (restored_dormant_) recover_in_flight();
   metrics_.counter("status_updates_received").add();
-  on_update(status);
+  auto it = nodes_.find(load.node);
+  if (it == nodes_.end()) {
+    // A lost first frame, a node the stale sweep withdrew, or a standby
+    // promoted without a snapshot of it: fetch the static descriptor.
+    pull_status(load);
+    return;
+  }
+  NodeRecord& record = it->second;
+  protocol::apply_load(load, record.status);
+  record.last_update = engine_.now();
+  refresh_load(record);
   // Fresh capacity may unblock queued tasks.
+  if (load.shareable) kick_scheduler();
+}
+
+void Grm::handle_update_status(const protocol::NodeStatus& status) {
+  if (restored_dormant_) recover_in_flight();
+  metrics_.counter("status_updates_received").add();
+  on_update(status);
   if (status.shareable) kick_scheduler();
+}
+
+void Grm::pull_status(const protocol::NodeLoad& load) {
+  if (!pulls_pending_.insert(load.node).second) {
+    metrics_.counter("loads_dropped_pending_pull").add();
+    return;
+  }
+  metrics_.counter("status_pulls").add();
+  orb::call<cdr::Empty, protocol::NodeStatus>(
+      orb_, load.lrm, "get_status", cdr::Empty{},
+      [this, node = load.node](Result<protocol::NodeStatus> reply) {
+        pulls_pending_.erase(node);
+        // A failure leaves the node unknown; its next load pulls again.
+        if (!reply.is_ok() || reply.value().node != node) {
+          metrics_.counter("status_pull_failures").add();
+          return;
+        }
+        on_update(reply.value());
+        if (reply.value().shareable) kick_scheduler();
+      },
+      options_.call_timeout);
+}
+
+void Grm::refresh_load(const NodeRecord& record) {
+  (void)trader_.refresh(
+      record.offer,
+      [&record](services::PropertySet& props) {
+        protocol::update_load_properties(record.status, props);
+      },
+      engine_.now());
 }
 
 void Grm::handle_task_resync(const protocol::TaskResync& resync) {
@@ -809,12 +856,7 @@ void Grm::continue_wave(const std::shared_ptr<Wave>& wave) {
             node_it->second.status.free_ram = reply.value().free_ram;
             node_it->second.status.shareable =
                 reply.value().exportable_cpu > 0.0;
-            (void)trader_.refresh(
-                node_it->second.offer,
-                [&node_it](services::PropertySet& props) {
-                  protocol::update_properties(node_it->second.status, props);
-                },
-                engine_.now());
+            refresh_load(node_it->second);
           }
           continue_wave(wave);
           return;
@@ -914,12 +956,7 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
     node_it->second.status.exportable_cpu = std::max(
         0.0, node_it->second.status.exportable_cpu - options_.cpu_request);
     node_it->second.status.running_tasks += 1;
-    (void)trader_.refresh(
-        node_it->second.offer,
-        [&node_it](services::PropertySet& props) {
-          protocol::update_properties(node_it->second.status, props);
-        },
-        engine_.now());
+    refresh_load(node_it->second);
   }
 
   if (app.spec.kind == AppKind::kBsp) {
@@ -957,12 +994,7 @@ void Grm::credit_node_capacity(NodeId node) {
   node_it->second.status.running_tasks =
       std::max(0, node_it->second.status.running_tasks - 1);
   node_it->second.status.shareable = true;
-  (void)trader_.refresh(
-      node_it->second.offer,
-      [&node_it](services::PropertySet& props) {
-        protocol::update_properties(node_it->second.status, props);
-      },
-      engine_.now());
+  refresh_load(node_it->second);
 }
 
 bool Grm::maybe_preempt(const TaskRecord& requester) {

@@ -1,13 +1,17 @@
 // GRM — Global Resource Manager (paper §4).
 //
-// One per cluster, running on the Cluster Manager node. Receives periodic
-// NodeStatus updates from every LRM and stores them as service offers in a
-// Trading service ("the GRM uses the Trader to store the information it
-// receives from the LRMs", §5). Application submissions are matched against
-// those offers with the Trader constraint language; the resulting candidate
-// list is only a *hint* — the GRM then negotiates directly with each LRM
-// (Reserve -> Execute), moving to the next candidate on refusal, exactly as
-// §4 describes.
+// One per cluster, running on the Cluster Manager node. Receives a periodic
+// NodeLoad (the node's dynamic state) from every LRM and stores it as a
+// service offer in a Trading service ("the GRM uses the Trader to store the
+// information it receives from the LRMs", §5). A load from a node the GRM
+// does not know — first contact, a node the stale sweep withdrew, a standby
+// promoted without a snapshot — makes it pull the node's full NodeStatus
+// once (the LRM's get_status) and register the offer; every later load
+// rewrites only the offer's dynamic properties. Application submissions are
+// matched against those offers with the Trader constraint language; the
+// resulting candidate list is only a *hint* — the GRM then negotiates
+// directly with each LRM (Reserve -> Execute), moving to the next candidate
+// on refusal, exactly as §4 describes.
 //
 // Scheduling refinements the paper calls for:
 //   * usage-pattern forecasts from the GUPA re-rank candidates by the
@@ -28,6 +32,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "ckpt/repository.hpp"
@@ -117,6 +122,12 @@ class Grm {
   }
 
   // ---- protocol entry points (servant ops; public for tests) ----
+  /// The `update_status` operation: apply a periodic load to a known node,
+  /// or pull the descriptor of an unknown one (at most one pull in flight
+  /// per node; loads arriving meanwhile are counted and dropped).
+  void handle_node_load(const protocol::NodeLoad& load);
+  /// Register or fully refresh a node from its whole descriptor, as if it
+  /// had arrived as a periodic update (in-process feeds and tests).
   void handle_update_status(const protocol::NodeStatus& status);
   protocol::SubmitReply handle_submit(const protocol::ApplicationSpec& spec);
   void handle_report(const protocol::TaskReport& report);
@@ -189,9 +200,9 @@ class Grm {
   /// queue (and clear in-flight counts) so the next scheduler pass retries
   /// them, and kRemote adoption timeouts are re-armed. Separate from load():
   /// a warm standby installs snapshots while the primary is alive and must
-  /// stay dormant (no timers, no kicks) until promoted — the first status
-  /// update or task resync after adoption calls this automatically. Also
-  /// keeps save→load→save byte-identical.
+  /// stay dormant (no timers, no kicks) until promoted — the first load,
+  /// status update or task resync after adoption calls this automatically.
+  /// Also keeps save→load→save byte-identical.
   void recover_in_flight();
 
  private:
@@ -243,6 +254,10 @@ class Grm {
   struct Wave;
 
   void on_update(const protocol::NodeStatus& status);
+  /// Fetch an unknown node's NodeStatus through the load's LRM reference.
+  void pull_status(const protocol::NodeLoad& load);
+  /// Rewrite the record's dynamic Trader properties from its status.
+  void refresh_load(const NodeRecord& record);
   void sweep_stale_offers();
   void on_node_dead(NodeId node, const NodeRecord& record);
   void kick_scheduler(SimDuration delay = 0);
@@ -322,6 +337,9 @@ class Grm {
   BspRankPlacedHandler bsp_placed_;
   BspRankLostHandler bsp_lost_;
   BspCancelledHandler bsp_cancelled_;
+
+  /// Nodes with a get_status pull in flight (never more than one each).
+  std::unordered_set<NodeId> pulls_pending_;
 
   /// Reserve requests currently in flight per node: concurrent waves use
   /// this to spread across candidates instead of stampeding the best one.

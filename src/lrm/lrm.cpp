@@ -184,8 +184,9 @@ void Lrm::restart() {
   orphans_.clear();
 
   // Re-announce immediately (the information update protocol makes GRM
-  // state soft — re-registration IS recovery), then resume the periodic
-  // heartbeat with a fresh stagger so mass restarts don't re-synchronise.
+  // state soft — re-registration IS recovery: a GRM that swept this node
+  // pulls its NodeStatus again), then resume the periodic heartbeat with a
+  // fresh stagger so mass restarts don't re-synchronise.
   push_update();
   const SimDuration stagger = static_cast<SimDuration>(
       rng_.uniform(0.0, static_cast<double>(options_.update_period)));
@@ -240,16 +241,19 @@ const protocol::NodeStatus& Lrm::current_status() const {
 void Lrm::push_update() {
   if (!grm_.valid() || crashed_) return;
   metrics_.counter("status_updates_sent").add();
+  // Only the dynamic record travels each period; the GRM pulls the full
+  // NodeStatus (get_status) once, when a load names a node it does not know.
+  const protocol::NodeLoad load = protocol::load_of(current_status());
   if (!options_.reliable_updates || !standby_grm_.valid()) {
-    orb::oneway(orb_, grm_, "update_status", current_status());
+    orb::oneway(orb_, grm_, "update_status", load);
     return;
   }
   // Reliable mode: a two-way update doubles as a liveness probe of the
   // Cluster Manager. After `grm_failure_threshold` consecutive misses the
   // primary is presumed dead and the standby takes its place; the old
   // primary becomes the standby, so a later flip-back works the same way.
-  orb::call<protocol::NodeStatus, cdr::Empty>(
-      orb_, grm_, "update_status", current_status(),
+  orb::call<protocol::NodeLoad, cdr::Empty>(
+      orb_, grm_, "update_status", load,
       [this](Result<cdr::Empty> reply) {
         if (crashed_) return;
         if (reply.is_ok()) {
@@ -262,8 +266,9 @@ void Lrm::push_update() {
         std::swap(grm_, standby_grm_);
         metrics_.counter("grm_failovers").add();
         resync_with_grm(old_grm);
-        // Re-announce at once: the standby rebuilds its Trader state from
-        // exactly these re-registration updates (soft-state recovery).
+        // Re-announce at once: a standby without a snapshot of this node
+        // answers the load by pulling its NodeStatus and registering it
+        // (soft-state recovery).
         push_update();
       });
 }

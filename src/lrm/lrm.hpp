@@ -3,7 +3,9 @@
 // Runs on every cluster node. Four jobs:
 //
 //  1. Information Update Protocol: collect node status (CPU/RAM/disk/net,
-//     owner activity, NCC verdict) and push it to the GRM periodically.
+//     owner activity, NCC verdict), push its dynamic half (NodeLoad) to the
+//     GRM periodically, and answer the GRM's get_status pull with the full
+//     NodeStatus when the GRM does not know this node.
 //  2. Resource Reservation & Execution Protocol, provider side: grant or
 //     refuse reservations against *current* truth (the GRM's view is only a
 //     hint), hold them briefly, then accept Execute requests.
@@ -113,11 +115,12 @@ class Lrm {
   [[nodiscard]] lupa::Lupa* lupa() { return lupa_.get(); }
   [[nodiscard]] MetricRegistry& metrics() { return metrics_; }
 
-  /// Current node status, refreshed on every call. Returns a reference to an
+  /// Current node status (what get_status returns; push_update sends its
+  /// NodeLoad), refreshed on every call. Returns a reference to an
   /// internal scratch record: the static identity fields (hostname, OS,
   /// platform list) are filled once and only the dynamic load fields are
-  /// rewritten per call, so the heartbeat path allocates nothing. Copy the
-  /// result to keep it past the next call.
+  /// rewritten per call, so a refresh allocates nothing. Copy the result to
+  /// keep it past the next call.
   [[nodiscard]] const protocol::NodeStatus& current_status() const;
   [[nodiscard]] int running_task_count() const {
     return static_cast<int>(tasks_.size());
@@ -141,7 +144,8 @@ class Lrm {
   void handle_preempt(const protocol::PreemptRequest& req);
   void handle_bsp_compute(const protocol::BspComputeRequest& req);
 
-  /// Force an immediate info update (tests; also used at start()).
+  /// Send a NodeLoad update now (the periodic timer, NCC verdict flips,
+  /// restart() and failover; public for tests).
   void push_update();
 
  private:

@@ -2,6 +2,33 @@
 
 namespace integrade::protocol {
 
+NodeLoad load_of(const NodeStatus& s) {
+  NodeLoad load;
+  load.node = s.node;
+  load.lrm = s.lrm;
+  load.owner_cpu = s.owner_cpu;
+  load.grid_cpu = s.grid_cpu;
+  load.exportable_cpu = s.exportable_cpu;
+  load.free_ram = s.free_ram;
+  load.owner_present = s.owner_present;
+  load.shareable = s.shareable;
+  load.running_tasks = s.running_tasks;
+  load.timestamp = s.timestamp;
+  return load;
+}
+
+void apply_load(const NodeLoad& load, NodeStatus& s) {
+  s.lrm = load.lrm;
+  s.owner_cpu = load.owner_cpu;
+  s.grid_cpu = load.grid_cpu;
+  s.exportable_cpu = load.exportable_cpu;
+  s.free_ram = load.free_ram;
+  s.owner_present = load.owner_present;
+  s.shareable = load.shareable;
+  s.running_tasks = load.running_tasks;
+  s.timestamp = load.timestamp;
+}
+
 const char* app_kind_name(AppKind k) {
   switch (k) {
     case AppKind::kSequential: return "sequential";

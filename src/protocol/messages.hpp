@@ -1,8 +1,9 @@
 // Wire messages of InteGrade's intra- and inter-cluster protocols.
 //
 // Three protocol families (paper §4):
-//   * Information Update Protocol — LRMs push NodeStatus to their GRM
-//     periodically; the GRM stores it in its Trader.
+//   * Information Update Protocol — LRMs push a NodeLoad to their GRM
+//     periodically; the GRM pulls the full NodeStatus once per registration
+//     and keeps both in its Trader.
 //   * Resource Reservation & Execution Protocol — the GRM picks candidate
 //     nodes from (possibly stale) Trader state as a *hint*, then negotiates
 //     directly: Reserve -> (granted) -> Execute -> ... -> TaskCompletion.
@@ -30,9 +31,10 @@ namespace integrade::protocol {
 // Information Update Protocol
 // ---------------------------------------------------------------------------
 
-/// Periodic node status: the LRM's full self-description. Static fields are
-/// resent each time (the paper's protocol is a stateless refresh, which
-/// also serves as the LRM's liveness heartbeat).
+/// The LRM's full self-description: the registration descriptor. The GRM
+/// pulls it with the LRM's `get_status` operation when a NodeLoad arrives
+/// for a node it does not know, and keeps it as its per-node record; only
+/// the dynamic fields change afterwards, from each NodeLoad.
 struct NodeStatus {
   NodeId node;
   orb::ObjectRef lrm;  // where to negotiate reservations
@@ -69,6 +71,37 @@ constexpr auto wire_fields(const NodeStatus*) {
                      &S::owner_present, &S::shareable, &S::running_tasks,
                      &S::timestamp);
 }
+
+/// Periodic node load: NodeStatus's dynamic fields plus the node's identity
+/// and negotiation endpoint, the only message an LRM sends each period (the
+/// paper's information update, which doubles as the LRM's liveness
+/// heartbeat). Static fields travel only in NodeStatus.
+struct NodeLoad {
+  NodeId node;
+  orb::ObjectRef lrm;  // where the GRM pulls NodeStatus and negotiates
+
+  double owner_cpu = 0.0;
+  double grid_cpu = 0.0;
+  double exportable_cpu = 0.0;
+  Bytes free_ram = 0;
+  bool owner_present = false;
+  bool shareable = false;
+  std::int32_t running_tasks = 0;
+  SimTime timestamp = 0;
+
+  bool operator==(const NodeLoad&) const = default;
+};
+constexpr auto wire_fields(const NodeLoad*) {
+  using S = NodeLoad;
+  return cdr::fields(&S::node, &S::lrm, &S::owner_cpu, &S::grid_cpu,
+                     &S::exportable_cpu, &S::free_ram, &S::owner_present,
+                     &S::shareable, &S::running_tasks, &S::timestamp);
+}
+
+/// `status`'s NodeLoad: its identity, endpoint and dynamic fields.
+NodeLoad load_of(const NodeStatus& status);
+/// Overwrite `status`'s endpoint and dynamic fields with `load`'s.
+void apply_load(const NodeLoad& load, NodeStatus& status);
 
 // ---------------------------------------------------------------------------
 // Application & task descriptors

@@ -28,6 +28,10 @@ void update_properties(const NodeStatus& s, services::PropertySet& props) {
   props.set(kPropPlatforms, cdr::Value(std::move(platforms)));
   props.set(kPropSegment, cdr::Value(static_cast<std::int64_t>(s.segment)));
   props.set(kPropDedicated, cdr::Value(s.dedicated));
+  update_load_properties(s, props);
+}
+
+void update_load_properties(const NodeStatus& s, services::PropertySet& props) {
   props.set(kPropOwnerCpu, cdr::Value(s.owner_cpu));
   props.set(kPropGridCpu, cdr::Value(s.grid_cpu));
   props.set(kPropExportableCpu, cdr::Value(s.exportable_cpu));

@@ -1,8 +1,9 @@
 // NodeStatus <-> Trader property set conversion.
 //
-// The GRM stores node status in its Trading service (paper §5), so a status
-// update becomes a property set and a scheduling query becomes a constraint
-// over these property names. The names below are the public schema ASCT
+// The GRM stores node status in its Trading service (paper §5), so a node's
+// registration becomes a property set, each periodic NodeLoad rewrites its
+// dynamic properties, and a scheduling query becomes a constraint over these
+// property names. The names below are the public schema ASCT
 // constraint expressions are written against; README documents them.
 #pragma once
 
@@ -39,9 +40,16 @@ services::PropertySet to_properties(const NodeStatus& status);
 
 /// Overwrite `props` in place with `status`'s fields. Equivalent to
 /// `props = to_properties(status)` but reuses the set's existing map nodes
-/// and key strings — the allocation-light path the Information Update
-/// Protocol takes for every heartbeat refresh of an existing offer.
+/// and key strings.
 void update_properties(const NodeStatus& status, services::PropertySet& props);
+
+/// Overwrite only the nine dynamic properties (owner_cpu through
+/// timestamp_us, with exportable_mips from `status.cpu_mips`) in place: the
+/// per-heartbeat refresh of an existing offer, and the GRM's own hint
+/// corrections between heartbeats. The static properties stay as
+/// registration wrote them.
+void update_load_properties(const NodeStatus& status,
+                            services::PropertySet& props);
 
 /// Reconstruct the scheduling-relevant fields from a property set. Fields
 /// not represented in the schema (e.g. the LRM object ref, which the Trader

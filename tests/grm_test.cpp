@@ -6,6 +6,8 @@
 #include "core/grid.hpp"
 #include "core/workloads.hpp"
 #include "grm/grm.hpp"
+#include "lrm/lrm.hpp"
+#include "orb/transport.hpp"
 
 namespace integrade::grm {
 namespace {
@@ -382,6 +384,166 @@ TEST_F(GrmFixture, AdmissionRejectsOverQuotaSubmit) {
   EXPECT_FALSE(flood_reply.accepted);
   EXPECT_EQ(cluster.grm().metrics().counter_value("sched_admission_rejected"),
             2);
+}
+
+/// One GRM and one LRM on a LAN, with no periodic traffic between them: the
+/// LRM starts without a GRM reference, so each test delivers loads itself.
+class LoadPullFixture : public ::testing::Test {
+ protected:
+  LoadPullFixture()
+      : network(engine, Rng(1)),
+        transport(network),
+        manager_orb(1, transport, &engine),
+        node_orb(2, transport, &engine),
+        machine(NodeId(10), spec()),
+        grm(engine, manager_orb, ClusterId(1), Rng(3)) {
+    network.set_jitter(0.0);
+    const auto lan = network.add_segment(sim::SegmentSpec{});
+    network.attach(1, lan);
+    network.attach(2, lan);
+    grm.start(nullptr, nullptr, &network);
+    ncc::SharingPolicy policy;
+    policy.idle_grace = kMinute;
+    lrm::LrmOptions options;
+    options.run_lupa = false;
+    lrm = std::make_unique<lrm::Lrm>(engine, node_orb, machine,
+                                     ncc::Ncc(policy), Rng(2), options);
+    lrm->start(orb::ObjectRef{}, orb::ObjectRef{}, orb::ObjectRef{}, &network);
+    engine.run_until(2 * kMinute);  // past the idle grace: shareable
+  }
+
+  static node::MachineSpec spec() {
+    node::MachineSpec s;
+    s.hostname = "lab-n10";
+    s.cpu_mips = 1500.0;
+    s.platforms = {"linux-x86", "java"};
+    return s;
+  }
+
+  [[nodiscard]] protocol::NodeLoad load() const {
+    return protocol::load_of(lrm->current_status());
+  }
+  [[nodiscard]] std::int64_t counter(const char* name) {
+    return grm.metrics().counter_value(name);
+  }
+
+  sim::Engine engine;
+  sim::Network network;
+  orb::SimNetworkTransport transport;
+  orb::Orb manager_orb;
+  orb::Orb node_orb;
+  node::Machine machine;
+  Grm grm;
+  std::unique_ptr<lrm::Lrm> lrm;
+};
+
+TEST_F(LoadPullFixture, FirstLoadRegistersWithOnePullInFlight) {
+  grm.handle_node_load(load());
+  grm.handle_node_load(load());
+  grm.handle_node_load(load());
+  EXPECT_EQ(grm.known_nodes(), 0u);  // the pull's reply is still on the wire
+  EXPECT_EQ(counter("status_pulls"), 1);
+  EXPECT_EQ(counter("loads_dropped_pending_pull"), 2);
+  EXPECT_EQ(counter("status_updates_received"), 3);
+
+  engine.run_until(engine.now() + kSecond);
+  ASSERT_EQ(grm.known_nodes(), 1u);
+  EXPECT_EQ(counter("status_pulls"), 1);
+  EXPECT_EQ(counter("nodes_registered"), 1);
+  EXPECT_EQ(grm.trader().offer_count(protocol::kNodeServiceType), 1u);
+  const auto view = grm.node_view(NodeId(10));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->hostname, "lab-n10");
+  EXPECT_EQ(view->platforms, spec().platforms);
+  EXPECT_TRUE(view->shareable);
+
+  // Registered: the next load applies in place, with no second pull.
+  grm.handle_node_load(load());
+  EXPECT_EQ(counter("status_pulls"), 1);
+  EXPECT_EQ(counter("status_updates_received"), 4);
+}
+
+TEST_F(LoadPullFixture, FailedPullIsRetriedByTheNextLoad) {
+  const protocol::NodeLoad first = load();
+  lrm->crash();
+  grm.handle_node_load(first);
+  engine.run_until(engine.now() + 10 * kSecond);
+  EXPECT_EQ(counter("status_pull_failures"), 1);
+  EXPECT_EQ(grm.known_nodes(), 0u);
+
+  // Another load while the LRM is still down: a fresh pull, failing again.
+  grm.handle_node_load(first);
+  engine.run_until(engine.now() + 10 * kSecond);
+  EXPECT_EQ(counter("status_pulls"), 2);
+  EXPECT_EQ(counter("status_pull_failures"), 2);
+  EXPECT_EQ(grm.known_nodes(), 0u);
+
+  lrm->restart();
+  grm.handle_node_load(load());
+  engine.run_until(engine.now() + kSecond);
+  EXPECT_EQ(counter("status_pulls"), 3);
+  EXPECT_EQ(counter("status_pull_failures"), 2);
+  ASSERT_EQ(grm.known_nodes(), 1u);
+  EXPECT_EQ(grm.node_view(NodeId(10))->hostname, "lab-n10");
+}
+
+TEST_F(LoadPullFixture, LoadRewritesOnlyDynamicProperties) {
+  protocol::NodeStatus registered = lrm->current_status();
+  registered.segment = 2;
+  grm.handle_update_status(registered);
+  ASSERT_EQ(grm.known_nodes(), 1u);
+
+  protocol::NodeLoad next = load();
+  next.owner_cpu = 0.25;
+  next.exportable_cpu = 0.5;
+  next.free_ram = 64 * kMiB;
+  next.running_tasks = 3;
+  next.timestamp = registered.timestamp + kSecond;
+  grm.handle_node_load(next);
+  EXPECT_EQ(counter("status_pulls"), 0);
+
+  const auto offers = grm.trader().offers_of_type(protocol::kNodeServiceType);
+  ASSERT_EQ(offers.size(), 1u);
+  const services::PropertySet& props = offers.front()->properties;
+  EXPECT_EQ(props.get_string(protocol::kPropHostname), "lab-n10");
+  EXPECT_EQ(props.get_real(protocol::kPropCpuMips), 1500.0);
+  EXPECT_EQ(props.get_int(protocol::kPropSegment), 2);
+  ASSERT_TRUE(props.get(protocol::kPropPlatforms).is_list());
+  EXPECT_EQ(props.get(protocol::kPropPlatforms).as_list().size(), 2u);
+  EXPECT_EQ(props.get_real(protocol::kPropExportableMips), 0.5 * 1500.0);
+  EXPECT_EQ(props.get_real(protocol::kPropOwnerCpu), 0.25);
+  EXPECT_EQ(props.get_int(protocol::kPropFreeRam), 64);
+  EXPECT_EQ(props.get_int(protocol::kPropRunningTasks), 3);
+
+  const auto view = grm.node_view(NodeId(10));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->segment, 2);
+  EXPECT_EQ(view->hostname, "lab-n10");
+  EXPECT_EQ(view->exportable_cpu, 0.5);
+  EXPECT_EQ(view->timestamp, next.timestamp);
+}
+
+TEST_F(GrmFixture, SweptNodeRegistersAgainWhenLoadsResume) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(3, 2));
+  grid.run_for(90 * kSecond);
+  ASSERT_EQ(cluster.grm().known_nodes(), 3u);
+  auto& metrics = cluster.grm().metrics();
+  const auto pulls = metrics.counter_value("status_pulls");
+  EXPECT_EQ(pulls, 3);  // one registration pull per node
+
+  cluster.lrm(0).crash();
+  grid.run_for(5 * kMinute);
+  ASSERT_EQ(cluster.grm().known_nodes(), 2u);
+  EXPECT_GE(metrics.counter_value("offers_expired"), 1);
+
+  cluster.lrm(0).restart();
+  grid.run_for(10 * kSecond);
+  EXPECT_EQ(cluster.grm().known_nodes(), 3u);
+  EXPECT_EQ(metrics.counter_value("status_pulls"), pulls + 1);
+  EXPECT_EQ(cluster.grm().trader().offer_count(protocol::kNodeServiceType), 3u);
+  const auto view = cluster.grm().node_view(cluster.lrm(0).node_id());
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->hostname, cluster.lrm(0).current_status().hostname);
 }
 
 }  // namespace

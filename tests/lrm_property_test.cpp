@@ -27,9 +27,9 @@ class Recorder final : public orb::SkeletonBase {
           reports.push_back(r);
           return cdr::Empty{};
         });
-    register_op<protocol::NodeStatus, cdr::Empty>(
+    register_op<protocol::NodeLoad, cdr::Empty>(
         "update_status",
-        [](const protocol::NodeStatus&) -> Result<cdr::Empty> {
+        [](const protocol::NodeLoad&) -> Result<cdr::Empty> {
           return cdr::Empty{};
         });
     register_op<ckpt::Checkpoint, cdr::Empty>(

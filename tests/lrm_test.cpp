@@ -21,10 +21,10 @@ class Collector final : public orb::SkeletonBase {
           reports.push_back(r);
           return cdr::Empty{};
         });
-    register_op<protocol::NodeStatus, cdr::Empty>(
+    register_op<protocol::NodeLoad, cdr::Empty>(
         "update_status",
-        [this](const protocol::NodeStatus& s) -> Result<cdr::Empty> {
-          updates.push_back(s);
+        [this](const protocol::NodeLoad& load) -> Result<cdr::Empty> {
+          updates.push_back(load);
           return cdr::Empty{};
         });
     register_op<protocol::UsagePatternUpload, cdr::Empty>(
@@ -49,7 +49,7 @@ class Collector final : public orb::SkeletonBase {
   [[nodiscard]] const char* type_id() const override { return "IDL:test/Collector:1.0"; }
 
   std::vector<protocol::TaskReport> reports;
-  std::vector<protocol::NodeStatus> updates;
+  std::vector<protocol::NodeLoad> updates;
   std::vector<protocol::UsagePatternUpload> uploads;
   std::vector<protocol::BspChunkDone> chunks;
   ckpt::CheckpointRepository repo;
@@ -266,11 +266,23 @@ TEST_F(LrmFixture, CancelRemovesTaskSilently) {
 
 TEST_F(LrmFixture, StatusUpdatesFlowPeriodically) {
   engine.run_until(engine.now() + 3 * kMinute);
-  EXPECT_GE(collector->updates.size(), 5u);
-  const auto& status = collector->updates.back();
-  EXPECT_EQ(status.node, NodeId(10));
-  EXPECT_TRUE(status.shareable);
-  EXPECT_EQ(status.cpu_mips, 1000.0);
+  ASSERT_GE(collector->updates.size(), 5u);
+  const protocol::NodeLoad load = collector->updates.back();
+  EXPECT_EQ(load.node, NodeId(10));
+  EXPECT_TRUE(load.shareable);
+
+  // The static descriptor travels only on the pull a GRM makes through the
+  // reference the load carries.
+  std::optional<protocol::NodeStatus> pulled;
+  orb::call<cdr::Empty, protocol::NodeStatus>(
+      manager_orb, load.lrm, "get_status", cdr::Empty{},
+      [&pulled](Result<protocol::NodeStatus> reply) {
+        if (reply.is_ok()) pulled = reply.value();
+      });
+  engine.run_until(engine.now() + kSecond);
+  ASSERT_TRUE(pulled.has_value());
+  EXPECT_EQ(pulled->node, NodeId(10));
+  EXPECT_EQ(pulled->cpu_mips, 1000.0);
 }
 
 TEST_F(LrmFixture, CheckpointsStoredAndRestoreSeedsProgress) {

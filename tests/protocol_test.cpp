@@ -93,6 +93,37 @@ TaskDescriptor sample_task() {
 
 TEST(ProtocolRoundTrip, NodeStatus) { expect_round_trip(sample_status()); }
 
+TEST(ProtocolRoundTrip, NodeLoad) {
+  const NodeLoad load = load_of(sample_status());
+  expect_round_trip(load);
+  EXPECT_EQ(cdr::encode_message(load).size(), 104u);
+}
+
+// NodeLoad carries exactly NodeStatus's endpoint and dynamic fields.
+TEST(ProtocolRoundTrip, LoadAppliesOnlyDynamicFields) {
+  const NodeStatus source = sample_status();
+  NodeStatus record;
+  record.node = source.node;
+  record.hostname = "registered";
+  record.cpu_mips = 900.0;
+  record.platforms = {"java"};
+  record.segment = 5;
+  record.dedicated = true;
+  NodeStatus expected = source;
+  expected.hostname = record.hostname;
+  expected.cpu_mips = record.cpu_mips;
+  expected.ram_total = record.ram_total;
+  expected.disk_total = record.disk_total;
+  expected.os = record.os;
+  expected.arch = record.arch;
+  expected.platforms = record.platforms;
+  expected.segment = record.segment;
+  expected.dedicated = record.dedicated;
+
+  apply_load(load_of(source), record);
+  EXPECT_EQ(record, expected);
+}
+
 TEST(ProtocolRoundTrip, FailoverMessages) {
   TaskResync resync;
   resync.node = NodeId(11);
@@ -484,6 +515,29 @@ TEST(Properties, StatusToPropertiesExposesSchema) {
   EXPECT_DOUBLE_EQ(*props.get_real(kPropExportableMips), 0.25 * 1400.5);
   ASSERT_TRUE(props.get(kPropPlatforms).is_list());
   EXPECT_EQ(props.get(kPropPlatforms).as_list().size(), 2u);
+}
+
+TEST(Properties, LoadPropertiesRewriteOnlyDynamicFields) {
+  const NodeStatus registered = sample_status();
+  services::PropertySet props = to_properties(registered);
+  NodeStatus next = registered;
+  next.hostname = "renamed";  // static: must not reach the offer
+  next.platforms = {"java"};
+  next.segment = 7;
+  next.owner_cpu = 0.0;
+  next.grid_cpu = 0.75;
+  next.exportable_cpu = 0.5;
+  next.free_ram = 8 * kMiB;
+  next.owner_present = false;
+  next.shareable = true;
+  next.running_tasks = 0;
+  next.timestamp += kSecond;
+  update_load_properties(next, props);
+
+  NodeStatus expected = registered;
+  apply_load(load_of(next), expected);
+  EXPECT_EQ(props, to_properties(expected));
+  EXPECT_DOUBLE_EQ(*props.get_real(kPropExportableMips), 0.5 * 1400.5);
 }
 
 TEST(Properties, RoundTripPreservesSchedulingFields) {

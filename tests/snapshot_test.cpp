@@ -270,10 +270,11 @@ TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
   }
 }
 
-TEST(SnapshotComponents, RestoredStandbyWakesOnFirstStatusUpdate) {
-  // Without report journals no TaskResync ever reaches a promoted standby:
-  // the first per-node status update is its only promotion signal, and it
-  // alone must wake the dormant image.
+// Without report journals no TaskResync ever reaches a promoted standby:
+// the first per-node status update is its only promotion signal, and it
+// alone must wake the dormant image. `promote(standby, lrm)` delivers it.
+template <class Promote>
+void expect_restored_standby_wakes(Promote promote) {
   core::Grid grid(308);
   auto config = core::quiet_cluster(4, 308);
   config.standby_grm = true;
@@ -308,10 +309,25 @@ TEST(SnapshotComponents, RestoredStandbyWakesOnFirstStatusUpdate) {
   ASSERT_TRUE(standby.load(grm::Grm::kSnapshotVersion, gr).is_ok());
   EXPECT_EQ(standby.task_state(task), grm::TaskState::kNegotiating);  // dormant
 
-  standby.handle_update_status(cluster.lrm(0).current_status());
+  promote(standby, cluster.lrm(0));
   EXPECT_EQ(standby.task_state(task), grm::TaskState::kPending);
   EXPECT_EQ(
       standby.metrics().counter_value("tasks_recovered_from_snapshot"), 1);
+}
+
+TEST(SnapshotComponents, RestoredStandbyWakesOnFirstStatusUpdate) {
+  expect_restored_standby_wakes([](grm::Grm& standby, lrm::Lrm& lrm) {
+    standby.handle_update_status(lrm.current_status());
+  });
+}
+
+TEST(SnapshotComponents, RestoredStandbyWakesOnFirstNodeLoad) {
+  // The periodic load an LRM actually sends. The snapshot already knows the
+  // node, so the load applies without a pull.
+  expect_restored_standby_wakes([](grm::Grm& standby, lrm::Lrm& lrm) {
+    standby.handle_node_load(protocol::load_of(lrm.current_status()));
+    EXPECT_EQ(standby.metrics().counter_value("status_pulls"), 0);
+  });
 }
 
 // One node, one app, one queued task: the GRM state the migration tests
