@@ -3,10 +3,10 @@
 // PR 2's warm-standby GRM rebuilds cluster state from scratch out of
 // heartbeats after a failover, which at large node counts means the new
 // manager schedules nothing until re-announcements trickle in. The snapshot
-// subsystem ships the primary's Trader/GRM/GUPA/dedup state to the standby
-// ahead of time (full epoch + per-period deltas), so at promotion the
-// standby already holds the whole cluster and only the capture-to-failure
-// gap is replayed from the LRM report journals.
+// subsystem ships the primary's Trader/GRM/ORB-dedup state to the standby
+// ahead of time (one full image per period), so at promotion the standby
+// already holds the whole cluster and only the capture-to-failure gap is
+// replayed from the LRM report journals.
 //
 // Three cells run the same workload on the same seed and crash the primary
 // manager mid-application. Every LRM probes the manager with its own
@@ -139,7 +139,7 @@ CellResult run_cell(Mode mode, const Scenario& scenario, std::uint64_t seed,
   out.capacity = static_cast<long long>(cluster.grm().known_nodes());
   if (mode == Mode::kSnapshot && state_image != nullptr) {
     // Warm-start artifact: the exact image a --save-state run persists.
-    *state_image = snapshot::encode(cluster.snapshot_coordinator()->capture_full());
+    *state_image = snapshot::encode(cluster.snapshot_coordinator()->capture());
   }
 
   const SimTime crash_at = grid.engine().now();
@@ -221,7 +221,7 @@ bool warm_start_from_file(const char* path, const Scenario& scenario,
                  status.to_string().c_str());
     return false;
   }
-  return cluster.snapshot_store()->have_full() &&
+  return cluster.snapshot_store()->has_image() &&
          static_cast<long long>(cluster.standby_grm()->known_nodes()) ==
              expect_nodes;
 }

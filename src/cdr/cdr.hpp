@@ -164,7 +164,10 @@ struct BaseOf {
 };
 
 /// `TailOf{&S::m}`: the nested struct m's tail, as one entry of the
-/// enclosing struct's own tail.
+/// enclosing struct's own tail. In a base list it is an ordinary entry,
+/// written and read unconditionally: `BaseOf{&S::m}, TailOf{&S::m}` lays
+/// out all of m in a context that never ends the message (snapshot
+/// records).
 template <class M>
 struct TailOf {
   M member;
@@ -311,21 +314,12 @@ struct Codec {
                 "no Codec for T: declare wire_fields(const T*) next to T");
 
   static void encode(Writer& w, const T& v) {
-    encode_base(w, v);
+    detail::put_all<false>(w, v);
     if (detail::tail_set(v)) detail::put_all<true>(w, v);
   }
   static T decode(Reader& r) {
     T v;
     detail::get_struct(r, v);
-    return v;
-  }
-
-  /// The fields before the tail only: nesting contexts (snapshot images)
-  /// that carry the tail elsewhere or not at all.
-  static void encode_base(Writer& w, const T& v) { detail::put_all<false>(w, v); }
-  static T decode_base(Reader& r) {
-    T v;
-    detail::get_all<false>(r, v);
     return v;
   }
 };

@@ -106,15 +106,13 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
   }
 
   // --- Control-plane snapshots (optional; requires the standby) ---
-  // The primary periodically captures Trader/GRM/GUPA/ORB-dedup sections
-  // and ships them to a SnapshotStore on the standby's node; the standby
+  // The primary periodically captures Trader/GRM/ORB-dedup sections and
+  // ships them to a SnapshotStore on the standby's node; the standby
   // installs them dormant and wakes the image only at promotion (first
-  // status update or task resync it receives). The GUPA section is captured
-  // for warm-start files but has no loader here: primary and standby share
-  // the cluster's one GUPA object.
+  // status update or task resync it receives). The GUPA is not a section:
+  // primary and standby share the cluster's one GUPA object.
   if (config_.snapshot.enabled && standby_grm_) {
-    snapshot_store_ =
-        std::make_unique<snapshot::SnapshotStore>(grid_.engine(), *standby_orb_);
+    snapshot_store_ = std::make_unique<snapshot::SnapshotStore>(*standby_orb_);
     grm::Grm* standby = standby_grm_.get();
     orb::Orb* standby_orb = standby_orb_.get();
     snapshot_store_->register_loader(
@@ -134,7 +132,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
         grid_.engine(), *manager_orb_, config_.snapshot);
     grm::Grm* primary = grm_.get();
     orb::Orb* manager_orb = manager_orb_.get();
-    lupa::Gupa* gupa = &gupa_;
     snapshot_coordinator_->add_provider(
         {"trader", services::Trader::kSnapshotVersion, [primary] {
            cdr::Writer w;
@@ -145,12 +142,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
         {"grm", grm::Grm::kSnapshotVersion, [primary] {
            cdr::Writer w;
            primary->save(w);
-           return w.take_buffer();
-         }});
-    snapshot_coordinator_->add_provider(
-        {"gupa", lupa::Gupa::kSnapshotVersion, [gupa] {
-           cdr::Writer w;
-           gupa->save(w);
            return w.take_buffer();
          }});
     snapshot_coordinator_->add_provider(

@@ -71,11 +71,11 @@ struct ClusterConfig {
   /// failover target (requires lrm.reliable_updates to actually fail over).
   bool standby_grm = false;
   /// Control-plane snapshots (requires standby_grm): the primary manager
-  /// periodically captures Trader/GRM/GUPA/ORB-dedup state and ships it —
-  /// full image per epoch, then per-period deltas — to a SnapshotStore on
-  /// the standby's node. On failover the standby starts from the installed
-  /// image instead of an empty Trader, and LRM journal replay
-  /// (lrm.report_journal_window) closes the capture-to-failure gap.
+  /// periodically captures Trader/GRM/ORB-dedup state and ships it — one
+  /// full image per period — to a SnapshotStore on the standby's node. On
+  /// failover the standby starts from the installed image instead of an
+  /// empty Trader, and LRM journal replay (lrm.report_journal_window)
+  /// closes the capture-to-failure gap.
   /// Disabled by default: no timers, no endpoints, byte-identical runs.
   snapshot::SnapshotOptions snapshot;
   /// Content-addressed checkpoint data plane (see docs/checkpoints.md):

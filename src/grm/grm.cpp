@@ -1513,215 +1513,138 @@ void Grm::handle_remote_adopted(const protocol::RemoteAdopted& ack) {
 // Control-plane snapshots (docs/snapshots.md)
 // ---------------------------------------------------------------------------
 
+struct Grm::Image {
+  /// Reserve requests in flight to one node.
+  struct Inflight {
+    NodeId node;
+    std::int32_t count = 0;
+
+    friend constexpr auto wire_fields(const Inflight*) {
+      return cdr::fields(&Inflight::node, &Inflight::count);
+    }
+  };
+
+  std::uint64_t next_reservation = 1;
+  Rng::State rng;
+  Rng::State backoff_rng;
+  std::vector<NodeRecord> nodes;  // node-ascending
+  std::vector<AppRecord> apps;    // app-ascending
+  std::vector<TaskRecord> tasks;  // task-ascending
+  sched::QueueImage queue;
+  std::vector<Inflight> inflight;  // node-ascending
+  std::vector<protocol::ClusterSummary> child_summaries;  // cluster-ascending
+
+  friend constexpr auto wire_fields(const Image*) {
+    using S = Image;
+    return cdr::fields(&S::next_reservation, &S::rng, &S::backoff_rng,
+                       &S::nodes, &S::apps, &S::tasks, &S::queue, &S::inflight,
+                       &S::child_summaries);
+  }
+};
+
 void Grm::save(cdr::Writer& w) const {
-  w.write_u64(next_reservation_);
-  cdr::Codec<Rng::State>::encode(w, rng_.state());
-  cdr::Codec<Rng::State>::encode(w, backoff_rng_.state());
-
-  // nodes_ is hash-keyed; sort for deterministic bytes.
-  std::vector<NodeId> node_ids;
-  node_ids.reserve(nodes_.size());
-  for (const auto& [id, _] : nodes_) node_ids.push_back(id);
-  std::sort(node_ids.begin(), node_ids.end());
-  w.write_u32(static_cast<std::uint32_t>(node_ids.size()));
-  for (const NodeId id : node_ids) {
-    const NodeRecord& record = nodes_.at(id);
-    cdr::Codec<protocol::NodeStatus>::encode(w, record.status);
-    w.write_id(record.offer);
-    w.write_i64(record.last_update);
+  Image image;
+  image.next_reservation = next_reservation_;
+  image.rng = rng_.state();
+  image.backoff_rng = backoff_rng_.state();
+  // nodes_ and inflight_ are hash-keyed; sort for deterministic bytes.
+  image.nodes.reserve(nodes_.size());
+  for (const auto& [_, record] : nodes_) image.nodes.push_back(record);
+  std::sort(image.nodes.begin(), image.nodes.end(),
+            [](const NodeRecord& a, const NodeRecord& b) {
+              return a.status.node < b.status.node;
+            });
+  for (const auto& [_, app] : apps_) image.apps.push_back(app);
+  for (const auto& [_, task] : tasks_) image.tasks.push_back(task);
+  image.queue = queue_.save();
+  for (const auto& [node, count] : inflight_) {
+    image.inflight.push_back({node, count});
   }
-
-  // encode_base: the spec's bid extension is a *wire* tail (detected via
-  // remaining()); in this nesting context the economy fields are written
-  // explicitly, right after the base layout.
-  w.write_u32(static_cast<std::uint32_t>(apps_.size()));
-  for (const auto& [_, app] : apps_) {
-    cdr::Codec<protocol::ApplicationSpec>::encode_base(w, app.spec);
-    w.write_string(app.spec.tenant);
-    w.write_f64(app.spec.bid_budget);
-    w.write_i64(app.spec.bid_deadline);
-    w.write_bool(app.adopted_remote);
-    cdr::Codec<orb::ObjectRef>::encode(w, app.origin);
-    w.write_i32(app.outstanding);
-    w.write_i32(app.running);
-    w.write_bool(app.bsp_ready_fired);
-    w.write_bool(app.failed);
-  }
-
-  w.write_u32(static_cast<std::uint32_t>(tasks_.size()));
-  for (const auto& [_, task] : tasks_) {
-    cdr::Codec<protocol::TaskDescriptor>::encode(w, task.desc);
-    w.write_id(task.app);
-    w.write_u8(static_cast<std::uint8_t>(task.state));
-    w.write_id(task.placement.node);
-    cdr::Codec<orb::ObjectRef>::encode(w, task.placement.lrm);
-    w.write_i32(task.waves);
-    w.write_i32(task.evictions);
-    w.write_i64(task.backoff);
-    w.write_i64(task.eligible_at);
-    w.write_i32(task.topology_segment);
-    w.write_i64(task.remote_deadline);
-    w.write_string(task.tenant);
-    w.write_i64(task.deadline);
-    // remote_timeout (event handle) and span (tracer state) are transients:
-    // load() re-arms the former from remote_deadline; spans restart cold.
-    // ckpt_peers and the preempting set are transient too: an in-flight
-    // preemption resolves through the eviction report either way.
-  }
-
-  // Queue ids in FIFO (arrival) order, then the per-entry tenant/deadline
-  // metadata and the tenant passes so long-run fair shares survive a
-  // failover.
-  const std::vector<TaskId> fifo = queue_.fifo_order();
-  w.write_u32(static_cast<std::uint32_t>(fifo.size()));
-  for (const TaskId id : fifo) w.write_id(id);
-  queue_.save(w);
-
-  std::vector<NodeId> inflight_ids;
-  inflight_ids.reserve(inflight_.size());
-  for (const auto& [id, _] : inflight_) inflight_ids.push_back(id);
-  std::sort(inflight_ids.begin(), inflight_ids.end());
-  w.write_u32(static_cast<std::uint32_t>(inflight_ids.size()));
-  for (const NodeId id : inflight_ids) {
-    w.write_id(id);
-    w.write_i32(inflight_.at(id));
-  }
-
-  w.write_u32(static_cast<std::uint32_t>(child_summaries_.size()));
+  std::sort(image.inflight.begin(), image.inflight.end(),
+            [](const Image::Inflight& a, const Image::Inflight& b) {
+              return a.node < b.node;
+            });
   for (const auto& [_, summary] : child_summaries_) {
-    cdr::Codec<protocol::ClusterSummary>::encode(w, summary);
+    image.child_summaries.push_back(summary);
   }
+  cdr::Codec<Image>::encode(w, image);
 }
 
 Status Grm::load(std::uint32_t version, cdr::Reader& r) {
-  if (version < 1 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status(ErrorCode::kInvalidArgument,
                   "grm snapshot version " + std::to_string(version) +
                       " unsupported");
   }
-  // Migration only: version 1 predates the economy fields; versions 1 and
-  // 2 carry a per-segment heartbeat-epoch table nothing reads any more.
-  const bool has_sched = version >= 2;
-  const bool has_epoch_table = version <= 2;
-
-  // Decode everything into scratch state first: a truncated or corrupt
-  // section must leave the live GRM untouched.
-  const std::uint64_t next_reservation = r.read_u64();
-  const Rng::State rng_state = cdr::Codec<Rng::State>::decode(r);
-  const Rng::State backoff_state = cdr::Codec<Rng::State>::decode(r);
-
-  if (has_epoch_table) {
-    const std::uint32_t n_epochs = r.read_u32();
-    for (std::uint32_t i = 0; i < n_epochs && r.ok(); ++i) {
-      (void)r.read_i32();  // segment
-      (void)r.read_u64();  // epoch
-    }
+  // Decode everything into scratch state first: a malformed section must
+  // leave the live GRM untouched.
+  Image image = cdr::Codec<Image>::decode(r);
+  if (!r.exhausted()) return Status(ErrorCode::kInternal, "malformed grm snapshot");
+  using snapshot::strictly_ascending;
+  if (!strictly_ascending(image.nodes,
+                          [](const NodeRecord& n) { return n.status.node; }) ||
+      !strictly_ascending(image.apps,
+                          [](const AppRecord& a) { return a.spec.id; }) ||
+      !strictly_ascending(image.tasks,
+                          [](const TaskRecord& t) { return t.desc.id; }) ||
+      !strictly_ascending(image.inflight,
+                          [](const Image::Inflight& i) { return i.node; }) ||
+      !strictly_ascending(image.child_summaries,
+                          [](const protocol::ClusterSummary& c) {
+                            return c.cluster;
+                          })) {
+    return Status(ErrorCode::kInternal,
+                  "grm snapshot records out of key order or repeated");
   }
-
-  std::unordered_map<NodeId, NodeRecord> nodes;
-  const std::uint32_t n_nodes = r.read_u32();
-  for (std::uint32_t i = 0; i < n_nodes && r.ok(); ++i) {
-    NodeRecord record;
-    record.status = cdr::Codec<protocol::NodeStatus>::decode(r);
-    record.offer = r.read_id<services::OfferTag>();
-    record.last_update = r.read_i64();
-    const NodeId id = record.status.node;
-    nodes.emplace(id, std::move(record));
-  }
-
-  std::map<AppId, AppRecord> apps;
-  const std::uint32_t n_apps = r.read_u32();
-  for (std::uint32_t i = 0; i < n_apps && r.ok(); ++i) {
-    AppRecord app;
-    app.spec = cdr::Codec<protocol::ApplicationSpec>::decode_base(r);
-    if (has_sched) {
-      app.spec.tenant = r.read_string();
-      app.spec.bid_budget = r.read_f64();
-      app.spec.bid_deadline = r.read_i64();
-    }
-    app.adopted_remote = r.read_bool();
-    app.origin = cdr::Codec<orb::ObjectRef>::decode(r);
-    app.outstanding = r.read_i32();
-    app.running = r.read_i32();
-    app.bsp_ready_fired = r.read_bool();
-    app.failed = r.read_bool();
-    const AppId id = app.spec.id;
-    apps.emplace(id, std::move(app));
-  }
-
-  std::map<TaskId, TaskRecord> tasks;
-  const std::uint32_t n_tasks = r.read_u32();
-  for (std::uint32_t i = 0; i < n_tasks && r.ok(); ++i) {
-    TaskRecord task;
-    task.desc = cdr::Codec<protocol::TaskDescriptor>::decode(r);
-    task.app = r.read_id<AppTag>();
-    const std::uint8_t state = r.read_u8();
-    if (r.ok() && state > static_cast<std::uint8_t>(TaskState::kFailed)) {
+  for (const TaskRecord& task : image.tasks) {
+    if (task.state > TaskState::kFailed) {
       return Status(ErrorCode::kInternal, "grm snapshot has bad task state");
     }
-    task.state = static_cast<TaskState>(state);
-    task.placement.node = r.read_id<NodeTag>();
-    task.placement.lrm = cdr::Codec<orb::ObjectRef>::decode(r);
-    task.waves = r.read_i32();
-    task.evictions = r.read_i32();
-    task.backoff = r.read_i64();
-    task.eligible_at = r.read_i64();
-    task.topology_segment = r.read_i32();
-    task.remote_deadline = r.read_i64();
-    if (has_sched) {
-      task.tenant = r.read_string();
-      task.deadline = r.read_i64();
-    }
-    const TaskId id = task.desc.id;
-    tasks.emplace(id, std::move(task));
-  }
-
-  std::vector<TaskId> queue_ids;
-  const std::uint32_t n_queue = r.read_u32();
-  for (std::uint32_t i = 0; i < n_queue && r.ok(); ++i) {
-    queue_ids.push_back(r.read_id<TaskTag>());
-  }
-  sched::FairQueue queue;
-  queue.configure(sched_);
-  queue.load(queue_ids, r, has_sched);
-
-  std::unordered_map<NodeId, int> inflight;
-  const std::uint32_t n_inflight = r.read_u32();
-  for (std::uint32_t i = 0; i < n_inflight && r.ok(); ++i) {
-    const NodeId id = r.read_id<NodeTag>();
-    inflight[id] = r.read_i32();
-  }
-
-  std::map<ClusterId, protocol::ClusterSummary> child_summaries;
-  const std::uint32_t n_summaries = r.read_u32();
-  for (std::uint32_t i = 0; i < n_summaries && r.ok(); ++i) {
-    protocol::ClusterSummary summary =
-        cdr::Codec<protocol::ClusterSummary>::decode(r);
-    const ClusterId id = summary.cluster;
-    child_summaries[id] = std::move(summary);
-  }
-
-  if (!r.ok()) return Status(ErrorCode::kInternal, "truncated grm snapshot");
-  if (nodes.size() != n_nodes || apps.size() != n_apps ||
-      tasks.size() != n_tasks) {
-    return Status(ErrorCode::kInternal, "duplicate key in grm snapshot");
   }
   // Cross-section consistency: every node record must reference an offer the
   // (already loaded) Trader actually holds, or scheduling would chase
   // dangling offer ids forever.
-  for (const auto& [id, record] : nodes) {
+  for (const NodeRecord& record : image.nodes) {
     if (trader_.lookup(record.offer) == nullptr) {
       return Status(ErrorCode::kInternal,
-                    "grm snapshot node " + to_string(id) +
+                    "grm snapshot node " + to_string(record.status.node) +
                         " references unknown trader offer");
     }
+  }
+  sched::FairQueue queue;
+  queue.configure(sched_);
+  if (Status status = queue.load(image.queue); !status.is_ok()) return status;
+
+  std::unordered_map<NodeId, NodeRecord> nodes;
+  for (NodeRecord& record : image.nodes) {
+    const NodeId id = record.status.node;
+    nodes.emplace(id, std::move(record));
+  }
+  std::map<AppId, AppRecord> apps;
+  for (AppRecord& app : image.apps) {
+    const AppId id = app.spec.id;
+    apps.emplace_hint(apps.end(), id, std::move(app));
+  }
+  std::map<TaskId, TaskRecord> tasks;
+  for (TaskRecord& task : image.tasks) {
+    const TaskId id = task.desc.id;
+    tasks.emplace_hint(tasks.end(), id, std::move(task));
+  }
+  std::unordered_map<NodeId, int> inflight;
+  for (const Image::Inflight& entry : image.inflight) {
+    inflight[entry.node] = entry.count;
+  }
+  std::map<ClusterId, protocol::ClusterSummary> child_summaries;
+  for (protocol::ClusterSummary& summary : image.child_summaries) {
+    const ClusterId id = summary.cluster;
+    child_summaries.emplace_hint(child_summaries.end(), id, std::move(summary));
   }
 
   // Commit. Cancel timers owned by the records being replaced first.
   for (auto& [_, task] : tasks_) task.remote_timeout.cancel();
-  next_reservation_ = next_reservation;
-  rng_.set_state(rng_state);
-  backoff_rng_.set_state(backoff_state);
+  next_reservation_ = image.next_reservation;
+  rng_.set_state(image.rng);
+  backoff_rng_.set_state(image.backoff_rng);
   nodes_ = std::move(nodes);
   apps_ = std::move(apps);
   tasks_ = std::move(tasks);

@@ -76,7 +76,7 @@ struct GrmOptions {
   SimDuration summary_period = 60 * kSecond;
 };
 
-enum class TaskState {
+enum class TaskState : std::uint8_t {
   kPending,      // waiting for a negotiation wave
   kNegotiating,  // wave in flight
   kRunning,      // placed on a node
@@ -143,6 +143,10 @@ class Grm {
   struct Placement {
     NodeId node;
     orb::ObjectRef lrm;
+
+    friend constexpr auto wire_fields(const Placement*) {
+      return cdr::fields(&Placement::node, &Placement::lrm);
+    }
   };
   using BspReadyHandler = std::function<void(AppId)>;
   using BspRankPlacedHandler =
@@ -175,13 +179,9 @@ class Grm {
   [[nodiscard]] std::optional<protocol::NodeStatus> node_view(NodeId node) const;
 
   // ---- control-plane snapshots (see docs/snapshots.md) ----
-  /// Snapshot format version of the "grm" section; save() writes only this
-  /// layout. Version 3 always carries the scheduling-economy fields
-  /// (per-app bids, per-task tenant and deadline, fair-queue metadata and
-  /// passes). Versions 1 (pre-economy) and 2 (economy fields only when the
-  /// economy was on) also carried a per-segment heartbeat-epoch table;
-  /// load() still reads both layouts, for migration only, and discards
-  /// that table.
+  /// Snapshot format version of the "grm" section (the Image in grm.cpp).
+  /// Version 3 always carries the scheduling-economy fields (per-app bids,
+  /// per-task tenant and deadline, fair-queue metadata and passes).
   static constexpr std::uint32_t kSnapshotVersion = 3;
   /// Serialize scheduler state: node records, apps, tasks, the pending
   /// queue, in-flight counts, child summaries, reservation counter, and
@@ -189,11 +189,13 @@ class Grm {
   /// negotiation waves, trace spans) are intentionally excluded; a loaded
   /// GRM re-derives them. The Trader is its own snapshot section.
   void save(cdr::Writer& w) const;
-  /// Replace scheduler state from a snapshot section of any version up to
-  /// kSnapshotVersion. Decode-into-scratch: on any error the GRM is
-  /// untouched. Requires the Trader section to have been loaded first (node
-  /// records must reference live offers). The loaded state is dormant until
-  /// recover_in_flight().
+  /// Replace scheduler state from a snapshot section of exactly
+  /// kSnapshotVersion. Accepts only bytes save() could have written: the
+  /// whole payload, keyed records in strictly ascending key order, task
+  /// states in range, one queue entry per queued task. Decode-into-scratch:
+  /// on any error the GRM is untouched. Requires the Trader section to have
+  /// been loaded first (node records must reference live offers). The
+  /// loaded state is dormant until recover_in_flight().
   Status load(std::uint32_t version, cdr::Reader& r);
   /// After a failover load: tasks the snapshot froze mid-negotiation have
   /// no surviving wave callbacks on this GRM — return them to the pending
@@ -206,10 +208,17 @@ class Grm {
   void recover_in_flight();
 
  private:
+  // Snapshot records: each field list names the persisted members in
+  // section order; members off the list are transients a load re-derives.
   struct NodeRecord {
     services::OfferId offer;
     protocol::NodeStatus status;
     SimTime last_update = 0;
+
+    friend constexpr auto wire_fields(const NodeRecord*) {
+      using S = NodeRecord;
+      return cdr::fields(&S::status, &S::offer, &S::last_update);
+    }
   };
 
   struct TaskRecord {
@@ -238,6 +247,17 @@ class Grm {
     /// E13 bench gates on. Inactive when tracing is off. All negotiation
     /// spans for the task parent on its context.
     obs::Tracer::ActiveSpan span;
+
+    // remote_timeout is re-armed from remote_deadline at promotion; spans
+    // restart cold; ckpt_peers and the preempting set are transient (an
+    // in-flight preemption resolves through the eviction report).
+    friend constexpr auto wire_fields(const TaskRecord*) {
+      using S = TaskRecord;
+      return cdr::fields(&S::desc, &S::app, &S::state, &S::placement,
+                         &S::waves, &S::evictions, &S::backoff,
+                         &S::eligible_at, &S::topology_segment,
+                         &S::remote_deadline, &S::tenant, &S::deadline);
+    }
   };
 
   struct AppRecord {
@@ -248,7 +268,19 @@ class Grm {
     int running = 0;
     bool bsp_ready_fired = false;
     bool failed = false;
+
+    // The spec's bid tail is written unconditionally: a record never ends
+    // the section.
+    friend constexpr auto wire_fields(const AppRecord*) {
+      using S = AppRecord;
+      return cdr::fields(cdr::BaseOf{&S::spec}, cdr::TailOf{&S::spec},
+                         &S::adopted_remote, &S::origin, &S::outstanding,
+                         &S::running, &S::bsp_ready_fired, &S::failed);
+    }
   };
+
+  /// The "grm" section (defined in grm.cpp).
+  struct Image;
 
   // Negotiation wave state (heap-held; callbacks keep it alive).
   struct Wave;

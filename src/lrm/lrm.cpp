@@ -100,8 +100,7 @@ void Lrm::start(const orb::ObjectRef& grm, const orb::ObjectRef& gupa,
   machine_.subscribe([this] { on_machine_change(); });
 
   if (options_.run_lupa) {
-    lupa_ = std::make_unique<lupa::Lupa>(engine_, machine_, rng_.fork(),
-                                         options_.lupa_options);
+    lupa_ = std::make_unique<lupa::Lupa>(engine_, machine_, rng_.fork());
     lupa_->set_on_model_update([this] {
       if (gupa_.valid()) {
         orb::oneway(orb_, gupa_, "upload_pattern", lupa_->build_upload());

@@ -53,7 +53,6 @@ struct LrmOptions {
   /// GRM's hint fresh at the moments that matter most.
   bool push_on_state_change = true;
   bool run_lupa = true;
-  lupa::LupaOptions lupa_options;
   /// Owner's task-admission sandbox (paper §3 security requirement);
   /// tasks exceeding its limits are refused at Execute time.
   security::Sandbox sandbox;

@@ -4,41 +4,6 @@
 
 namespace integrade::lupa {
 
-void Gupa::save(cdr::Writer& w) const {
-  std::vector<NodeId> nodes;
-  nodes.reserve(patterns_.size());
-  for (const auto& [node, _] : patterns_) nodes.push_back(node);
-  std::sort(nodes.begin(), nodes.end());
-  w.write_u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const NodeId node : nodes) {
-    cdr::Codec<protocol::UsagePatternUpload>::encode(w, patterns_.at(node));
-  }
-}
-
-Status Gupa::load(std::uint32_t version, cdr::Reader& r) {
-  if (version != kSnapshotVersion) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "gupa snapshot version " + std::to_string(version) +
-                      " unsupported");
-  }
-  const std::uint32_t count = r.read_u32();
-  std::unordered_map<NodeId, protocol::UsagePatternUpload> patterns;
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    protocol::UsagePatternUpload upload =
-        cdr::Codec<protocol::UsagePatternUpload>::decode(r);
-    const NodeId node = upload.node;
-    patterns[node] = std::move(upload);
-  }
-  if (!r.ok()) {
-    return Status(ErrorCode::kInternal, "truncated gupa snapshot");
-  }
-  if (patterns.size() != count) {
-    return Status(ErrorCode::kInternal, "duplicate node in gupa snapshot");
-  }
-  patterns_ = std::move(patterns);
-  return Status::ok();
-}
-
 void Gupa::upload(const protocol::UsagePatternUpload& upload) {
   patterns_[upload.node] = upload;
 }

@@ -31,17 +31,6 @@ class Gupa {
   [[nodiscard]] protocol::ForecastReply forecast(
       const protocol::ForecastRequest& request) const;
 
-  /// Control-plane snapshot format version for the "gupa" section.
-  static constexpr std::uint32_t kSnapshotVersion = 1;
-
-  /// Serialize all uploaded patterns, sorted by node id so the bytes are
-  /// deterministic despite the hash-keyed store.
-  void save(cdr::Writer& w) const;
-
-  /// Replace the pattern store from a snapshot section (validate fully
-  /// before committing; on error the store is untouched).
-  Status load(std::uint32_t version, cdr::Reader& r);
-
  private:
   [[nodiscard]] static std::vector<double> dow_weights(
       const protocol::UsagePatternUpload& pattern, SimTime at);

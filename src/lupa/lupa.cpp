@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "snapshot/state_codecs.hpp"
-
 namespace integrade::lupa {
 
 using node::kSlotsPerDay;
@@ -109,68 +107,6 @@ void Lupa::recluster() {
   }
 
   if (on_model_update_) on_model_update_();
-}
-
-void Lupa::save(cdr::Writer& w) const {
-  w.write_i32(current_day_index_);
-  w.write_i32(days_since_recluster_);
-  w.write_u32(static_cast<std::uint32_t>(slot_samples_.size()));
-  for (const int v : slot_samples_) w.write_i32(v);
-  for (const int v : slot_busy_) w.write_i32(v);
-  w.write_u32(static_cast<std::uint32_t>(history_.size()));
-  for (const DayRecord& day : history_) {
-    w.write_bool(day.weekday);
-    w.write_u32(static_cast<std::uint32_t>(day.busy_fraction.size()));
-    for (const double v : day.busy_fraction) w.write_f64(v);
-  }
-  cdr::encode_sequence(w, categories_);
-  cdr::Codec<Rng::State>::encode(w, rng_.state());
-}
-
-Status Lupa::load(std::uint32_t version, cdr::Reader& r) {
-  if (version != kSnapshotVersion) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "lupa snapshot version " + std::to_string(version) +
-                      " unsupported");
-  }
-  const int day_index = r.read_i32();
-  const int days_since = r.read_i32();
-  const std::uint32_t slots = r.read_u32();
-  if (r.ok() && slots != static_cast<std::uint32_t>(kSlotsPerDay)) {
-    return Status(ErrorCode::kInternal, "lupa snapshot has wrong slot count");
-  }
-  std::vector<int> samples(kSlotsPerDay, 0);
-  std::vector<int> busy(kSlotsPerDay, 0);
-  for (int& v : samples) v = r.read_i32();
-  for (int& v : busy) v = r.read_i32();
-  const std::uint32_t days = r.read_u32();
-  std::vector<DayRecord> history;
-  for (std::uint32_t i = 0; i < days && r.ok(); ++i) {
-    DayRecord day;
-    day.weekday = r.read_bool();
-    const std::uint32_t n = r.read_u32();
-    if (r.ok() && n != static_cast<std::uint32_t>(kSlotsPerDay)) {
-      return Status(ErrorCode::kInternal, "lupa snapshot day has wrong width");
-    }
-    day.busy_fraction.resize(kSlotsPerDay);
-    for (double& v : day.busy_fraction) v = r.read_f64();
-    history.push_back(std::move(day));
-  }
-  std::vector<protocol::UsageCategory> categories =
-      cdr::decode_sequence<protocol::UsageCategory>(r);
-  const Rng::State rng_state = cdr::Codec<Rng::State>::decode(r);
-  if (!r.ok()) {
-    return Status(ErrorCode::kInternal, "truncated lupa snapshot");
-  }
-
-  current_day_index_ = day_index;
-  days_since_recluster_ = days_since;
-  slot_samples_ = std::move(samples);
-  slot_busy_ = std::move(busy);
-  history_ = std::move(history);
-  categories_ = std::move(categories);
-  rng_.set_state(rng_state);
-  return Status::ok();
 }
 
 protocol::UsagePatternUpload Lupa::build_upload() const {

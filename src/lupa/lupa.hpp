@@ -88,19 +88,6 @@ class Lupa {
   /// Re-cluster immediately from current history.
   void recluster();
 
-  /// Control-plane snapshot format version for the "lupa" section.
-  static constexpr std::uint32_t kSnapshotVersion = 1;
-
-  /// Serialize the learned model: current-day accumulators, day history,
-  /// categories, and the clustering RNG state — everything needed so a
-  /// restored LUPA produces bit-identical models from identical samples.
-  void save(cdr::Writer& w) const;
-
-  /// Restore from a snapshot section (decode-into-scratch, validate, then
-  /// commit; on error the model is untouched). Timers are not snapshot
-  /// state: the caller's start() cadence keeps driving sampling.
-  Status load(std::uint32_t version, cdr::Reader& r);
-
  private:
   void sample();
   void finalize_day(bool weekday);

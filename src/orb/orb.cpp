@@ -1,6 +1,7 @@
 #include "orb/orb.hpp"
 
 #include <cassert>
+#include <unordered_set>
 #include <utility>
 
 #include "common/log.hpp"
@@ -250,14 +251,14 @@ void Orb::handle_request(NodeAddress source, const ParsedFrame& frame) {
 }
 
 void Orb::save_dedup(cdr::Writer& w) const {
-  const auto& entries = dedup_.entries();
-  w.write_u32(static_cast<std::uint32_t>(entries.size()));
+  const auto& window = dedup_.entries();
+  std::vector<DedupEntry> entries;
+  entries.reserve(window.size());
   // Least-recent first: replaying put() in write order rebuilds recency.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    w.write_u64(it->first.source);
-    w.write_u64(it->first.request_id);
-    w.write_octets(it->second);
+  for (auto it = window.rbegin(); it != window.rend(); ++it) {
+    entries.push_back({it->first, it->second});
   }
+  cdr::Codec<std::vector<DedupEntry>>::encode(w, entries);
 }
 
 Status Orb::load_dedup(std::uint32_t version, cdr::Reader& r) {
@@ -266,23 +267,21 @@ Status Orb::load_dedup(std::uint32_t version, cdr::Reader& r) {
                   "orb_dedup snapshot version " + std::to_string(version) +
                       " unsupported");
   }
-  const std::uint32_t count = r.read_u32();
-  std::vector<std::pair<DedupKey, std::vector<std::uint8_t>>> incoming;
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    DedupKey key;
-    key.source = r.read_u64();
-    key.request_id = r.read_u64();
-    std::vector<std::uint8_t> reply = r.read_octets();
-    incoming.emplace_back(key, std::move(reply));
+  std::vector<DedupEntry> incoming = cdr::Codec<std::vector<DedupEntry>>::decode(r);
+  if (!r.exhausted()) {
+    return Status(ErrorCode::kInternal, "malformed orb_dedup snapshot");
   }
-  if (!r.ok() || incoming.size() != count) {
-    return Status(ErrorCode::kInternal, "truncated orb_dedup snapshot");
+  std::unordered_set<DedupKey, DedupKeyHash> keys;
+  for (const DedupEntry& entry : incoming) {
+    if (!keys.insert(entry.key).second) {
+      return Status(ErrorCode::kInternal, "orb_dedup snapshot repeats a key");
+    }
   }
   if (options_.dedup_window == 0) return Status::ok();
-  for (auto& [key, reply] : incoming) {
+  for (DedupEntry& entry : incoming) {
     // A locally-present entry is newer than the snapshot: keep it.
-    if (dedup_.contains(key)) continue;
-    dedup_.put(key, std::move(reply));
+    if (dedup_.contains(entry.key)) continue;
+    dedup_.put(entry.key, std::move(entry.reply));
   }
   return Status::ok();
 }

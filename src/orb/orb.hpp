@@ -139,6 +139,8 @@ class Orb {
   void save_dedup(cdr::Writer& w) const;
   /// Merge a snapshotted dedup window into this ORB's window. Entries whose
   /// key is already present locally are kept (the local entry is newer).
+  /// Rejects, merging nothing, any image but a whole kDedupSnapshotVersion
+  /// payload with no key twice.
   Status load_dedup(std::uint32_t version, cdr::Reader& r);
 
   // --- tracing (see docs/observability.md) -------------------------------
@@ -178,6 +180,10 @@ class Orb {
     NodeAddress source = 0;
     std::uint64_t request_id = 0;
     bool operator==(const DedupKey&) const = default;
+
+    friend constexpr auto wire_fields(const DedupKey*) {
+      return cdr::fields(&DedupKey::source, &DedupKey::request_id);
+    }
   };
   struct DedupKeyHash {
     std::size_t operator()(const DedupKey& k) const noexcept {
@@ -187,6 +193,16 @@ class Orb {
       x *= 0xbf58476d1ce4e5b9ULL;
       x ^= x >> 27;
       return static_cast<std::size_t>(x);
+    }
+  };
+  /// One dedup-window entry of the "orb_dedup" section, which is the
+  /// window's entries least-recent first.
+  struct DedupEntry {
+    DedupKey key;
+    std::vector<std::uint8_t> reply;
+
+    friend constexpr auto wire_fields(const DedupEntry*) {
+      return cdr::fields(&DedupEntry::key, &DedupEntry::reply);
     }
   };
 

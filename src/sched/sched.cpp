@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "snapshot/state_codecs.hpp"
+
 namespace integrade::sched {
 
 // ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ std::vector<std::pair<std::string, TaskId>> FairQueue::queued_heads() const {
   return heads;
 }
 
-std::vector<TaskId> FairQueue::fifo_order() const {
+std::vector<FairQueue::Entry> FairQueue::arrival_order() const {
   std::vector<Entry> all;
   all.reserve(members_.size());
   for (const auto& [name, tenant] : tenants_) {
@@ -205,9 +207,13 @@ std::vector<TaskId> FairQueue::fifo_order() const {
   }
   std::sort(all.begin(), all.end(),
             [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
+  return all;
+}
+
+std::vector<TaskId> FairQueue::fifo_order() const {
   std::vector<TaskId> out;
-  out.reserve(all.size());
-  for (const Entry& e : all) out.push_back(e.task);
+  out.reserve(members_.size());
+  for (const Entry& e : arrival_order()) out.push_back(e.task);
   return out;
 }
 
@@ -216,64 +222,54 @@ std::uint64_t FairQueue::pass_of(const std::string& tenant) const {
   return it == tenants_.end() ? 0 : it->second.pass;
 }
 
-void FairQueue::clear() {
-  tenants_.clear();
-  members_.clear();
-  next_seq_ = 0;
+QueueImage FairQueue::save() const {
+  QueueImage image;
+  for (const Entry& e : arrival_order()) {
+    image.ids.push_back(e.task);
+    image.entries.push_back({tenant_of(e.task), e.deadline});
+  }
+  for (const auto& [name, tenant] : tenants_) {
+    image.passes.push_back({name, tenant.pass});
+  }
+  return image;
 }
 
-void FairQueue::save(cdr::Writer& w) const {
-  // Per-entry metadata, aligned with fifo_order(). Deadlines ride here;
-  // tenants ride here too so a restored queue keeps its sub-queue shape.
-  std::vector<Entry> all;
-  for (const auto& [name, tenant] : tenants_) {
-    all.insert(all.end(), tenant.entries.begin(), tenant.entries.end());
+Status FairQueue::load(const QueueImage& image) {
+  const auto reject = [](const std::string& why) {
+    return Status(ErrorCode::kInternal, "queue snapshot " + why);
+  };
+  if (image.entries.size() != image.ids.size()) {
+    return reject("has " + std::to_string(image.entries.size()) +
+                  " metadata entries for " + std::to_string(image.ids.size()) +
+                  " queued tasks");
   }
-  std::sort(all.begin(), all.end(),
-            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
-  w.write_u32(static_cast<std::uint32_t>(all.size()));
-  for (const Entry& e : all) {
-    w.write_string(tenant_of(e.task));
-    w.write_i64(e.deadline);
+  if (!snapshot::strictly_ascending(
+          image.passes, [](const TenantPass& p) { return p.tenant; })) {
+    return reject("passes not in strictly ascending tenant order");
   }
-  // Tenant stride state survives failover so long-run shares stay fair
-  // across a promotion.
-  w.write_u32(static_cast<std::uint32_t>(tenants_.size()));
-  for (const auto& [name, tenant] : tenants_) {
-    w.write_string(name);
-    w.write_u64(tenant.pass);
-  }
-}
-
-void FairQueue::load(const std::vector<TaskId>& ids, cdr::Reader& r,
-                     bool has_meta) {
-  clear();
-  std::vector<std::string> tenants(ids.size());
-  std::vector<SimTime> deadlines(ids.size(), 0);
-  if (has_meta) {
-    const std::uint32_t n = r.read_u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      std::string tenant = r.read_string();
-      const SimTime deadline = r.read_i64();
-      if (i < ids.size()) {
-        tenants[i] = std::move(tenant);
-        deadlines[i] = deadline;
-      }
+  FairQueue queue;
+  queue.configure(options_);
+  for (std::size_t i = 0; i < image.ids.size(); ++i) {
+    const QueuedEntry& entry = image.entries[i];
+    // Economy off, push() drops both; an image carrying them would not
+    // re-save to itself.
+    if (!options_.enabled && (!entry.tenant.empty() || entry.deadline != 0)) {
+      return reject("carries a tenant or deadline with the economy off");
+    }
+    if (!queue.push(image.ids[i], entry.tenant, entry.deadline)) {
+      return reject("queues task " + to_string(image.ids[i]) + " twice");
     }
   }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    push(ids[i], tenants[i], deadlines[i]);
+  for (const TenantPass& p : image.passes) {
+    auto [it, inserted] = queue.tenants_.try_emplace(p.tenant);
+    if (inserted) it->second.stride = queue.stride_for(p.tenant);
+    it->second.pass = p.pass;
   }
-  if (has_meta) {
-    const std::uint32_t n = r.read_u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      const std::string name = r.read_string();
-      const std::uint64_t pass = r.read_u64();
-      auto [it, inserted] = tenants_.try_emplace(name);
-      if (inserted) it->second.stride = stride_for(name);
-      it->second.pass = pass;
-    }
+  if (queue.tenants_.size() != image.passes.size()) {
+    return reject("lacks the pass of a queued tenant");
   }
+  *this = std::move(queue);
+  return Status::ok();
 }
 
 }  // namespace integrade::sched

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "cdr/cdr.hpp"
+#include "common/result.hpp"
 #include "common/types.hpp"
 
 namespace integrade::sched {
@@ -105,6 +106,37 @@ class TenantRegistry {
   int total_running_ = 0;
 };
 
+/// One queued task's scheduling metadata in a queue image.
+struct QueuedEntry {
+  std::string tenant;
+  SimTime deadline = 0;  // absolute; 0 = none
+};
+constexpr auto wire_fields(const QueuedEntry*) {
+  using S = QueuedEntry;
+  return cdr::fields(&S::tenant, &S::deadline);
+}
+
+/// One tenant's stride pass in a queue image.
+struct TenantPass {
+  std::string tenant;
+  std::uint64_t pass = 0;
+};
+constexpr auto wire_fields(const TenantPass*) {
+  using S = TenantPass;
+  return cdr::fields(&S::tenant, &S::pass);
+}
+
+/// A FairQueue as the GRM's snapshot section carries it.
+struct QueueImage {
+  std::vector<TaskId> ids;            // FIFO (arrival) order
+  std::vector<QueuedEntry> entries;   // one per id, same order
+  std::vector<TenantPass> passes;     // every tenant, name-ascending
+};
+constexpr auto wire_fields(const QueueImage*) {
+  using S = QueueImage;
+  return cdr::fields(&S::ids, &S::entries, &S::passes);
+}
+
 /// The GRM's ready queue. Replaces `std::deque<TaskId>`: membership is
 /// deduplicated (push of a task already queued is a no-op returning false),
 /// and when the economy is enabled dispatch order is weighted stride across
@@ -147,23 +179,20 @@ class FairQueue {
   /// whose queued demand entitles them to vacate an over-share incumbent.
   [[nodiscard]] std::vector<std::pair<std::string, TaskId>> queued_heads() const;
 
-  /// Queued task ids in FIFO (arrival) order — the wire format of the
-  /// snapshot queue section, shared with the pre-sched layout.
+  /// Queued task ids in FIFO (arrival) order.
   [[nodiscard]] std::vector<TaskId> fifo_order() const;
 
   /// Stride passes per tenant (exposed for tests and snapshot).
   [[nodiscard]] std::uint64_t pass_of(const std::string& tenant) const;
 
-  void clear();
-
-  /// Snapshot the per-entry metadata and tenant passes. The id list itself
-  /// rides in the (version-1-compatible) queue section the GRM writes; this
-  /// section appends tenant/deadline per entry in the same order.
-  void save(cdr::Writer& w) const;
-  /// Rebuild from `ids` (FIFO order) + the metadata section written by
-  /// save(). Pass an empty reader-section via `has_meta = false` for
-  /// version-1 snapshots: every task lands in the default tenant.
-  void load(const std::vector<TaskId>& ids, cdr::Reader& r, bool has_meta);
+  /// Snapshot image: queued ids in FIFO order, their tenant and deadline,
+  /// and every tenant's pass so long-run shares survive a failover.
+  [[nodiscard]] QueueImage save() const;
+  /// Replace the queue from an image save() could have written: one entry
+  /// per id, no id twice, passes name-ascending and covering every queued
+  /// tenant, and (economy off) no tenant or deadline. On error the queue
+  /// is untouched.
+  Status load(const QueueImage& image);
 
  private:
   struct Entry {
@@ -177,6 +206,8 @@ class FairQueue {
     std::deque<Entry> entries;  // EDF order (deadline, then seq)
   };
 
+  /// Every queued entry, in arrival (seq) order.
+  [[nodiscard]] std::vector<Entry> arrival_order() const;
   std::optional<TaskId> pop_fifo();
   template <class BlockedFn>
   std::optional<TaskId> pop_stride(BlockedFn&& blocked);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "snapshot/state_codecs.hpp"
+
 namespace integrade::services {
 
 namespace {
@@ -200,57 +202,41 @@ std::vector<const ServiceOffer*> Trader::offers_of_type(
 }
 
 void Trader::save(cdr::Writer& w) const {
-  w.write_u64(next_id_);
-  w.write_u32(static_cast<std::uint32_t>(offers_.size()));
-  for (const auto& [id, offer] : offers_) {  // std::map: id-ascending
-    w.write_id(id);
-    w.write_string(offer.service_type);
-    cdr::Codec<orb::ObjectRef>::encode(w, offer.provider);
-    cdr::Codec<PropertySet>::encode(w, offer.properties);
-    w.write_i64(offer.exported_at);
-    w.write_i64(offer.modified_at);
-    w.write_i64(offer.refreshes);
-  }
+  Image image;
+  image.next_id = next_id_;
+  image.offers.reserve(offers_.size());
+  for (const auto& [_, offer] : offers_) image.offers.push_back(offer);
+  cdr::Codec<Image>::encode(w, image);
 }
 
 Status Trader::load(std::uint32_t version, cdr::Reader& r) {
-  if (version < 1 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status(ErrorCode::kInvalidArgument,
                   "trader snapshot version " + std::to_string(version) +
                       " unsupported");
   }
-  const std::uint64_t next_id = r.read_u64();
-  const std::uint32_t count = r.read_u32();
+  Image image = cdr::Codec<Image>::decode(r);
+  if (!r.exhausted()) {
+    return Status(ErrorCode::kInternal, "malformed trader snapshot");
+  }
+  if (!snapshot::strictly_ascending(
+          image.offers, [](const ServiceOffer& o) { return o.id; })) {
+    return Status(ErrorCode::kInternal,
+                  "trader snapshot offers not in strictly ascending id order");
+  }
+  if (!image.offers.empty() && image.offers.back().id.value >= image.next_id) {
+    return Status(ErrorCode::kInternal,
+                  "trader snapshot id counter behind offer " +
+                      to_string(image.offers.back().id));
+  }
   std::map<OfferId, ServiceOffer> offers;
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    ServiceOffer offer;
-    offer.id = r.read_id<OfferTag>();
-    offer.service_type = r.read_string();
-    offer.provider = cdr::Codec<orb::ObjectRef>::decode(r);
-    offer.properties = cdr::Codec<PropertySet>::decode(r);
-    offer.exported_at = r.read_i64();
-    offer.modified_at = r.read_i64();
-    // v1 -> v2 migration shim: v1 images predate the refresh counter, so a
-    // migrated offer starts counting from its restore.
-    offer.refreshes = version >= 2 ? r.read_i64() : 0;
+  for (ServiceOffer& offer : image.offers) {
     const OfferId id = offer.id;
-    offers.emplace(id, std::move(offer));
-  }
-  if (!r.ok()) {
-    return Status(ErrorCode::kInternal, "truncated trader snapshot");
-  }
-  if (offers.size() != count) {
-    return Status(ErrorCode::kInternal, "duplicate offer id in trader snapshot");
-  }
-  for (const auto& [id, _] : offers) {
-    if (id.value >= next_id) {
-      return Status(ErrorCode::kInternal,
-                    "trader snapshot id counter behind offer " + to_string(id));
-    }
+    offers.emplace_hint(offers.end(), id, std::move(offer));
   }
 
   offers_ = std::move(offers);
-  next_id_ = next_id;
+  next_id_ = image.next_id;
   by_type_.clear();
   by_provider_.clear();
   for (const auto& [_, offer] : offers_) index_offer(offer);

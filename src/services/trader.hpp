@@ -44,10 +44,14 @@ struct ServiceOffer {
   PropertySet properties;
   SimTime exported_at = 0;
   SimTime modified_at = 0;
-  /// Property refreshes since export (modify/refresh calls). Serialized from
-  /// snapshot format v2 on; v1 images load with 0.
+  /// Property refreshes since export (modify/refresh calls).
   std::int64_t refreshes = 0;
 };
+constexpr auto wire_fields(const ServiceOffer*) {
+  using S = ServiceOffer;
+  return cdr::fields(&S::id, &S::service_type, &S::provider, &S::properties,
+                     &S::exported_at, &S::modified_at, &S::refreshes);
+}
 
 class Trader {
  public:
@@ -137,24 +141,35 @@ class Trader {
   /// first violation found.
   [[nodiscard]] Status check_invariants() const;
 
-  /// Control-plane snapshot format version for the "trader" section.
-  /// v1: id, service_type, provider, properties, exported_at, modified_at.
-  /// v2: v1 fields + refreshes (i64) per offer.
+  /// Control-plane snapshot format version for the "trader" section: the
+  /// id counter, then every offer (all ServiceOffer fields) in id order.
   static constexpr std::uint32_t kSnapshotVersion = 2;
 
-  /// Serialize offers + the id counter (current format, v2). The secondary
-  /// indexes are derived state rebuilt on load, and the compiled-expression
-  /// caches are non-observable memos cleared on load — neither is
-  /// serialized, so save→load→save is byte-identical by construction.
+  /// Serialize offers + the id counter. The secondary indexes are derived
+  /// state rebuilt on load, and the compiled-expression caches are
+  /// non-observable memos cleared on load — neither is serialized, so
+  /// save→load→save is byte-identical by construction.
   void save(cdr::Writer& w) const;
 
-  /// Replace the trader's state from a snapshot section. Accepts the current
-  /// format and migrates v1 images (refreshes defaults to 0). Decodes into
-  /// scratch and validates before committing: on any error the trader is
-  /// left untouched. On success both indexes are rebuilt and verified.
+  /// Replace the trader's state from a snapshot section of exactly
+  /// kSnapshotVersion. Accepts only bytes save() could have written (whole
+  /// payload, offers in strictly ascending id order, every id below the
+  /// counter). Decodes into scratch and validates before committing: on any
+  /// error the trader is left untouched. On success both indexes are
+  /// rebuilt and verified.
   Status load(std::uint32_t version, cdr::Reader& r);
 
  private:
+  /// The "trader" section.
+  struct Image {
+    std::uint64_t next_id = 1;
+    std::vector<ServiceOffer> offers;  // id-ascending
+
+    friend constexpr auto wire_fields(const Image*) {
+      return cdr::fields(&Image::next_id, &Image::offers);
+    }
+  };
+
   struct ProviderKey {
     std::string service_type;
     orb::ObjectRef provider;

@@ -1,11 +1,17 @@
 #include "snapshot/coordinator.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "protocol/messages.hpp"
 
 namespace integrade::snapshot {
+
+namespace {
+
+/// Two-way install call timeout.
+constexpr SimDuration kShipTimeout = 5 * kSecond;
+
+}  // namespace
 
 // --- SnapshotCoordinator ---------------------------------------------------
 
@@ -21,26 +27,18 @@ void SnapshotCoordinator::add_provider(CaptureProvider provider) {
 
 void SnapshotCoordinator::start() {
   if (!options_.enabled || providers_.empty()) return;
-  const SimDuration delay = options_.initial_delay >= 0
-                                ? options_.initial_delay
-                                : options_.period;
-  timer_.start(engine_, options_.period, [this] { fire(); }, delay);
+  timer_.start(engine_, options_.period, [this] { fire(); },
+               /*initial_delay=*/options_.period);
 }
 
 void SnapshotCoordinator::stop() { timer_.stop(); }
 
-Envelope SnapshotCoordinator::capture_full() {
+Envelope SnapshotCoordinator::capture() const {
   Envelope envelope;
-  envelope.epoch = epoch_ + 1;
-  envelope.seq = 0;
   envelope.captured_at = engine_.now();
-  envelope.delta = false;
   for (const CaptureProvider& provider : providers_) {
-    Section section;
-    section.name = provider.name;
-    section.version = provider.version;
-    section.payload = provider.capture();
-    envelope.sections.push_back(std::move(section));
+    envelope.sections.push_back(
+        {provider.name, provider.version, provider.capture()});
   }
   return envelope;
 }
@@ -48,54 +46,11 @@ Envelope SnapshotCoordinator::capture_full() {
 void SnapshotCoordinator::fire() {
   if (!store_.valid()) return;
 
-  const bool full =
-      need_full_ || deltas_sent_ >= options_.deltas_per_epoch;
-  Envelope envelope;
-  if (full) {
-    envelope = capture_full();
-  } else {
-    envelope.epoch = epoch_;
-    envelope.seq = seq_ + 1;
-    envelope.captured_at = engine_.now();
-    envelope.delta = true;
-    for (const CaptureProvider& provider : providers_) {
-      std::vector<std::uint8_t> bytes = provider.capture();
-      auto it = last_shipped_.find(provider.name);
-      if (it != last_shipped_.end() && it->second == bytes) {
-        metrics_.counter("sections_unchanged").add();
-        continue;
-      }
-      Section section;
-      section.name = provider.name;
-      section.version = provider.version;
-      section.payload = std::move(bytes);
-      envelope.sections.push_back(std::move(section));
-    }
-    if (envelope.sections.empty()) {
-      // Nothing changed since the last ship; keep seq where it is so the
-      // store's sequencing stays contiguous.
-      metrics_.counter("empty_deltas_skipped").add();
-      return;
-    }
-  }
-
-  // Commit the coordinator's view before the ack: a lost ack flips
-  // need_full_ and the next epoch supersedes whatever the standby holds.
-  epoch_ = envelope.epoch;
-  seq_ = envelope.seq;
-  deltas_sent_ = full ? 0 : deltas_sent_ + 1;
-  need_full_ = false;
-  for (const Section& section : envelope.sections) {
-    last_shipped_[section.name] = section.payload;
-  }
-
   protocol::SnapshotInstall request;
-  request.image = encode(envelope);
-  metrics_.counter(full ? "snapshots_full" : "snapshots_delta").add();
+  request.image = encode(capture());
+  metrics_.counter("snapshots_shipped").add();
   metrics_.counter("snapshot_bytes_shipped")
       .add(static_cast<std::int64_t>(request.image.size()));
-  metrics_.counter("snapshot_sections_shipped")
-      .add(static_cast<std::int64_t>(envelope.sections.size()));
 
   orb::call<protocol::SnapshotInstall, protocol::SnapshotInstallReply>(
       orb_, store_, "install", request,
@@ -104,10 +59,9 @@ void SnapshotCoordinator::fire() {
         // grid teardown happens after this coordinator is gone.
         if (!*alive) return;
         if (reply.is_ok() && reply.value().accepted) return;
-        need_full_ = true;  // resync with a fresh epoch next period
         metrics_.counter("snapshot_ship_failures").add();
       },
-      options_.ship_timeout);
+      kShipTimeout);
 }
 
 // --- SnapshotStore ---------------------------------------------------------
@@ -135,8 +89,7 @@ class StoreServant final : public orb::SkeletonBase {
 
 }  // namespace
 
-SnapshotStore::SnapshotStore(sim::Engine& engine, orb::Orb& orb)
-    : engine_(engine), orb_(orb) {
+SnapshotStore::SnapshotStore(orb::Orb& orb) : orb_(orb) {
   self_ref_ = orb_.activate(std::make_shared<StoreServant>(*this));
 }
 
@@ -150,46 +103,18 @@ void SnapshotStore::register_loader(std::string name, SectionLoader loader) {
 
 Status SnapshotStore::install(const std::vector<std::uint8_t>& image) {
   Result<Envelope> decoded = decode(image);
-  if (!decoded.is_ok()) {
-    metrics_.counter("installs_rejected").add();
-    return decoded.status();
-  }
-  const Envelope& envelope = decoded.value();
-
-  if (envelope.delta) {
-    if (!have_full_ || envelope.epoch != epoch_ || envelope.seq != seq_ + 1) {
-      metrics_.counter("installs_rejected").add();
-      return Status(ErrorCode::kFailedPrecondition,
-                    "out-of-sequence delta (epoch " +
-                        std::to_string(envelope.epoch) + " seq " +
-                        std::to_string(envelope.seq) + ", store at epoch " +
-                        std::to_string(epoch_) + " seq " +
-                        std::to_string(seq_) + ")");
-    }
-  } else if (envelope.seq != 0) {
-    metrics_.counter("installs_rejected").add();
-    return Status(ErrorCode::kInvalidArgument,
-                  "full snapshot with nonzero seq");
-  }
-
-  int applied = 0;
-  int skipped = 0;
-  const Status status = apply(envelope, loaders_, &applied, &skipped);
+  const Status status = decoded.is_ok() ? snapshot::apply(decoded.value(), loaders_)
+                                        : decoded.status();
   if (!status.is_ok()) {
+    // Loaders validate before mutating, so the failing section's component
+    // is untouched; the next period's full image supersedes this one.
     metrics_.counter("installs_rejected").add();
-    // A loader that failed validated before mutating, so its component is
-    // untouched; force the shipper back to a full epoch via the reply.
     return status;
   }
-
-  have_full_ = true;
-  epoch_ = envelope.epoch;
-  seq_ = envelope.seq;
-  last_captured_at_ = envelope.captured_at;
+  has_image_ = true;
   metrics_.counter("installs_ok").add();
-  metrics_.counter(envelope.delta ? "installs_delta" : "installs_full").add();
-  metrics_.counter("sections_applied").add(applied);
-  metrics_.counter("sections_skipped").add(skipped);
+  metrics_.counter("sections_applied")
+      .add(static_cast<std::int64_t>(decoded.value().sections.size()));
   return Status::ok();
 }
 

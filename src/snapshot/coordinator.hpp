@@ -2,17 +2,13 @@
 //
 // The coordinator periodically captures every registered component section,
 // frames them in a snapshot::Envelope, and ships the image to the standby's
-// SnapshotStore over the ORB ("install"). Shipping is incremental: a full
-// image starts an epoch, then each period only the sections whose bytes
-// changed go out as a delta (seq = 1, 2, ...). Any ship failure — timeout,
-// rejection, out-of-sequence — makes the next capture a fresh full epoch, so
-// a standby that missed deltas reconverges on the next period.
+// SnapshotStore over the ORB ("install"). Every period ships one full image:
+// a standby that missed one (timeout, rejection) holds the whole control
+// plane again after the next period.
 //
-// The store validates (checksum, version, epoch/seq sequencing) before
-// applying anything, and applies through a SectionLoader registry so each
-// side registers exactly the components it owns. A standby that shares an
-// object with the primary (in-cluster deployments share one GUPA) simply
-// registers no loader for that section; apply() counts it as skipped.
+// The store validates (checksum, version) before applying anything, and
+// applies through a SectionLoader registry; it installs every valid image
+// whose sections all have a registered loader.
 //
 // Everything here is off unless explicitly started: no timer armed, no
 // servant activated, no RNG draws — a run with snapshots disabled is
@@ -22,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,15 +33,9 @@ namespace integrade::snapshot {
 struct SnapshotOptions {
   /// Master switch. Off = no timers, no endpoints, no wire traffic.
   bool enabled = false;
-  /// Capture-and-ship cadence (sim time).
+  /// Capture-and-ship cadence (sim time); the first capture fires one
+  /// period after start().
   SimDuration period = 10 * kSecond;
-  /// After this many deltas, start a fresh full epoch (bounds how much a
-  /// late-joining or recovered standby must replay).
-  int deltas_per_epoch = 30;
-  /// Delay of the first capture; negative means one full period.
-  SimDuration initial_delay = -1;
-  /// Two-way install call timeout.
-  SimDuration ship_timeout = 5 * kSecond;
 };
 
 /// One component the coordinator snapshots. `capture` returns the section
@@ -68,21 +59,20 @@ class SnapshotCoordinator {
   /// validates its offers against the Trader — rely on it).
   void add_provider(CaptureProvider provider);
 
-  /// Where full/delta images are shipped (a SnapshotStore ref).
+  /// Where images are shipped (a SnapshotStore ref).
   void set_target(const orb::ObjectRef& store) { store_ = store; }
 
   /// Arm the periodic capture timer. No-op unless options.enabled.
   void start();
   void stop();
 
-  /// Capture all sections as a full image for the *next* epoch without
-  /// shipping or committing coordinator state (warm-start file save, tests).
-  [[nodiscard]] Envelope capture_full();
+  /// Capture all sections now without shipping (warm-start file save,
+  /// tests).
+  [[nodiscard]] Envelope capture() const;
 
-  /// Capture-and-ship one cycle now (the timer body; public for tests).
+  /// Capture-and-ship one image now (the timer body; public for tests).
   void fire();
 
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] MetricRegistry& metrics() { return metrics_; }
 
  private:
@@ -94,13 +84,6 @@ class SnapshotCoordinator {
   orb::ObjectRef store_;
   sim::PeriodicTimer timer_;
 
-  std::uint64_t epoch_ = 0;   // 0 = nothing shipped yet
-  std::uint64_t seq_ = 0;     // last shipped seq of epoch_
-  int deltas_sent_ = 0;
-  bool need_full_ = true;     // first ship, or recovery after a failed ship
-  /// Bytes of each section as last shipped; a delta carries only sections
-  /// whose fresh capture differs.
-  std::map<std::string, std::vector<std::uint8_t>> last_shipped_;
   /// Guards the install-ack callback: the ORB fails pending calls at
   /// shutdown, which can outlive this coordinator during grid teardown.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
@@ -113,40 +96,29 @@ class SnapshotCoordinator {
 /// warm-start file restore and tests.
 class SnapshotStore {
  public:
-  SnapshotStore(sim::Engine& engine, orb::Orb& orb);
+  explicit SnapshotStore(orb::Orb& orb);
   ~SnapshotStore();
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  /// Register the loader that applies section `name`. Components the standby
-  /// shares with the primary register no loader (section counts as skipped).
+  /// Register the loader that applies section `name`. An image carrying a
+  /// section with no loader is rejected.
   void register_loader(std::string name, SectionLoader loader);
 
   [[nodiscard]] const orb::ObjectRef& ref() const { return self_ref_; }
 
-  /// Validate, sequence-check, and apply an encoded envelope. A full image
-  /// (seq 0) always resets the sequence; a delta is accepted only if it is
-  /// the next seq of the current epoch on top of an installed full image.
+  /// Validate and apply an encoded envelope.
   Status install(const std::vector<std::uint8_t>& image);
 
-  [[nodiscard]] bool have_full() const { return have_full_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  [[nodiscard]] std::uint64_t seq() const { return seq_; }
-  /// Sim time at which the last applied image was captured (restore-gap
-  /// bound for the failover bench).
-  [[nodiscard]] SimTime last_captured_at() const { return last_captured_at_; }
+  /// True once some image has been installed.
+  [[nodiscard]] bool has_image() const { return has_image_; }
   [[nodiscard]] MetricRegistry& metrics() { return metrics_; }
 
  private:
-  sim::Engine& engine_;
   orb::Orb& orb_;
   orb::ObjectRef self_ref_;
   std::map<std::string, SectionLoader> loaders_;
-
-  bool have_full_ = false;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t seq_ = 0;
-  SimTime last_captured_at_ = 0;
+  bool has_image_ = false;
 
   MetricRegistry metrics_;
 };

@@ -9,31 +9,16 @@ namespace integrade::snapshot {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'I', 'G', 'S', 'N'};
+/// Magic plus the byte-order byte: the only header bytes framed by hand.
+constexpr std::size_t kPreambleBytes = sizeof(kMagic) + 1;
 
 }  // namespace
-
-const Section* Envelope::section(const std::string& name) const {
-  for (const Section& s : sections) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
 
 std::vector<std::uint8_t> encode(const Envelope& envelope) {
   cdr::Writer w;
   for (const std::uint8_t b : kMagic) w.write_u8(b);
   w.write_u8(static_cast<std::uint8_t>(w.byte_order()));
-  w.write_u32(kFormatVersion);
-  w.write_u64(envelope.epoch);
-  w.write_u64(envelope.seq);
-  w.write_i64(envelope.captured_at);
-  w.write_u32(envelope.delta ? 1U : 0U);
-  w.write_u32(static_cast<std::uint32_t>(envelope.sections.size()));
-  for (const Section& s : envelope.sections) {
-    w.write_string(s.name);
-    w.write_u32(s.version);
-    w.write_octets(s.payload);
-  }
+  cdr::Codec<Envelope>::encode(w, envelope);
   std::vector<std::uint8_t> bytes = w.take_buffer();
   const security::Digest digest = security::Sha256::hash(bytes);
   bytes.insert(bytes.end(), digest.begin(), digest.end());
@@ -41,9 +26,7 @@ std::vector<std::uint8_t> encode(const Envelope& envelope) {
 }
 
 Result<Envelope> decode(const std::vector<std::uint8_t>& bytes) {
-  // Minimal body: magic + order byte + (aligned) version word + fixed header.
-  constexpr std::size_t kMinBody = 4 + 1 + 3 + 4 + 8 + 8 + 8 + 4 + 4;
-  if (bytes.size() < kMinBody + kChecksumBytes) {
+  if (bytes.size() < kPreambleBytes + kChecksumBytes) {
     return Status(ErrorCode::kInvalidArgument,
                   "snapshot too short (" + std::to_string(bytes.size()) +
                       " bytes)");
@@ -53,63 +36,44 @@ Result<Envelope> decode(const std::vector<std::uint8_t>& bytes) {
   if (!std::equal(digest.begin(), digest.end(), bytes.begin() + static_cast<std::ptrdiff_t>(body_size))) {
     return Status(ErrorCode::kInvalidArgument, "snapshot checksum mismatch");
   }
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (bytes[i] != kMagic[i]) {
-      return Status(ErrorCode::kInvalidArgument, "snapshot bad magic");
-    }
+  if (!std::equal(std::begin(kMagic), std::end(kMagic), bytes.begin())) {
+    return Status(ErrorCode::kInvalidArgument, "snapshot bad magic");
   }
-  const std::uint8_t order_byte = bytes[4];
+  const std::uint8_t order_byte = bytes[sizeof(kMagic)];
   if (order_byte > 1) {
     return Status(ErrorCode::kInvalidArgument, "snapshot bad byte-order flag");
   }
   cdr::Reader r(bytes.data(), body_size, static_cast<cdr::ByteOrder>(order_byte));
-  for (int i = 0; i < 5; ++i) (void)r.read_u8();  // magic + order byte
-  const std::uint32_t version = r.read_u32();
-  if (r.ok() && version != kFormatVersion) {
+  for (std::size_t i = 0; i < kPreambleBytes; ++i) (void)r.read_u8();
+  Envelope envelope = cdr::Codec<Envelope>::decode(r);
+  if (envelope.format_version != kFormatVersion) {
     return Status(ErrorCode::kInvalidArgument,
-                  "snapshot format version " + std::to_string(version) +
+                  "snapshot format version " +
+                      std::to_string(envelope.format_version) +
                       " unsupported (want " + std::to_string(kFormatVersion) +
                       ")");
   }
-  Envelope envelope;
-  envelope.epoch = r.read_u64();
-  envelope.seq = r.read_u64();
-  envelope.captured_at = r.read_i64();
-  const std::uint32_t flags = r.read_u32();
-  envelope.delta = (flags & 1U) != 0;
-  const std::uint32_t count = r.read_u32();
-  envelope.sections.reserve(std::min<std::size_t>(count, r.remaining()));
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    Section s;
-    s.name = r.read_string();
-    s.version = r.read_u32();
-    s.payload = r.read_octets();
-    envelope.sections.push_back(std::move(s));
-  }
-  if (!r.ok() || envelope.sections.size() != count || r.remaining() != 0) {
+  if (!r.exhausted()) {
     return Status(ErrorCode::kInvalidArgument, "snapshot body malformed");
   }
   return envelope;
 }
 
 Status apply(const Envelope& envelope,
-             const std::map<std::string, SectionLoader>& loaders, int* applied,
-             int* skipped) {
-  if (applied != nullptr) *applied = 0;
-  if (skipped != nullptr) *skipped = 0;
+             const std::map<std::string, SectionLoader>& loaders) {
   for (const Section& s : envelope.sections) {
-    auto it = loaders.find(s.name);
-    if (it == loaders.end()) {
-      if (skipped != nullptr) ++*skipped;
-      continue;
+    if (!loaders.contains(s.name)) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "section '" + s.name + "' has no loader");
     }
+  }
+  for (const Section& s : envelope.sections) {
     cdr::Reader r(s.payload);
-    const Status status = it->second(s.version, r);
+    const Status status = loaders.at(s.name)(s.version, r);
     if (!status.is_ok()) {
       return Status(status.code(),
                     "section '" + s.name + "': " + status.message());
     }
-    if (applied != nullptr) ++*applied;
   }
   return Status::ok();
 }

@@ -5,29 +5,23 @@
 // This module gives every control-plane component a versioned, checksummed
 // binary image: components expose save(cdr::Writer&) / load(cdr::Reader&)
 // pairs, and the envelope here frames a set of such component *sections*
-// with a format version, an (epoch, seq) incremental-shipping coordinate,
-// and a trailing SHA-256 over the whole body so a corrupted or truncated
-// snapshot is rejected before any section is applied.
+// with a format version and a trailing SHA-256 over the whole body so a
+// corrupted or truncated snapshot is rejected before any section is applied.
 //
 // Wire layout (all multi-byte fields in the byte order named by byte 4,
 // "receiver makes it right" like GIOP):
 //
 //   'I' 'G' 'S' 'N'      magic, order-independent
 //   u8  byte_order       0 = big endian, 1 = little endian
-//   u32 format_version   currently 1
-//   u64 epoch            full-snapshot generation
-//   u64 seq              0 = full image, n > 0 = nth delta of this epoch
+//   u32 format_version   currently 2
 //   i64 captured_at      sim time of the capture
-//   u32 flags            bit 0 = delta (sections are a changed subset)
 //   u32 section_count
 //   per section:  string name, u32 component_version, octets payload
 //   32 raw bytes         SHA-256 over everything above
 //
-// Section payloads are opaque here; each component owns its own format and
-// version. A delta envelope carries only the sections whose bytes changed
-// since the previous ship — section granularity, full payload per section —
-// which is sound because every section in one envelope is captured at the
-// same instant and unshipped sections are byte-identical on both sides.
+// Everything between the byte-order byte and the checksum is the Envelope's
+// field list. Section payloads are opaque here; each component owns its own
+// format and version. Every envelope is a full image of the control plane.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +36,7 @@
 
 namespace integrade::snapshot {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kChecksumBytes = 32;
 
 /// One component's serialized state. `version` is the component's own format
@@ -55,22 +49,28 @@ struct Section {
 
   bool operator==(const Section&) const = default;
 };
+constexpr auto wire_fields(const Section*) {
+  using S = Section;
+  return cdr::fields(&S::name, &S::version, &S::payload);
+}
 
 struct Envelope {
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;  // 0 = full image, n > 0 = nth delta of the epoch
+  /// Layout of the envelope itself; decode() accepts only kFormatVersion.
+  std::uint32_t format_version = kFormatVersion;
   SimTime captured_at = 0;
-  bool delta = false;
   std::vector<Section> sections;
 
-  [[nodiscard]] const Section* section(const std::string& name) const;
   bool operator==(const Envelope&) const = default;
 };
+constexpr auto wire_fields(const Envelope*) {
+  using S = Envelope;
+  return cdr::fields(&S::format_version, &S::captured_at, &S::sections);
+}
 
 /// Serialize with header + trailing SHA-256.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Envelope& envelope);
 
-/// Validate (length, magic, version, checksum, clean parse) then decode.
+/// Validate (length, magic, checksum, version, clean parse) then decode.
 /// Any failure returns an error without partially-constructed state; callers
 /// fall back to heartbeat reconvergence instead of crashing.
 [[nodiscard]] Result<Envelope> decode(const std::vector<std::uint8_t>& bytes);
@@ -81,11 +81,9 @@ struct Envelope {
 using SectionLoader = std::function<Status(std::uint32_t version, cdr::Reader&)>;
 
 /// Apply an envelope's sections through a loader registry in envelope order.
-/// Sections with no registered loader are counted in `skipped` (a standby
-/// that shares its GUPA with the primary registers no "gupa" loader, for
-/// example). Stops at the first loader error.
+/// An envelope naming a section with no registered loader is rejected
+/// before any loader runs. Stops at the first loader error.
 Status apply(const Envelope& envelope,
-             const std::map<std::string, SectionLoader>& loaders,
-             int* applied = nullptr, int* skipped = nullptr);
+             const std::map<std::string, SectionLoader>& loaders);
 
 }  // namespace integrade::snapshot

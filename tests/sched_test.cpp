@@ -248,15 +248,15 @@ TEST(FairQueue, SaveLoadRoundTripPreservesOrderAndPasses) {
   queue.account_dispatch("slow", 3000);
   queue.account_dispatch("fast", 1000);
 
-  cdr::Writer w;
   const std::vector<TaskId> ids = queue.fifo_order();
-  queue.save(w);
+  const auto bytes = cdr::encode_message(queue.save());
 
   FairQueue restored;
   restored.configure(economy_options());
-  cdr::Reader r(w.buffer());
-  restored.load(ids, r, /*has_meta=*/true);
-  ASSERT_TRUE(r.ok());
+  const auto image = cdr::decode_message<QueueImage>(bytes);
+  ASSERT_TRUE(image.is_ok());
+  ASSERT_TRUE(restored.load(image.value()).is_ok());
+  EXPECT_EQ(cdr::encode_message(restored.save()), bytes);
 
   EXPECT_EQ(restored.fifo_order(), ids);
   EXPECT_EQ(restored.pass_of("slow"), queue.pass_of("slow"));
@@ -298,19 +298,45 @@ TEST(FairQueue, QueuedHeadsReportEdfHeadPerTenant) {
   EXPECT_EQ(remaining[0].first, "fast");
 }
 
-TEST(FairQueue, LoadsVersionOneSnapshotsWithoutMetadata) {
-  // Pre-economy snapshots carry only the id list: everything lands in the
-  // default tenant with no deadline and dispatch order stays FIFO.
+TEST(FairQueue, LoadRejectsImagesSaveCannotWrite) {
   FairQueue queue;
   queue.configure(economy_options());
-  const std::vector<TaskId> ids = {task(5), task(2), task(9)};
-  cdr::Writer w;  // empty section
-  cdr::Reader r(w.buffer());
-  queue.load(ids, r, /*has_meta=*/false);
-  EXPECT_EQ(queue.fifo_order(), ids);
-  EXPECT_EQ(queue.pop(), task(5));
-  EXPECT_EQ(queue.pop(), task(2));
-  EXPECT_EQ(queue.pop(), task(9));
+  queue.push(task(1), "slow", 0);
+  queue.push(task(2), "fast", 500);
+  const QueueImage good = queue.save();
+
+  auto expect_rejected = [&](const QueueImage& bad, SchedOptions options) {
+    FairQueue target;
+    target.configure(options);
+    target.push(task(9), "", 0);
+    EXPECT_FALSE(target.load(bad).is_ok());
+    EXPECT_EQ(target.fifo_order(), std::vector<TaskId>{task(9)});  // untouched
+  };
+
+  QueueImage short_meta = good;
+  short_meta.entries.pop_back();
+  expect_rejected(short_meta, economy_options());
+
+  QueueImage twice = good;
+  twice.ids[1] = twice.ids[0];
+  expect_rejected(twice, economy_options());
+
+  QueueImage unsorted = good;
+  std::swap(unsorted.passes[0], unsorted.passes[1]);
+  expect_rejected(unsorted, economy_options());
+
+  QueueImage passless = good;
+  passless.passes.pop_back();
+  expect_rejected(passless, economy_options());
+
+  // Economy off, push() drops tenants and deadlines: an image that carries
+  // them cannot be what an economy-off queue saved.
+  expect_rejected(good, SchedOptions{});
+
+  FairQueue restored;
+  restored.configure(economy_options());
+  ASSERT_TRUE(restored.load(good).is_ok());
+  EXPECT_EQ(restored.fifo_order(), queue.fifo_order());
 }
 
 }  // namespace

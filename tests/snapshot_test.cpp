@@ -1,7 +1,8 @@
 // Control-plane snapshot/restore: envelope integrity, per-component
-// round-trip bit-equality, incremental shipping to the standby, and the
-// end-to-end failover contract — restore the latest image, replay the gap,
-// lose nothing, double-execute nothing.
+// round-trip bit-equality, loaders that accept only canonical bytes,
+// full-image shipping to the standby, and the end-to-end failover
+// contract — restore the latest image, replay the gap, lose nothing,
+// double-execute nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,12 +13,12 @@
 #include "cdr/cdr.hpp"
 #include "core/grid.hpp"
 #include "core/workloads.hpp"
+#include "orb/transport.hpp"
 #include "protocol/properties.hpp"
 #include "services/trader.hpp"
 #include "sim/faults.hpp"
 #include "snapshot/coordinator.hpp"
 #include "snapshot/snapshot.hpp"
-#include "snapshot/state_codecs.hpp"
 
 namespace integrade {
 namespace {
@@ -26,10 +27,7 @@ using asct::AppBuilder;
 
 snapshot::Envelope sample_envelope() {
   snapshot::Envelope envelope;
-  envelope.epoch = 3;
-  envelope.seq = 0;
   envelope.captured_at = 42 * kSecond;
-  envelope.delta = false;
   envelope.sections.push_back({"alpha", 1, {1, 2, 3, 4}});
   envelope.sections.push_back({"beta", 7, {}});
   envelope.sections.push_back({"gamma", 2, {0xff, 0x00, 0x80}});
@@ -101,60 +99,6 @@ TEST(SnapshotComponents, TraderRoundTripIsByteIdenticalAndQueriesMatch) {
   }
 }
 
-TEST(SnapshotComponents, TraderLoadsCommittedV1ImageByteForByte) {
-  // A v1 "trader" section exactly as the v1 writer committed it: id counter,
-  // offer count, then per offer id / type / provider / properties /
-  // exported_at / modified_at — no refresh counter (that field is v2).
-  orb::ObjectRef provider;
-  provider.host = 7;
-  provider.key = ObjectId(3);
-  provider.type_id = "IDL:integrade/Lrm:1.0";
-  services::PropertySet props;
-  props.set("cpu_mips", 1400.0);
-  props.set("shareable", true);
-
-  cdr::Writer v1;
-  v1.write_u64(2);  // next_id
-  v1.write_u32(1);  // offer count
-  v1.write_id(services::OfferId(1));
-  v1.write_string(protocol::kNodeServiceType);
-  cdr::Codec<orb::ObjectRef>::encode(v1, provider);
-  cdr::Codec<services::PropertySet>::encode(v1, props);
-  v1.write_i64(30 * kSecond);   // exported_at
-  v1.write_i64(90 * kSecond);   // modified_at
-  const auto v1_bytes = v1.take_buffer();
-
-  services::Trader trader;
-  cdr::Reader r(v1_bytes.data(), v1_bytes.size());
-  ASSERT_TRUE(trader.load(/*version=*/1, r).is_ok());
-  ASSERT_EQ(trader.offer_count(), 1u);
-  const auto* offer = trader.lookup(services::OfferId(1));
-  ASSERT_NE(offer, nullptr);
-  EXPECT_EQ(offer->service_type, protocol::kNodeServiceType);
-  EXPECT_EQ(offer->provider, provider);
-  EXPECT_EQ(offer->exported_at, 30 * kSecond);
-  EXPECT_EQ(offer->modified_at, 90 * kSecond);
-  EXPECT_EQ(offer->refreshes, 0);  // migration default
-  EXPECT_TRUE(trader.check_invariants().is_ok());
-
-  // Re-saving emits the current (v2) format: v1 payload + refreshes per
-  // offer, and that format round-trips byte-identically.
-  cdr::Writer w2;
-  trader.save(w2);
-  const auto v2_bytes = w2.take_buffer();
-  EXPECT_EQ(v2_bytes.size(), v1_bytes.size() + 8);  // one offer, one i64
-  services::Trader again;
-  cdr::Reader r2(v2_bytes.data(), v2_bytes.size());
-  ASSERT_TRUE(again.load(services::Trader::kSnapshotVersion, r2).is_ok());
-  cdr::Writer w3;
-  again.save(w3);
-  EXPECT_EQ(w3.buffer(), v2_bytes);
-
-  // A v1 reader would misparse v2 bytes — and future versions are refused.
-  cdr::Reader r3(v2_bytes.data(), v2_bytes.size());
-  EXPECT_FALSE(trader.load(services::Trader::kSnapshotVersion + 1, r3).is_ok());
-}
-
 TEST(SnapshotComponents, TraderRefreshCounterSurvivesSnapshot) {
   services::Trader trader;
   services::PropertySet props;
@@ -188,6 +132,18 @@ TEST(SnapshotComponents, TraderLoadRejectsGarbageAndKeepsState) {
       trader.load(services::Trader::kSnapshotVersion, r).is_ok());
   EXPECT_EQ(trader.offer_count(), 1u);  // untouched on failure
   EXPECT_TRUE(trader.check_invariants().is_ok());
+
+  // A loader accepts exactly its current version: well-formed bytes under
+  // any other version number are refused.
+  services::Trader empty;
+  cdr::Writer w;
+  empty.save(w);
+  for (const std::uint32_t version : {services::Trader::kSnapshotVersion - 1,
+                                      services::Trader::kSnapshotVersion + 1}) {
+    cdr::Reader other(w.buffer());
+    EXPECT_FALSE(trader.load(version, other).is_ok()) << "version " << version;
+    EXPECT_EQ(trader.offer_count(), 1u);
+  }
 }
 
 TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
@@ -255,8 +211,12 @@ TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
                   .load(services::Trader::kSnapshotVersion, tr)
                   .is_ok());
 
-  cdr::Reader wrong(grm_bytes.data(), grm_bytes.size());
-  EXPECT_FALSE(standby.load(99, wrong).is_ok());
+  for (const std::uint32_t version :
+       {grm::Grm::kSnapshotVersion - 1, grm::Grm::kSnapshotVersion + 1, 99U}) {
+    cdr::Reader wrong(grm_bytes.data(), grm_bytes.size());
+    EXPECT_FALSE(standby.load(version, wrong).is_ok()) << "version " << version;
+    EXPECT_EQ(standby.known_nodes(), 0u);
+  }
 
   // Cut the GRM section at a few interior offsets: a clean error each time,
   // and the standby keeps its (empty) state rather than half-loading.
@@ -330,163 +290,6 @@ TEST(SnapshotComponents, RestoredStandbyWakesOnFirstNodeLoad) {
   });
 }
 
-// One node, one app, one queued task: the GRM state the migration tests
-// hand-encode in every snapshot layout.
-struct GrmImageState {
-  protocol::NodeStatus node;
-  services::OfferId offer;
-  protocol::ApplicationSpec app;
-  std::uint64_t pass = 0;  // the app tenant's fair-queue pass
-};
-
-// The "grm" section as the writer of `version` laid it out. Versions 1 and
-// 2 carry a per-segment heartbeat-epoch table (non-empty here) after the
-// RNG states; versions 2 and 3 carry the economy fields; version 3 is the
-// current writer's layout.
-std::vector<std::uint8_t> encode_grm_image(std::uint32_t version,
-                                           const GrmImageState& state) {
-  const protocol::TaskDescriptor& task = state.app.tasks.front();
-  const bool economy = version >= 2;
-  cdr::Writer w;
-  w.write_u64(5);  // next reservation
-  cdr::Codec<Rng::State>::encode(w, Rng(11).state());
-  cdr::Codec<Rng::State>::encode(w, Rng(12).state());
-  if (version <= 2) {
-    w.write_u32(2);
-    w.write_i32(0);
-    w.write_u64(3);
-    w.write_i32(1);
-    w.write_u64(1);
-  }
-
-  w.write_u32(1);  // nodes
-  cdr::Codec<protocol::NodeStatus>::encode(w, state.node);
-  w.write_id(state.offer);
-  w.write_i64(90 * kSecond);  // last update
-
-  w.write_u32(1);  // apps
-  cdr::Codec<protocol::ApplicationSpec>::encode_base(w, state.app);
-  if (economy) {
-    w.write_string(state.app.tenant);
-    w.write_f64(state.app.bid_budget);
-    w.write_i64(state.app.bid_deadline);
-  }
-  w.write_bool(false);  // adopted_remote
-  cdr::Codec<orb::ObjectRef>::encode(w, orb::ObjectRef{});
-  w.write_i32(1);  // outstanding
-  w.write_i32(0);  // running
-  w.write_bool(false);
-  w.write_bool(false);
-
-  w.write_u32(1);  // tasks
-  cdr::Codec<protocol::TaskDescriptor>::encode(w, task);
-  w.write_id(state.app.id);
-  w.write_u8(static_cast<std::uint8_t>(grm::TaskState::kPending));
-  w.write_id(NodeId{});
-  cdr::Codec<orb::ObjectRef>::encode(w, orb::ObjectRef{});
-  w.write_i32(1);                // waves
-  w.write_i32(0);                // evictions
-  w.write_i64(20 * kSecond);     // backoff
-  w.write_i64(120 * kSecond);    // eligible_at
-  w.write_i32(-1);               // topology segment
-  w.write_i64(0);                // remote deadline
-  const SimTime deadline =
-      state.app.bid_deadline > 0 ? 60 * kSecond + state.app.bid_deadline : 0;
-  if (economy) {
-    w.write_string(state.app.tenant);
-    w.write_i64(deadline);
-  }
-
-  w.write_u32(1);  // queue, FIFO order
-  w.write_id(task.id);
-  if (economy) {
-    w.write_u32(1);  // per-entry metadata
-    w.write_string(state.app.tenant);
-    w.write_i64(deadline);
-    w.write_u32(1);  // tenant passes
-    w.write_string(state.app.tenant);
-    w.write_u64(state.pass);
-  }
-
-  w.write_u32(0);  // in-flight reserves
-  w.write_u32(0);  // child summaries
-  return w.take_buffer();
-}
-
-GrmImageState image_state(grm::Grm& into) {
-  GrmImageState state;
-  state.node.node = NodeId(77);
-  state.node.hostname = "migrated-n77";
-  state.node.cpu_mips = 1500.0;
-  state.node.lrm.host = 9;
-  state.node.lrm.key = ObjectId(4);
-  state.node.lrm.type_id = "IDL:integrade/Lrm:1.0";
-  state.node.shareable = true;
-  // Node records must reference a live offer in the (already loaded) Trader.
-  state.offer = into.trader().export_offer(
-      protocol::kNodeServiceType, state.node.lrm,
-      protocol::to_properties(state.node));
-  AppBuilder builder("migrated");
-  builder.kind(protocol::AppKind::kSequential).tasks(1, 60'000.0);
-  state.app = builder.build(orb::ObjectRef{});
-  return state;
-}
-
-TEST(SnapshotComponents, GrmLoadsV1ImageAndDiscardsEpochTable) {
-  core::Grid grid(309);
-  auto config = core::quiet_cluster(1, 309);
-  config.standby_grm = true;
-  auto& cluster = grid.add_cluster(config);
-  grm::Grm& standby = *cluster.standby_grm();
-  const GrmImageState state = image_state(standby);
-
-  const auto v1 = encode_grm_image(1, state);
-  cdr::Reader r(v1.data(), v1.size());
-  const Status loaded = standby.load(1, r);
-  ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(standby.known_nodes(), 1u);
-  EXPECT_TRUE(standby.app_known(state.app.id));
-  EXPECT_EQ(standby.task_state(state.app.tasks.front().id),
-            grm::TaskState::kPending);
-  EXPECT_EQ(standby.queue_length(), 1u);
-
-  // Re-saving writes the current layout: no epoch table, default economy
-  // fields.
-  cdr::Writer w;
-  standby.save(w);
-  EXPECT_EQ(w.buffer(), encode_grm_image(grm::Grm::kSnapshotVersion, state));
-}
-
-TEST(SnapshotComponents, GrmLoadsV2ImageAndDiscardsEpochTable) {
-  core::Grid grid(310);
-  auto config = core::quiet_cluster(1, 310);
-  config.standby_grm = true;
-  config.sched.enabled = true;
-  auto& cluster = grid.add_cluster(config);
-  grm::Grm& standby = *cluster.standby_grm();
-  GrmImageState state = image_state(standby);
-  state.app.tenant = "physics";
-  state.app.bid_budget = 40.0;
-  state.app.bid_deadline = 30 * kMinute;
-  state.pass = 3 * sched::kStrideScale;
-
-  const auto v2 = encode_grm_image(2, state);
-  cdr::Reader r(v2.data(), v2.size());
-  const Status loaded = standby.load(2, r);
-  ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
-  EXPECT_EQ(r.remaining(), 0u);
-  ASSERT_NE(standby.app_spec(state.app.id), nullptr);
-  EXPECT_EQ(standby.app_spec(state.app.id)->tenant, "physics");
-  EXPECT_EQ(standby.app_spec(state.app.id)->bid_deadline, 30 * kMinute);
-  EXPECT_EQ(standby.queue_length(), 1u);
-
-  // Re-saving writes version 3: version 2 without the epoch table.
-  cdr::Writer w;
-  standby.save(w);
-  EXPECT_EQ(w.buffer(), encode_grm_image(grm::Grm::kSnapshotVersion, state));
-}
-
 TEST(SnapshotComponents, OrbDedupWindowRoundTrips) {
   core::Grid grid(304);
   auto config = core::quiet_cluster(6, 304);
@@ -523,6 +326,125 @@ TEST(SnapshotComponents, OrbDedupWindowRoundTrips) {
   EXPECT_EQ(w3.buffer().size(), sizeof(std::uint32_t));  // still empty
 }
 
+using Bytes = std::vector<std::uint8_t>;
+
+// Every corruption the mutation test applies to a section: one bit flipped
+// at each byte offset (cycling through the bit positions), each
+// truncation, and one appended byte.
+template <class Fn>
+void for_each_mutant(const Bytes& image, Fn fn) {
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    Bytes mutant = image;
+    mutant[i] ^= static_cast<std::uint8_t>(1U << (i % 8));
+    fn("bit flip at byte " + std::to_string(i), mutant);
+  }
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    fn("truncation to " + std::to_string(len) + " bytes",
+       Bytes(image.begin(), image.begin() + static_cast<std::ptrdiff_t>(len)));
+  }
+  Bytes longer = image;
+  longer.push_back(0);
+  fn(std::string("one appended byte"), longer);
+}
+
+// A loader accepts only canonical bytes. `load(mutant)` loads into a
+// component and returns the status plus that component's re-save before
+// and after the load: a rejected mutant must leave the re-save unchanged,
+// an accepted one must re-save to exactly itself.
+struct Probe {
+  Status loaded;
+  Bytes before;
+  Bytes after;
+};
+template <class Load>
+void expect_rejected_or_canonical(const char* section, const Bytes& image,
+                                  Load load) {
+  int mutants = 0;
+  int accepted = 0;
+  std::vector<std::string> broken;
+  for_each_mutant(image, [&](const std::string& what, const Bytes& mutant) {
+    const Probe probe = load(mutant);
+    ++mutants;
+    if (probe.loaded.is_ok()) ++accepted;
+    if (probe.after != (probe.loaded.is_ok() ? mutant : probe.before)) {
+      broken.push_back(what);
+    }
+  });
+  EXPECT_TRUE(broken.empty())
+      << section << ": " << broken.size() << " of " << mutants
+      << " mutants (" << accepted << " accepted) neither rejected nor "
+      << "canonical; first: " << (broken.empty() ? "" : broken.front());
+}
+
+TEST(SnapshotComponents, EveryCorruptedSectionIsRejectedOrCanonical) {
+  core::Grid grid(311);
+  auto config = core::quiet_cluster(8, 311);
+  config.standby_grm = true;
+  auto& cluster = grid.add_cluster(config);
+  grid.run_for(2 * kMinute);
+  AppBuilder builder("mutants");
+  builder.kind(protocol::AppKind::kParametric).tasks(12, 600'000.0);
+  cluster.asct().submit(cluster.grm_ref(), builder.build(cluster.asct().ref()));
+  grid.run_for(30 * kSecond);
+  ASSERT_GT(cluster.grm().running_tasks(), 0);
+  ASSERT_GT(cluster.grm().queue_length(), 0u);
+
+  const auto saved = [](const auto& save) {
+    cdr::Writer w;
+    save(w);
+    return w.take_buffer();
+  };
+  const Bytes trader_image =
+      saved([&](cdr::Writer& w) { cluster.grm().trader().save(w); });
+  const Bytes grm_image = saved([&](cdr::Writer& w) { cluster.grm().save(w); });
+  const Bytes dedup_image =
+      saved([&](cdr::Writer& w) { cluster.manager_orb().save_dedup(w); });
+  ASSERT_GT(dedup_image.size(), sizeof(std::uint32_t));
+
+  services::Trader trader;
+  expect_rejected_or_canonical("trader", trader_image, [&](const Bytes& m) {
+    Probe probe;
+    probe.before = saved([&](cdr::Writer& w) { trader.save(w); });
+    cdr::Reader r(m);
+    probe.loaded = trader.load(services::Trader::kSnapshotVersion, r);
+    probe.after = saved([&](cdr::Writer& w) { trader.save(w); });
+    return probe;
+  });
+
+  // The GRM validates its node records against the Trader section, so the
+  // standby gets the intact one first.
+  grm::Grm& standby = *cluster.standby_grm();
+  cdr::Reader tr(trader_image);
+  ASSERT_TRUE(
+      standby.trader().load(services::Trader::kSnapshotVersion, tr).is_ok());
+  expect_rejected_or_canonical("grm", grm_image, [&](const Bytes& m) {
+    Probe probe;
+    probe.before = saved([&](cdr::Writer& w) { standby.save(w); });
+    cdr::Reader r(m);
+    probe.loaded = standby.load(grm::Grm::kSnapshotVersion, r);
+    probe.after = saved([&](cdr::Writer& w) { standby.save(w); });
+    return probe;
+  });
+
+  // load_dedup merges into the window, so each mutant gets a fresh ORB
+  // with the manager's options.
+  orb::DirectTransport transport;
+  const orb::OrbOptions options = cluster.manager_orb().options();
+  expect_rejected_or_canonical("orb_dedup", dedup_image, [&](const Bytes& m) {
+    orb::Orb fresh(1, transport, nullptr, options);
+    Probe probe;
+    probe.before = saved([&](cdr::Writer& w) { fresh.save_dedup(w); });
+    cdr::Reader r(m);
+    probe.loaded = fresh.load_dedup(orb::Orb::kDedupSnapshotVersion, r);
+    probe.after = saved([&](cdr::Writer& w) { fresh.save_dedup(w); });
+    return probe;
+  });
+  orb::Orb fresh(1, transport, nullptr, options);
+  cdr::Reader old_version(dedup_image);
+  EXPECT_FALSE(
+      fresh.load_dedup(orb::Orb::kDedupSnapshotVersion - 1, old_version).is_ok());
+}
+
 TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
   core::Grid grid(305);
   auto config = core::quiet_cluster(6, 305);
@@ -534,15 +456,20 @@ TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
   ASSERT_NE(cluster.snapshot_store(), nullptr);
 
   grid.run_for(5 * kMinute);
+  // Every period ships one full image — trader, grm and orb_dedup — and
+  // the store installs every one of them whole.
   snapshot::SnapshotStore& store = *cluster.snapshot_store();
-  EXPECT_TRUE(store.have_full());
-  EXPECT_GT(store.metrics().counter_value("installs_full"), 0);
-  EXPECT_GT(store.metrics().counter_value("installs_ok"), 0);
+  EXPECT_TRUE(store.has_image());
+  const auto shipped =
+      cluster.snapshot_coordinator()->metrics().counter_value("snapshots_shipped");
+  const auto installed = store.metrics().counter_value("installs_ok");
+  EXPECT_GE(shipped, 29);
+  EXPECT_GE(installed, shipped - 1);  // the last one may still be in flight
   EXPECT_EQ(store.metrics().counter_value("installs_rejected"), 0);
-  // The GUPA section ships but the in-cluster standby registers no loader
-  // for it (primary and standby share the one GUPA object).
-  EXPECT_GT(store.metrics().counter_value("sections_skipped"), 0);
-  EXPECT_GT(store.metrics().counter_value("sections_applied"), 0);
+  EXPECT_EQ(store.metrics().counter_value("sections_applied"), 3 * installed);
+  EXPECT_EQ(cluster.snapshot_coordinator()->metrics().counter_value(
+                "snapshot_ship_failures"),
+            0);
   // The standby mirrors the primary's view without having seen a heartbeat.
   EXPECT_EQ(cluster.standby_grm()->known_nodes(), cluster.grm().known_nodes());
 }
@@ -556,23 +483,29 @@ TEST(SnapshotShipping, StoreRejectsOutOfSequenceAndCorruptImages) {
   auto& cluster = grid.add_cluster(config);
   grid.run_for(kMinute);
   snapshot::SnapshotStore& store = *cluster.snapshot_store();
-  ASSERT_TRUE(store.have_full());
+  ASSERT_TRUE(store.has_image());
 
-  // A delta that skips ahead of the store's sequence is refused.
-  snapshot::Envelope gap;
-  gap.epoch = store.epoch();
-  gap.seq = store.seq() + 7;
-  gap.delta = true;
-  gap.captured_at = grid.engine().now();
-  gap.sections.push_back({"trader", 1, {1, 2, 3}});
-  EXPECT_FALSE(store.install(snapshot::encode(gap)).is_ok());
+  // An image naming a section no loader is registered for is refused whole,
+  // not skipped: not even its valid (empty) trader section is applied.
+  snapshot::Envelope unknown;
+  unknown.captured_at = grid.engine().now();
+  cdr::Writer empty_trader;
+  services::Trader().save(empty_trader);
+  unknown.sections.push_back({"trader", services::Trader::kSnapshotVersion,
+                              empty_trader.take_buffer()});
+  unknown.sections.push_back({"gupa", 1, {0, 0, 0, 0}});
+  const services::Trader& standby_trader = cluster.standby_grm()->trader();
+  const std::size_t offers = standby_trader.offer_count();
+  ASSERT_GT(offers, 0u);
+  EXPECT_FALSE(store.install(snapshot::encode(unknown)).is_ok());
+  EXPECT_EQ(standby_trader.offer_count(), offers);
 
   // A corrupted full image is refused by the checksum before any loader
   // runs, and the store (and the standby behind it) keeps working: the next
   // clean periodic ship installs fine.
   const auto rejected_before = store.metrics().counter_value("installs_rejected");
   auto coordinator_image =
-      snapshot::encode(cluster.snapshot_coordinator()->capture_full());
+      snapshot::encode(cluster.snapshot_coordinator()->capture());
   coordinator_image[coordinator_image.size() / 2] ^= 0xff;
   EXPECT_FALSE(store.install(coordinator_image).is_ok());
   EXPECT_EQ(store.metrics().counter_value("installs_rejected"),
@@ -604,7 +537,7 @@ TEST(SnapshotFailover, RestoredStandbyLosesNoTaskAndDuplicatesNone) {
   const AppId app = cluster.asct().submit(cluster.grm_ref(),
                                           builder.build(cluster.asct().ref()));
   grid.run_for(45 * kSecond);  // snapshots of the in-flight app shipped
-  ASSERT_TRUE(cluster.snapshot_store()->have_full());
+  ASSERT_TRUE(cluster.snapshot_store()->has_image());
 
   faults.crash_endpoint(cluster.manager_address());
   ASSERT_TRUE(
