@@ -70,10 +70,6 @@ core::ClusterConfig resilient_cluster(int nodes) {
   // deadline; at 5% loss a request survives with probability 1 - 0.05^4.
   config.orb.request_retries = 3;
   config.orb.retransmit_timeout = 1 * kSecond;
-  config.grm.backoff.base = 5 * kSecond;
-  config.grm.backoff.cap = kMinute;
-  config.grm.backoff.multiplier = 2.0;
-  config.grm.backoff.decorrelated_jitter = true;
   config.lrm.reliable_updates = true;
   config.standby_grm = true;
   return config;

@@ -68,10 +68,6 @@ core::ClusterConfig resilient_cluster(int nodes) {
   auto config = core::quiet_cluster(nodes, /*seed=*/77, 1000.0, "obs");
   config.orb.request_retries = 3;
   config.orb.retransmit_timeout = 1 * kSecond;
-  config.grm.backoff.base = 5 * kSecond;
-  config.grm.backoff.cap = kMinute;
-  config.grm.backoff.multiplier = 2.0;
-  config.grm.backoff.decorrelated_jitter = true;
   config.lrm.reliable_updates = true;
   config.standby_grm = true;
   return config;

@@ -87,9 +87,9 @@ struct ClusterConfig {
   ckpt::DataPlaneOptions ckpt;
   /// Scheduling economy (see docs/scheduling.md): tenants with weights and
   /// quotas, weighted fair-share dispatch, deadline/budget bids, admission
-  /// control, and checkpoint-assisted preemption. Disabled by default: no
-  /// timers, no endpoints, no RNG draws — dispatch order and every wire
-  /// byte are identical to the plain-FIFO scheduler.
+  /// control, and checkpoint-assisted preemption. Disabled by default:
+  /// every task queues under one anonymous tenant with no deadline or bid,
+  /// so the same budgeted pass dispatches in arrival order.
   sched::SchedOptions sched;
 };
 

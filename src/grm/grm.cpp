@@ -97,7 +97,6 @@ Grm::Grm(sim::Engine& engine, orb::Orb& orb, ClusterId cluster, Rng rng,
       orb_(orb),
       cluster_(cluster),
       rng_(rng),
-      backoff_rng_(0x6a09e667f3bcc908ULL ^ cluster.value),
       options_(options) {}
 
 Grm::~Grm() { stop(); }
@@ -119,14 +118,6 @@ void Grm::set_sched(const sched::SchedOptions& options) {
   sched_ = options;
   queue_.configure(sched_);
   tenant_registry_.configure(sched_);
-}
-
-void Grm::note_task_started(const TaskRecord& task) {
-  if (sched_.enabled) tenant_registry_.on_task_start(task.tenant);
-}
-
-void Grm::note_task_stopped(const TaskRecord& task) {
-  if (sched_.enabled) tenant_registry_.on_task_stop(task.tenant);
 }
 
 void Grm::stop() {
@@ -220,10 +211,9 @@ void Grm::handle_task_resync(const protocol::TaskResync& resync) {
     task.state = TaskState::kRunning;
     task.placement = Placement{resync.node, resync.lrm};
     task.waves = 0;
-    task.backoff = 0;
     metrics_.counter("tasks_resynced").add();
     if (!was_running) {
-      note_task_started(task);
+      tenant_registry_.on_task_start(task.tenant);
       auto app_it = apps_.find(task.app);
       if (app_it != apps_.end()) ++app_it->second.running;
     }
@@ -289,7 +279,7 @@ void Grm::on_node_dead(NodeId node, const NodeRecord& record) {
       orb::oneway(orb_, record.status.lrm, "cancel", protocol::CancelTask{task_id});
     }
     ++task.evictions;
-    note_task_stopped(task);
+    tenant_registry_.on_task_stop(task.tenant);
     preempting_.erase(task_id);
     metrics_.counter("tasks_node_failed").add();
     auto app_it = apps_.find(task.app);
@@ -301,10 +291,10 @@ void Grm::on_node_dead(NodeId node, const NodeRecord& record) {
       if (app.spec.kind == AppKind::kBsp && bsp_lost_) {
         bsp_lost_(app.spec.id, task.desc.bsp_rank);
       }
-      requeue(task, 1 * kSecond);
+      requeue(task);
       notify(app, AppEventKind::kTaskRescheduled, task_id, NodeId(), "");
     } else {
-      requeue(task, 1 * kSecond);
+      requeue(task);
     }
   }
 }
@@ -500,132 +490,106 @@ void Grm::kick_scheduler(SimDuration delay) {
 }
 
 void Grm::scheduler_pass() {
+  // Every shareable load kicks a pass; with nothing queued it costs nothing.
+  if (queue_.empty()) return;
+
+  // Slots each tenant holds (running or negotiating) feed the entitlement
+  // veto below; negotiating waves also come off the dispatch budget.
+  std::map<std::string, int> committed;
+  int committed_total = 0;
+  int negotiating = 0;
+  for (const auto& [_, task] : tasks_) {
+    if (task.state == TaskState::kNegotiating) {
+      ++negotiating;
+    } else if (task.state != TaskState::kRunning) {
+      continue;
+    }
+    ++committed[task.tenant];
+    ++committed_total;
+  }
+  int free_hints = 0;
+  for (const auto& [_, record] : nodes_) {
+    if (record.status.shareable) ++free_hints;
+  }
+  // Budget by free slots: one wave per node the hints call shareable, net of
+  // the waves already negotiating for one. Opening a wave per queued task
+  // instead sends every wave to the same few nodes before any refusal has
+  // corrected a hint. With no free hint and nothing negotiating, one probe
+  // wave reaches the no-candidate paths (preemption, forwarding).
+  int budget = free_hints - negotiating;
+  if (budget <= 0) budget = negotiating == 0 ? 1 : 0;
+
   // Tenants at their running quota sit out this pass; their queued tasks
   // stay put and a completion report re-kicks the scheduler.
   auto blocked = [this](const std::string& tenant) {
-    if (!sched_.enabled) return false;
     const sched::TenantSpec quota = tenant_registry_.spec(tenant);
     return quota.max_running > 0 &&
            tenant_registry_.running(tenant) >= quota.max_running;
   };
-
-  std::size_t budget = queue_.size();
-  if (sched_.enabled) {
-    // Fairness demands that a freed slot go to the stride-chosen task, not
-    // to whichever task's retry backoff happens to expire first — so the
-    // economy scheduler ignores per-task backoff and instead throttles the
-    // pass itself by the node hints: dispatch one wave per plausibly-free
-    // node, or a single probe wave when none look free (the probe is what
-    // reaches the no-candidate preemption path).
-    std::size_t free_hints = 0;
-    for (const auto& [_, record] : nodes_) {
-      if (record.status.shareable && record.status.exportable_cpu > 0.0) {
-        ++free_hints;
+  // Slot-aware dispatch. Stride order alone equalises long-run dispatch
+  // COUNTS, but fairness here is about concurrently-held slots: when a
+  // task completes, stride routinely hands the freed slot to a tenant
+  // other than the completer, pushing it over its entitlement — which the
+  // preemption sweep then undoes with a checkpoint migration. That is a
+  // migration per rebalance at steady state. Vetoing an over-entitlement
+  // tenant while an under-entitlement tenant has queued work keeps slot
+  // counts converged by construction, demoting preemption to the
+  // carve-out backstop it is meant to be. With no under-cap competitor
+  // queued the veto lifts entirely: dispatch stays work-conserving.
+  const int capacity = committed_total + free_hints;
+  auto entitled = [&](const std::string& tenant) {
+    double total_weight = tenant_registry_.weight(tenant);
+    for (const auto& [name, count] : committed) {
+      if (count > 0 && name != tenant) {
+        total_weight += tenant_registry_.weight(name);
       }
     }
-    budget = std::max<std::size_t>(std::min(free_hints, budget), 1);
-    // Slot-aware dispatch. Stride order alone equalises long-run dispatch
-    // COUNTS, but fairness here is about concurrently-held slots: when a
-    // task completes, stride routinely hands the freed slot to a tenant
-    // other than the completer, pushing it over its entitlement — which the
-    // preemption sweep then undoes with a checkpoint migration. That is a
-    // migration per rebalance at steady state. Vetoing an over-entitlement
-    // tenant while an under-entitlement tenant has queued work keeps slot
-    // counts converged by construction, demoting preemption to the
-    // carve-out backstop it is meant to be. With no under-cap competitor
-    // queued the veto lifts entirely: dispatch stays work-conserving.
-    std::map<std::string, int> committed;
-    int committed_total = 0;
-    for (const auto& [_, task] : tasks_) {
-      if (task.state == TaskState::kRunning ||
-          task.state == TaskState::kNegotiating) {
-        ++committed[task.tenant];
-        ++committed_total;
-      }
+    return total_weight > 0.0 ? static_cast<double>(capacity) *
+                                    tenant_registry_.weight(tenant) /
+                                    total_weight
+                              : static_cast<double>(capacity);
+  };
+  auto under_cap = [&](const std::string& tenant) {
+    const auto it = committed.find(tenant);
+    const int current = it == committed.end() ? 0 : it->second;
+    return static_cast<double>(current + 1) <= entitled(tenant);
+  };
+  auto sched_blocked = [&](const std::string& tenant) {
+    if (blocked(tenant)) return true;  // hard running quota
+    if (under_cap(tenant)) return false;
+    for (const auto& [name, head] : queue_.queued_heads()) {
+      if (name == tenant || blocked(name)) continue;
+      if (under_cap(name)) return true;  // competitor waits under cap
     }
-    const int capacity = committed_total + static_cast<int>(free_hints);
-    auto entitled = [&](const std::string& tenant) {
-      double total_weight = tenant_registry_.weight(tenant);
-      for (const auto& [name, count] : committed) {
-        if (count > 0 && name != tenant) {
-          total_weight += tenant_registry_.weight(name);
-        }
-      }
-      return total_weight > 0.0 ? static_cast<double>(capacity) *
-                                      tenant_registry_.weight(tenant) /
-                                      total_weight
-                                : static_cast<double>(capacity);
-    };
-    auto under_cap = [&](const std::string& tenant) {
-      const auto it = committed.find(tenant);
-      const int current = it == committed.end() ? 0 : it->second;
-      return static_cast<double>(current + 1) <= entitled(tenant);
-    };
-    auto sched_blocked = [&](const std::string& tenant) {
-      if (blocked(tenant)) return true;  // hard running quota
-      if (under_cap(tenant)) return false;
-      for (const auto& [name, head] : queue_.queued_heads()) {
-        if (name == tenant || blocked(name)) continue;
-        if (under_cap(name)) return true;  // competitor waits under cap
-      }
-      return false;  // nobody under cap wants the slot: work-conserving
-    };
-    for (std::size_t i = 0; i < budget && !queue_.empty(); ++i) {
-      const auto popped = queue_.pop(sched_blocked);
-      if (!popped) break;  // everything left is quota-blocked
-      auto it = tasks_.find(*popped);
-      if (it == tasks_.end() || it->second.state != TaskState::kPending) {
-        ++budget;  // stale entry: doesn't consume a dispatch slot
-        continue;
-      }
-      // Charge at dispatch so later pops in this same pass already see the
-      // advanced pass value — a big backlog interleaves instead of bursting.
-      queue_.account_dispatch(it->second.tenant, it->second.desc.work);
-      metrics_.counter("sched_dispatched").add();
-      ++committed[it->second.tenant];  // the wave now holds this slot
-      begin_wave(it->second);
-    }
-    // Preemption is a pass-level policy decision, not a wave-failure
-    // fallback: a hint that one node looks free must not hide that a
-    // queued tenant is still far below its entitlement while an incumbent
-    // hoards the rest of the grid. Sweep each queue head; maybe_preempt
-    // enforces the under-/over-share and in-flight-cap checks.
-    if (sched_.preemption) {
-      for (const auto& [tenant, head] : queue_.queued_heads()) {
-        auto it = tasks_.find(head);
-        if (it == tasks_.end() || it->second.state != TaskState::kPending) {
-          continue;
-        }
-        if (!maybe_preempt(it->second)) continue;
-      }
-    }
-    return;
-  }
-
-  std::deque<TaskId> not_ready;
-  SimTime next_eligible = kTimeNever;
-  for (std::size_t i = 0; i < budget && !queue_.empty(); ++i) {
-    const auto popped = queue_.pop(blocked);
+    return false;  // nobody under cap wants the slot: work-conserving
+  };
+  for (int i = 0; i < budget && !queue_.empty(); ++i) {
+    const auto popped = queue_.pop(sched_blocked);
     if (!popped) break;  // everything left is quota-blocked
-    const TaskId id = *popped;
-    auto it = tasks_.find(id);
-    if (it == tasks_.end() || it->second.state != TaskState::kPending) continue;
-    TaskRecord& task = it->second;
-    if (task.eligible_at > engine_.now()) {
-      not_ready.push_back(id);
-      next_eligible = std::min(next_eligible, task.eligible_at);
+    auto it = tasks_.find(*popped);
+    if (it == tasks_.end() || it->second.state != TaskState::kPending) {
+      ++budget;  // stale entry: doesn't consume a dispatch slot
       continue;
     }
-    begin_wave(task);
+    // Charge at dispatch so later pops in this same pass already see the
+    // advanced pass value — a big backlog interleaves instead of bursting.
+    queue_.account_dispatch(it->second.tenant, it->second.desc.work);
+    metrics_.counter("sched_dispatched").add();
+    ++committed[it->second.tenant];  // the wave now holds this slot
+    begin_wave(it->second);
   }
-  for (TaskId id : not_ready) {
-    auto it = tasks_.find(id);
-    if (it != tasks_.end()) {
-      queue_.push(id, it->second.tenant, it->second.deadline);
+  // Preemption is a pass-level policy decision, not a wave-failure
+  // fallback: a hint that one node looks free must not hide that a
+  // queued tenant is still far below its entitlement while an incumbent
+  // hoards the rest of the grid. Sweep each queue head; maybe_preempt
+  // enforces the under-/over-share and in-flight-cap checks.
+  if (sched_.preemption) {
+    for (const auto& [tenant, head] : queue_.queued_heads()) {
+      auto it = tasks_.find(head);
+      if (it != tasks_.end() && it->second.state == TaskState::kPending) {
+        (void)maybe_preempt(it->second);
+      }
     }
-  }
-  if (next_eligible != kTimeNever) {
-    kick_scheduler(std::max<SimDuration>(1, next_eligible - engine_.now()));
   }
 }
 
@@ -759,11 +723,11 @@ std::vector<const services::ServiceOffer*> Grm::candidates_for(
 void Grm::begin_wave(TaskRecord& task) {
   auto offers = candidates_for(task);
   if (offers.empty()) {
-    if (sched_.enabled && sched_.preemption && maybe_preempt(task)) {
-      // A victim is checkpointing out. Requeue without advancing the
-      // backoff: the eviction report (or the freed node's heartbeat)
-      // re-kicks the scheduler and this task finds the slot.
-      requeue(task, 1 * kSecond);
+    if (sched_.preemption && maybe_preempt(task)) {
+      // A victim is checkpointing out without counting as a fruitless
+      // wave: its eviction report credits the freed node and kicks the
+      // pass that gives this task the slot.
+      requeue(task);
       return;
     }
     ++task.waves;
@@ -772,7 +736,7 @@ void Grm::begin_wave(TaskRecord& task) {
         (parent_.valid() || !children_.empty())) {
       forward_remote(task);
     } else {
-      requeue_backoff(task);
+      requeue(task);
     }
     return;
   }
@@ -855,7 +819,7 @@ void Grm::continue_wave(const std::shared_ptr<Wave>& wave) {
             node_it->second.status.exportable_cpu = reply.value().exportable_cpu;
             node_it->second.status.free_ram = reply.value().free_ram;
             node_it->second.status.shareable =
-                reply.value().exportable_cpu > 0.0;
+                reply.value().exportable_cpu >= protocol::kMinUsefulCpu;
             refresh_load(node_it->second);
           }
           continue_wave(wave);
@@ -872,11 +836,9 @@ void Grm::continue_wave(const std::shared_ptr<Wave>& wave) {
         execute.task = task_it->second.desc;
         execute.report_to = self_ref_;
         execute.restore_state = restore_state_for(task_it->second);
-        if (sched_.enabled) {
-          // Preempted task: tell the new node which peers hold its final
-          // checkpoint chunks so the restore starts from warm stores.
-          execute.ckpt_peers = task_it->second.ckpt_peers;
-        }
+        // Preempted task: tell the new node which peers hold its final
+        // checkpoint chunks so the restore starts from warm stores.
+        execute.ckpt_peers = task_it->second.ckpt_peers;
 
         obs::Tracer::ActiveSpan espan;
         if (tr != nullptr && tr->enabled()) {
@@ -918,7 +880,7 @@ void Grm::wave_failed(const std::shared_ptr<Wave>& wave) {
       (parent_.valid() || !children_.empty())) {
     forward_remote(task);
   } else {
-    requeue_backoff(task);
+    requeue(task);
   }
 }
 
@@ -940,9 +902,11 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
   task.state = TaskState::kRunning;
   task.placement = placement;
   task.waves = 0;
-  task.backoff = 0;  // success resets the retry schedule
   metrics_.counter("tasks_placed").add();
-  note_task_started(task);
+  tenant_registry_.on_task_start(task.tenant);
+  // Nothing else runs a pass between a placement and the next completion:
+  // without this kick a saturated leaf would never probe, so never forward.
+  if (!queue_.empty()) kick_scheduler();
 
   auto app_it = apps_.find(task.app);
   if (app_it == apps_.end()) return;
@@ -953,9 +917,12 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
   // Keep the GRM's own hint honest: that node now has less capacity.
   auto node_it = nodes_.find(placement.node);
   if (node_it != nodes_.end()) {
-    node_it->second.status.exportable_cpu = std::max(
-        0.0, node_it->second.status.exportable_cpu - options_.cpu_request);
-    node_it->second.status.running_tasks += 1;
+    protocol::NodeStatus& hint = node_it->second.status;
+    hint.exportable_cpu =
+        std::max(0.0, hint.exportable_cpu - options_.cpu_request);
+    hint.shareable =
+        hint.shareable && hint.exportable_cpu >= protocol::kMinUsefulCpu;
+    hint.running_tasks += 1;
     refresh_load(node_it->second);
   }
 
@@ -970,24 +937,21 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
   }
 }
 
-void Grm::requeue(TaskRecord& task, SimDuration delay) {
+void Grm::requeue(TaskRecord& task) {
   task.state = TaskState::kPending;
-  task.eligible_at = engine_.now() + delay;
   // push() deduplicates: a task already queued (e.g. a node-death sweep
   // racing a duplicated eviction report) keeps exactly one queue entry.
   queue_.push(task.desc.id, task.tenant, task.deadline);
-  kick_scheduler(std::max<SimDuration>(delay, 1));
+  kick_scheduler(1 * kSecond);
 }
 
 void Grm::credit_node_capacity(NodeId node) {
   // Inverse of the placement-time decrement: a completion or eviction
   // report frees the reporter's slot NOW, not at its next heartbeat. Left
-  // stale, the trader hides the freed node for a full heartbeat period;
-  // every queued task piles into requeue backoff, and dispatch order
-  // degrades from stride order to whoever's backoff happens to expire
-  // first — which is both unfair and deadline-hostile. The hint may
-  // overshoot the node's true capacity (an owner may have returned); the
-  // reservation protocol refuses and the next heartbeat trues it up.
+  // stale, the trader hides the freed node for a full heartbeat period and
+  // the pass budget counts one free slot too few. The hint may overshoot
+  // the node's true capacity (an owner may have returned); the reservation
+  // protocol refuses and the next heartbeat trues it up.
   auto node_it = nodes_.find(node);
   if (node_it == nodes_.end()) return;
   node_it->second.status.exportable_cpu += options_.cpu_request;
@@ -1086,20 +1050,6 @@ std::vector<orb::ObjectRef> Grm::pick_ckpt_peers(NodeId exclude) const {
   return peers;
 }
 
-void Grm::requeue_backoff(TaskRecord& task) {
-  // Economy mode retries fast. The legacy 20-second base exists to spread
-  // retry storms against stale hints, but a refused reservation already
-  // piggy-backs the node's true capacity into the trader — and a tenant
-  // sitting out tens of seconds per collision reads as a fairness hole
-  // (whole-grid occupancy dips after synchronized completion bursts).
-  if (sched_.enabled) {
-    requeue(task, 1 * kSecond);
-    return;
-  }
-  task.backoff = next_backoff(options_.backoff, task.backoff, backoff_rng_);
-  requeue(task, task.backoff);
-}
-
 std::vector<std::uint8_t> Grm::restore_state_for(const TaskRecord& task) const {
   if (checkpoints_ == nullptr || task.desc.kind == AppKind::kBsp) return {};
   const auto* checkpoint =
@@ -1144,26 +1094,23 @@ void Grm::handle_report(const protocol::TaskReport& report) {
       }
       if (task.state == TaskState::kRunning) {
         --app.running;
-        note_task_stopped(task);
+        tenant_registry_.on_task_stop(task.tenant);
       }
       task.remote_timeout.cancel();
       task.remote_deadline = 0;
       task.state = TaskState::kCompleted;
       --app.outstanding;
       preempting_.erase(report.task);
-      if (sched_.enabled && task.deadline > 0) {
+      if (task.deadline > 0) {
         metrics_.counter(engine_.now() <= task.deadline
                              ? "sched_deadline_hits"
                              : "sched_deadline_misses")
             .add();
       }
-      // A finished task frees a slot a quota-blocked tenant may be waiting
-      // on; FIFO mode never blocks, so the historical event stream is
-      // untouched.
-      if (sched_.enabled) {
-        credit_node_capacity(report.node);
-        if (!queue_.empty()) kick_scheduler();
-      }
+      // A finished task frees a slot a queued (or quota-blocked) task may
+      // be waiting on.
+      credit_node_capacity(report.node);
+      if (!queue_.empty()) kick_scheduler();
       if (tr != nullptr && task.span.valid()) {
         // Close the lifetime span: its duration is the task's
         // submission→completion latency (E13's gated quantity).
@@ -1190,7 +1137,7 @@ void Grm::handle_report(const protocol::TaskReport& report) {
         break;
       }
       --app.running;
-      note_task_stopped(task);
+      tenant_registry_.on_task_stop(task.tenant);
       preempting_.erase(report.task);
       ++task.evictions;
       metrics_.counter(report.outcome == TaskOutcome::kEvicted
@@ -1202,8 +1149,8 @@ void Grm::handle_report(const protocol::TaskReport& report) {
       if (app.spec.kind == AppKind::kBsp && bsp_lost_) {
         bsp_lost_(app.spec.id, task.desc.bsp_rank);
       }
-      if (sched_.enabled) credit_node_capacity(report.node);
-      requeue(task, 1 * kSecond);
+      credit_node_capacity(report.node);
+      requeue(task);
       notify(app, AppEventKind::kTaskRescheduled, report.task, NodeId(), "");
       break;
     }
@@ -1243,7 +1190,7 @@ void Grm::handle_cancel_app(AppId app_id) {
   if (it == apps_.end()) return;
   metrics_.counter("apps_cancelled").add();
   // Erase the task records outright — historically they lingered as kFailed
-  // tombstones carrying live backoff/remote-timeout state, so resubmitting
+  // tombstones carrying live retry/remote-timeout state, so resubmitting
   // the same task ids silently no-op'd the emplace and the "new" tasks
   // inherited a dead app's retry schedule (or never ran at all).
   for (auto task_it = tasks_.begin(); task_it != tasks_.end();) {
@@ -1257,7 +1204,7 @@ void Grm::handle_cancel_app(AppId app_id) {
         orb::oneway(orb_, task.placement.lrm, "cancel",
                     protocol::CancelTask{task_it->first});
       }
-      note_task_stopped(task);
+      tenant_registry_.on_task_stop(task.tenant);
     }
     task.remote_timeout.cancel();
     queue_.erase(task_it->first);
@@ -1305,7 +1252,7 @@ void Grm::complete_bsp_app(AppId app_id) {
                     protocol::CancelTask{task_id});
       }
       --app.running;
-      note_task_stopped(task);
+      tenant_registry_.on_task_stop(task.tenant);
     }
     preempting_.erase(task_id);
     task.state = TaskState::kCompleted;
@@ -1371,7 +1318,7 @@ void Grm::forward_remote(TaskRecord& task) {
   }
   if (!hop.valid()) hop = parent_;
   if (!hop.valid()) {
-    requeue_backoff(task);
+    requeue(task);
     return;
   }
 
@@ -1386,6 +1333,10 @@ void Grm::forward_remote(TaskRecord& task) {
   // If nobody adopts in time, reclaim the task locally.
   task.remote_deadline = engine_.now() + 60 * kSecond;
   arm_remote_timeout(task);
+  // Like a requeue, a forward is the end of a fruitless wave: the rest of a
+  // saturated leaf's queue keeps probing instead of waiting for the next
+  // completion.
+  if (!queue_.empty()) kick_scheduler(1 * kSecond);
 }
 
 void Grm::arm_remote_timeout(TaskRecord& task) {
@@ -1399,7 +1350,7 @@ void Grm::arm_remote_timeout(TaskRecord& task) {
     metrics_.counter("remote_timeouts").add();
     it->second.remote_deadline = 0;
     it->second.waves = 0;  // start the local/remote cycle over
-    requeue_backoff(it->second);
+    requeue(it->second);
   });
 }
 
@@ -1526,7 +1477,6 @@ struct Grm::Image {
 
   std::uint64_t next_reservation = 1;
   Rng::State rng;
-  Rng::State backoff_rng;
   std::vector<NodeRecord> nodes;  // node-ascending
   std::vector<AppRecord> apps;    // app-ascending
   std::vector<TaskRecord> tasks;  // task-ascending
@@ -1536,8 +1486,7 @@ struct Grm::Image {
 
   friend constexpr auto wire_fields(const Image*) {
     using S = Image;
-    return cdr::fields(&S::next_reservation, &S::rng, &S::backoff_rng,
-                       &S::nodes, &S::apps, &S::tasks, &S::queue, &S::inflight,
+    return cdr::fields(&S::next_reservation, &S::rng, &S::nodes, &S::apps, &S::tasks, &S::queue, &S::inflight,
                        &S::child_summaries);
   }
 };
@@ -1546,7 +1495,6 @@ void Grm::save(cdr::Writer& w) const {
   Image image;
   image.next_reservation = next_reservation_;
   image.rng = rng_.state();
-  image.backoff_rng = backoff_rng_.state();
   // nodes_ and inflight_ are hash-keyed; sort for deterministic bytes.
   image.nodes.reserve(nodes_.size());
   for (const auto& [_, record] : nodes_) image.nodes.push_back(record);
@@ -1644,7 +1592,6 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   for (auto& [_, task] : tasks_) task.remote_timeout.cancel();
   next_reservation_ = image.next_reservation;
   rng_.set_state(image.rng);
-  backoff_rng_.set_state(image.backoff_rng);
   nodes_ = std::move(nodes);
   apps_ = std::move(apps);
   tasks_ = std::move(tasks);
@@ -1653,11 +1600,9 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   child_summaries_ = std::move(child_summaries);
   preempting_.clear();
   tenant_registry_.clear_running();
-  if (sched_.enabled) {
-    for (const auto& [_, task] : tasks_) {
-      if (task.state == TaskState::kRunning) {
-        tenant_registry_.on_task_start(task.tenant);
-      }
+  for (const auto& [_, task] : tasks_) {
+    if (task.state == TaskState::kRunning) {
+      tenant_registry_.on_task_start(task.tenant);
     }
   }
 

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,7 +35,6 @@
 #include <vector>
 
 #include "ckpt/repository.hpp"
-#include "common/backoff.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "lupa/gupa.hpp"
@@ -56,13 +54,8 @@ struct GrmOptions {
   SimDuration stale_sweep_period = 30 * kSecond;
   /// Hold the GRM asks LRMs to keep on granted reservations.
   SimDuration reservation_hold = 30 * kSecond;
-  /// Candidates tried per negotiation wave before backing off.
+  /// Candidates tried per negotiation wave before the task is requeued.
   int max_candidates_per_wave = 8;
-  /// Retry schedule for fruitless waves. The default (multiplier 1, no
-  /// jitter) is the historical fixed 20 s delay; chaos configurations turn
-  /// on capped exponential growth + decorrelated jitter so post-partition
-  /// retry storms spread out instead of re-synchronising.
-  BackoffPolicy backoff;
   /// After this many fruitless waves, try the cluster hierarchy.
   int forward_after_waves = 2;
   /// Consult the GUPA when ranking candidates (the E5 ablation switch).
@@ -110,8 +103,8 @@ class Grm {
   void add_child(const orb::ObjectRef& child) { children_.push_back(child); }
 
   /// Scheduling economy (tenants, quotas, fair-share, preemption). Call
-  /// before any submission; disabled (the default) keeps the historical
-  /// FIFO dispatch order byte-for-byte.
+  /// before any submission; disabled (the default), every task queues under
+  /// one anonymous tenant and dispatch is FIFO.
   void set_sched(const sched::SchedOptions& options);
   /// Checkpoint agents per provider node: the preemption path picks peers
   /// from this list so a victim's final image lands near its successor.
@@ -180,12 +173,10 @@ class Grm {
 
   // ---- control-plane snapshots (see docs/snapshots.md) ----
   /// Snapshot format version of the "grm" section (the Image in grm.cpp).
-  /// Version 3 always carries the scheduling-economy fields (per-app bids,
-  /// per-task tenant and deadline, fair-queue metadata and passes).
-  static constexpr std::uint32_t kSnapshotVersion = 3;
+  static constexpr std::uint32_t kSnapshotVersion = 4;
   /// Serialize scheduler state: node records, apps, tasks, the pending
   /// queue, in-flight counts, child summaries, reservation counter, and
-  /// both RNG streams. Engine-coupled transients (armed timers, active
+  /// the RNG stream. Engine-coupled transients (armed timers, active
   /// negotiation waves, trace spans) are intentionally excluded; a loaded
   /// GRM re-derives them. The Trader is its own snapshot section.
   void save(cdr::Writer& w) const;
@@ -228,8 +219,6 @@ class Grm {
     Placement placement;
     int waves = 0;      // fruitless negotiation waves so far
     int evictions = 0;
-    SimDuration backoff = 0;  // last retry delay; 0 until the first failure
-    SimTime eligible_at = 0;
     /// Scheduling economy (sched enabled only; defaults otherwise).
     std::string tenant;
     SimTime deadline = 0;  // absolute bid deadline; 0 = none
@@ -254,8 +243,7 @@ class Grm {
     friend constexpr auto wire_fields(const TaskRecord*) {
       using S = TaskRecord;
       return cdr::fields(&S::desc, &S::app, &S::state, &S::placement,
-                         &S::waves, &S::evictions, &S::backoff,
-                         &S::eligible_at, &S::topology_segment,
+                         &S::waves, &S::evictions, &S::topology_segment,
                          &S::remote_deadline, &S::tenant, &S::deadline);
     }
   };
@@ -305,11 +293,9 @@ class Grm {
   void credit_node_capacity(NodeId node);
   [[nodiscard]] std::vector<orb::ObjectRef> pick_ckpt_peers(
       NodeId exclude) const;
-  void note_task_started(const TaskRecord& task);
-  void note_task_stopped(const TaskRecord& task);
-  void requeue(TaskRecord& task, SimDuration delay);
-  /// Requeue after a fruitless wave, advancing the task's backoff delay.
-  void requeue_backoff(TaskRecord& task);
+  /// Back to the queue (fruitless wave, eviction, dead node, preemption,
+  /// remote timeout), with a pass kicked within a second.
+  void requeue(TaskRecord& task);
   void forward_remote(TaskRecord& task);
   /// Arm (or re-arm) a kRemote task's adoption timeout at its deadline.
   void arm_remote_timeout(TaskRecord& task);
@@ -331,10 +317,6 @@ class Grm {
   orb::Orb& orb_;
   ClusterId cluster_;
   Rng rng_;
-  /// Dedicated stream for backoff jitter: it must not share (or fork from)
-  /// rng_, or enabling jitter would perturb the trader's tie-break draws
-  /// and break reproducibility against non-jittered runs.
-  Rng backoff_rng_;
   GrmOptions options_;
 
   orb::ObjectRef self_ref_;
@@ -351,9 +333,8 @@ class Grm {
   std::unordered_map<NodeId, NodeRecord> nodes_;
   std::map<AppId, AppRecord> apps_;
   std::map<TaskId, TaskRecord> tasks_;
-  /// Ready queue. Disabled economy: strict FIFO, byte-identical dispatch to
-  /// the plain deque it replaced. Enabled: weighted stride across tenants,
-  /// EDF within each. Membership is deduplicated in both modes.
+  /// Ready queue: weighted stride across tenants, EDF within each, FIFO
+  /// with the economy off (one tenant, no deadlines). Deduplicated.
   sched::FairQueue queue_;
   sched::SchedOptions sched_;
   sched::TenantRegistry tenant_registry_;

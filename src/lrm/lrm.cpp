@@ -231,7 +231,7 @@ const protocol::NodeStatus& Lrm::current_status() const {
   status.exportable_cpu = std::max(0.0, exportable - committed);
   status.free_ram = std::max<Bytes>(0, ncc_.exportable_ram(machine_) - ram_committed());
   status.shareable = ncc_.shareable(machine_, now, owner_quiet_since_) &&
-                     status.exportable_cpu > 0.0;
+                     status.exportable_cpu >= protocol::kMinUsefulCpu;
   status.running_tasks = static_cast<std::int32_t>(tasks_.size());
   status.timestamp = now;
   return status;
@@ -434,8 +434,7 @@ protocol::ReservationReply Lrm::handle_reserve(
   // background load means "1.0 of the CPU" is never strictly available, and
   // a 0.95-share grant is what a real nice-19 scheduler would deliver.
   const double grantable = exportable - reserved_cpu();
-  constexpr double kMinUsefulCpu = 0.05;
-  if (grantable < kMinUsefulCpu) {
+  if (grantable < protocol::kMinUsefulCpu) {
     reply.granted = false;
     reply.reason = "insufficient CPU";
     metrics_.counter("reservations_refused").add();
@@ -508,7 +507,7 @@ protocol::ExecuteReply Lrm::handle_execute(const protocol::ExecuteRequest& req) 
         ncc_.exportable_cpu(machine_, now, owner_quiet_since_) - reserved_cpu();
     reservation.cpu_fraction = std::min(1.0, grantable);
     if (!ncc_.shareable(machine_, now, owner_quiet_since_) ||
-        grantable < 0.05 ||
+        grantable < protocol::kMinUsefulCpu ||
         ram_committed() + reservation.ram > ncc_.exportable_ram(machine_)) {
       reply.accepted = false;
       reply.reason = "node busy (direct execute refused)";

@@ -56,7 +56,7 @@ struct NodeStatus {
   double exportable_cpu = 0.0;  // what NCC policy allows for new grid work
   Bytes free_ram = 0;
   bool owner_present = false;
-  bool shareable = false;  // NCC verdict: accepting grid work right now
+  bool shareable = false;  // NCC allows grid work and >= kMinUsefulCpu is free
   std::int32_t running_tasks = 0;
   SimTime timestamp = 0;
 
@@ -384,6 +384,12 @@ constexpr auto wire_fields(const RemoteAdopted*) {
 // ---------------------------------------------------------------------------
 // Resource Reservation & Execution Protocol
 // ---------------------------------------------------------------------------
+
+/// The one admission threshold: an LRM grants a reservation only when at
+/// least this CPU fraction is exportable, and a node is `shareable` (in its
+/// NodeLoad and in the GRM's hint) only under the same condition, so a hint
+/// never advertises a node the LRM would refuse.
+inline constexpr double kMinUsefulCpu = 0.05;
 
 struct ReservationRequest {
   ReservationId id;  // assigned by the GRM

@@ -123,16 +123,13 @@ void FairQueue::insert_entry(Tenant& t, const Entry& entry) {
 
 bool FairQueue::push(TaskId task, const std::string& tenant, SimTime deadline) {
   if (members_.contains(task)) return false;  // exactly-once membership
-  // Disabled: one anonymous tenant, no deadlines — EDF degenerates to the
-  // strict FIFO the deque this queue replaced implemented.
-  const std::string& name = options_.enabled ? tenant : std::string();
   Entry entry;
   entry.task = task;
-  entry.deadline = options_.enabled ? deadline : 0;
+  entry.deadline = deadline;
   entry.seq = next_seq_++;
-  auto [it, inserted] = tenants_.try_emplace(name);
+  auto [it, inserted] = tenants_.try_emplace(tenant);
   Tenant& t = it->second;
-  if (inserted) t.stride = stride_for(name);
+  if (inserted) t.stride = stride_for(tenant);
   if (t.entries.empty()) {
     // A tenant joining (or returning after idling) starts at the current
     // virtual time, not at zero — otherwise it would monopolise dispatch
@@ -140,7 +137,7 @@ bool FairQueue::push(TaskId task, const std::string& tenant, SimTime deadline) {
     t.pass = std::max(t.pass, min_active_pass());
   }
   insert_entry(t, entry);
-  members_.emplace(task, name);
+  members_.emplace(task, tenant);
   return true;
 }
 
@@ -161,21 +158,11 @@ bool FairQueue::erase(TaskId task) {
 bool FairQueue::contains(TaskId task) const { return members_.contains(task); }
 
 std::size_t FairQueue::tenant_size(const std::string& tenant) const {
-  auto it = tenants_.find(options_.enabled ? tenant : std::string());
+  auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second.entries.size();
 }
 
-std::optional<TaskId> FairQueue::pop_fifo() {
-  auto it = tenants_.find(std::string());
-  if (it == tenants_.end() || it->second.entries.empty()) return std::nullopt;
-  const Entry entry = it->second.entries.front();
-  it->second.entries.pop_front();
-  members_.erase(entry.task);
-  return entry.task;
-}
-
 void FairQueue::account_dispatch(const std::string& tenant, MInstr work) {
-  if (!options_.enabled) return;
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return;
   const double work_units = work > 0 ? work / kWorkUnitMInstr : 0.0;
@@ -251,11 +238,6 @@ Status FairQueue::load(const QueueImage& image) {
   queue.configure(options_);
   for (std::size_t i = 0; i < image.ids.size(); ++i) {
     const QueuedEntry& entry = image.entries[i];
-    // Economy off, push() drops both; an image carrying them would not
-    // re-save to itself.
-    if (!options_.enabled && (!entry.tenant.empty() || entry.deadline != 0)) {
-      return reject("carries a tenant or deadline with the economy off");
-    }
     if (!queue.push(image.ids[i], entry.tenant, entry.deadline)) {
       return reject("queues task " + to_string(image.ids[i]) + " twice");
     }

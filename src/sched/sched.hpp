@@ -19,11 +19,10 @@
 //
 // Determinism: every container is ordered (std::map keyed by tenant name or
 // task id), ties break on names then sequence numbers, and nothing here
-// reads a clock or draws randomness. Disabled (`SchedOptions::enabled ==
-// false`) the FairQueue degenerates to the exact FIFO order of the deque it
-// replaced — byte-identical traces — while still deduplicating membership
-// (the requeue double-enqueue fix applies in both modes; duplicates were
-// only ever masked by the pop-side state check).
+// reads a clock or draws randomness. With the economy off the GRM queues
+// every task under one anonymous tenant with no deadline, so dispatch is the
+// arrival (FIFO) order. Membership is deduplicated: a requeue racing a
+// duplicate eviction report keeps exactly one entry.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +55,9 @@ struct TenantSpec {
 };
 
 struct SchedOptions {
-  /// Master switch. Off: no tenant accounting, exact-FIFO dispatch order,
-  /// no admission control, no preemption — byte-identical to the pre-sched
-  /// GRM.
+  /// Read by the GRM at intake only. On: tasks take their app's tenant,
+  /// deadline and bid, and the admission quotas apply. Off: every task
+  /// queues under one anonymous tenant with no deadline (FIFO dispatch).
   bool enabled = false;
   std::vector<TenantSpec> tenants;
   double default_weight = 1.0;
@@ -137,10 +136,9 @@ constexpr auto wire_fields(const QueueImage*) {
   return cdr::fields(&S::ids, &S::entries, &S::passes);
 }
 
-/// The GRM's ready queue. Replaces `std::deque<TaskId>`: membership is
-/// deduplicated (push of a task already queued is a no-op returning false),
-/// and when the economy is enabled dispatch order is weighted stride across
-/// tenants with EDF inside each tenant.
+/// The GRM's ready queue. Membership is deduplicated (push of a task already
+/// queued is a no-op returning false); dispatch order is weighted stride
+/// across tenants with EDF inside each tenant.
 class FairQueue {
  public:
   void configure(const SchedOptions& options);
@@ -157,13 +155,9 @@ class FairQueue {
 
   /// Dequeue the next task per policy. `blocked(tenant)` lets the caller
   /// veto tenants at their running quota; a blocked tenant's tasks are
-  /// skipped this pass. Disabled mode ignores `blocked` and pops strict
-  /// FIFO. Returns nullopt when nothing dispatchable remains.
+  /// skipped this pass. Returns nullopt when nothing dispatchable remains.
   template <class BlockedFn>
-  std::optional<TaskId> pop(BlockedFn&& blocked) {
-    if (!options_.enabled) return pop_fifo();
-    return pop_stride(std::forward<BlockedFn>(blocked));
-  }
+  std::optional<TaskId> pop(BlockedFn&& blocked);
   std::optional<TaskId> pop() {
     return pop([](const std::string&) { return false; });
   }
@@ -190,8 +184,7 @@ class FairQueue {
   [[nodiscard]] QueueImage save() const;
   /// Replace the queue from an image save() could have written: one entry
   /// per id, no id twice, passes name-ascending and covering every queued
-  /// tenant, and (economy off) no tenant or deadline. On error the queue
-  /// is untouched.
+  /// tenant. On error the queue is untouched.
   Status load(const QueueImage& image);
 
  private:
@@ -208,9 +201,6 @@ class FairQueue {
 
   /// Every queued entry, in arrival (seq) order.
   [[nodiscard]] std::vector<Entry> arrival_order() const;
-  std::optional<TaskId> pop_fifo();
-  template <class BlockedFn>
-  std::optional<TaskId> pop_stride(BlockedFn&& blocked);
   [[nodiscard]] std::uint64_t stride_for(const std::string& tenant) const;
   void insert_entry(Tenant& t, const Entry& entry);
   [[nodiscard]] std::uint64_t min_active_pass() const;
@@ -222,7 +212,7 @@ class FairQueue {
 };
 
 template <class BlockedFn>
-std::optional<TaskId> FairQueue::pop_stride(BlockedFn&& blocked) {
+std::optional<TaskId> FairQueue::pop(BlockedFn&& blocked) {
   const std::map<std::string, Tenant>::iterator end = tenants_.end();
   auto best = end;
   for (auto it = tenants_.begin(); it != end; ++it) {

@@ -74,9 +74,9 @@ TEST(Cancel, BspAppTearsDownResidentsAndCheckpoints) {
 
 TEST(Cancel, CancelThenResubmitRunsFresh) {
   // Regression: handle_cancel_app used to leave kFailed task tombstones
-  // carrying live backoff/remote-timeout state. Resubmitting the same spec
+  // carrying live retry/remote-timeout state. Resubmitting the same spec
   // (same app and task ids) silently no-op'd the record emplace, so the
-  // "new" tasks inherited the dead app's retry schedule or never ran.
+  // "new" tasks inherited the dead app's retry state or never ran.
   core::Grid grid(54);
   auto& cluster = grid.add_cluster(core::quiet_cluster(3, 54));
   grid.run_for(2 * kMinute);
@@ -88,8 +88,8 @@ TEST(Cancel, CancelThenResubmitRunsFresh) {
   grid.run_for(2 * kMinute);
   EXPECT_GT(cluster.grm().running_tasks(), 0);
 
-  // Owners stomp every node: the tasks bounce into requeue backoff, so the
-  // cancel lands while retry timers are armed — the buggy state.
+  // Owners stomp every node: the evicted tasks requeue, so the cancel
+  // lands while they wait for a free node — the buggy state.
   node::OwnerLoad busy;
   busy.present = true;
   busy.cpu_fraction = 0.9;

@@ -46,14 +46,10 @@ core::ClusterConfig chaos_cluster() {
     config.nodes[static_cast<std::size_t>(i)].segment = 1;
   }
   // The resilient control plane under test: request retransmission,
-  // jittered capped backoff, reliable updates with a warm-standby GRM.
+  // reliable updates with a warm-standby GRM.
   // Three retransmits spaced 1 s apart all fit inside the 5 s call deadline.
   config.orb.request_retries = 3;
   config.orb.retransmit_timeout = 1 * kSecond;
-  config.grm.backoff.base = 5 * kSecond;
-  config.grm.backoff.cap = kMinute;
-  config.grm.backoff.multiplier = 2.0;
-  config.grm.backoff.decorrelated_jitter = true;
   config.lrm.reliable_updates = true;
   config.standby_grm = true;
   return config;

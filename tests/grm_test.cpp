@@ -338,6 +338,67 @@ TEST_F(GrmFixture, ConcurrentAppsBothComplete) {
   EXPECT_LT(pb->makespan(), 3 * pa->makespan());
 }
 
+TEST_F(GrmFixture, BurstDoesNotStampedeItsOwnCandidates) {
+  // A burst of four tasks per node: each pass opens at most one wave per
+  // node the hints call free, net of the waves still negotiating, so the
+  // GRM's own waves do not converge on the same nodes and refuse each other.
+  auto& cluster = grid.add_cluster(core::quiet_cluster(20, 21));
+  grid.run_for(2 * kMinute);
+
+  AppBuilder burst("burst");
+  burst.kind(protocol::AppKind::kParametric).tasks(80, 60'000.0);
+  const AppId id =
+      cluster.asct().submit(cluster.grm_ref(), burst.build(cluster.asct().ref()));
+  ASSERT_TRUE(grid.run_until_app_done(cluster, id, grid.engine().now() + 2 * kHour));
+  EXPECT_EQ(cluster.asct().progress(id)->completed, 80);
+
+  const MetricRegistry& m = cluster.grm().metrics();
+  const auto rounds = static_cast<double>(m.counter_value("negotiation_rounds"));
+  const auto placed = static_cast<double>(m.counter_value("tasks_placed"));
+  const auto refused =
+      static_cast<double>(m.counter_value("reservations_refused_remote"));
+  ASSERT_GT(placed, 0.0);
+  EXPECT_LE(rounds / placed, 1.5);
+  EXPECT_LE(refused / rounds, 0.25);
+}
+
+TEST_F(GrmFixture, EconomyOffDispatchesInArrivalOrder) {
+  // With the economy off every task queues under one anonymous tenant with
+  // no deadline: apps naming two tenants, the later one with the earlier
+  // deadline bid, still dispatch in arrival order.
+  auto& cluster = grid.add_cluster(core::quiet_cluster(2, 22));
+  grid.run_for(2 * kMinute);
+
+  AppBuilder first("first-in");
+  first.kind(protocol::AppKind::kParametric)
+      .tasks(2, 60'000.0)
+      .tenant("a")
+      .bid(1.0, kHour);
+  AppBuilder second("second-in");
+  second.kind(protocol::AppKind::kParametric)
+      .tasks(2, 60'000.0)
+      .tenant("b")
+      .bid(1.0, 5 * kMinute);
+  const auto a = first.build(cluster.asct().ref());
+  const auto b = second.build(cluster.asct().ref());
+  ASSERT_TRUE(cluster.grm().handle_submit(a).accepted);
+  ASSERT_TRUE(cluster.grm().handle_submit(b).accepted);
+  grid.run_for(10 * kSecond);
+
+  // Two free nodes take the first two arrivals.
+  for (const auto& task : a.tasks) {
+    EXPECT_EQ(cluster.grm().task_state(task.id), TaskState::kRunning);
+  }
+  for (const auto& task : b.tasks) {
+    EXPECT_EQ(cluster.grm().task_state(task.id), TaskState::kPending);
+  }
+  const sched::TenantRegistry& tenants = cluster.grm().tenant_registry();
+  EXPECT_EQ(tenants.running(""), 2);
+  EXPECT_EQ(tenants.running("a"), 0);
+  EXPECT_EQ(tenants.running("b"), 0);
+  EXPECT_EQ(tenants.total_running(), 2);
+}
+
 TEST_F(GrmFixture, SummariesFlowUpTheHierarchy) {
   auto& parent = grid.add_cluster(core::quiet_cluster(2, 12, 1000.0, "hq"));
   auto& child = grid.add_cluster(core::quiet_cluster(2, 13, 1000.0, "edge"));

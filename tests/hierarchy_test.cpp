@@ -66,7 +66,7 @@ TEST(Hierarchy, AdoptedFragmentDoesNotDoubleNotifyAsct) {
 
 TEST(Hierarchy, TtlPreventsInfiniteWalks) {
   // A lone cluster with no capacity: the forward has nowhere to go and the
-  // task keeps cycling locally with backoff rather than walking forever.
+  // task keeps requeueing locally rather than walking forever.
   core::Grid grid(95);
   auto config = core::quiet_cluster(1, 95, 1000.0, "lonely");
   config.nodes[0].profile = node::busy_server_profile();

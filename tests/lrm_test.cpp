@@ -184,6 +184,20 @@ TEST_F(LrmFixture, ReservationGrantClampedByAvailableCpu) {
   EXPECT_FALSE(third.granted);
 }
 
+TEST_F(LrmFixture, ShareableOnlyWhenAReservationWouldBeGranted) {
+  // A sliver of CPU below the admission threshold is exportable, but the
+  // node must not call itself shareable: its load would advertise a node
+  // the next reserve refuses.
+  ASSERT_TRUE(lrm->handle_reserve(reserve_request(1, 0.97)).granted);
+  const protocol::NodeStatus& status = lrm->current_status();
+  EXPECT_GT(status.exportable_cpu, 0.0);
+  EXPECT_LT(status.exportable_cpu, protocol::kMinUsefulCpu);
+  EXPECT_FALSE(status.shareable);
+  const auto reply = lrm->handle_reserve(reserve_request(2));
+  EXPECT_FALSE(reply.granted);
+  EXPECT_EQ(reply.reason, "insufficient CPU");
+}
+
 TEST_F(LrmFixture, ReservationExpiresAfterHold) {
   ASSERT_TRUE(lrm->handle_reserve(reserve_request(1)).granted);
   engine.run_until(engine.now() + kMinute);  // hold was 30s

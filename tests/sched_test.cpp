@@ -105,41 +105,39 @@ TEST(TenantRegistry, QueuedRequesterDilutesEntitlementViaAlsoActive) {
   EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, "b"), 6.0);
 }
 
-// --- FairQueue, disabled mode (must be the old FIFO deque, plus dedup) ---
+// --- FairQueue, one anonymous tenant (how the GRM queues with the economy
+// off), plus dedup ---
 
-TEST(FairQueue, DisabledModePopsStrictFifo) {
+TEST(FairQueue, OneTenantWithoutDeadlinesPopsFifo) {
   FairQueue queue;
-  queue.configure(SchedOptions{});  // enabled == false
-  // Tenants and deadlines are ignored when the economy is off.
-  EXPECT_TRUE(queue.push(task(3), "b", 100));
-  EXPECT_TRUE(queue.push(task(1), "a", 5));
+  queue.configure(SchedOptions{});
+  EXPECT_TRUE(queue.push(task(3), "", 0));
+  EXPECT_TRUE(queue.push(task(1), "", 0));
   EXPECT_TRUE(queue.push(task(2), "", 0));
   EXPECT_EQ(queue.size(), 3u);
   EXPECT_EQ(queue.fifo_order(), (std::vector<TaskId>{task(3), task(1), task(2)}));
-  EXPECT_EQ(queue.pop(), task(3));
-  EXPECT_EQ(queue.pop(), task(1));
-  EXPECT_EQ(queue.pop(), task(2));
+  // Charging the only tenant at dispatch never reorders it.
+  for (const TaskId expected : {task(3), task(1), task(2)}) {
+    EXPECT_EQ(queue.pop(), expected);
+    queue.account_dispatch("", 5000.0);
+  }
   EXPECT_EQ(queue.pop(), std::nullopt);
 }
 
 TEST(FairQueue, PushDeduplicatesInBothModes) {
   // The requeue double-enqueue bug: an eviction report racing a node-death
   // sweep used to enqueue the same task twice. Membership is now exactly
-  // once regardless of mode.
-  for (const bool enabled : {false, true}) {
-    SchedOptions options;
-    options.enabled = enabled;
-    FairQueue queue;
-    queue.configure(options);
-    EXPECT_TRUE(queue.push(task(7), "t", 0));
-    EXPECT_FALSE(queue.push(task(7), "t", 0)) << "enabled=" << enabled;
-    EXPECT_FALSE(queue.push(task(7), "other", 99)) << "enabled=" << enabled;
-    EXPECT_EQ(queue.size(), 1u);
-    EXPECT_EQ(queue.pop(), task(7));
-    EXPECT_EQ(queue.pop(), std::nullopt);
-    // Once popped it may be pushed again (legitimate requeue).
-    EXPECT_TRUE(queue.push(task(7), "t", 0));
-  }
+  // once, whatever tenant or deadline the duplicate names.
+  FairQueue queue;
+  queue.configure(SchedOptions{});
+  EXPECT_TRUE(queue.push(task(7), "t", 0));
+  EXPECT_FALSE(queue.push(task(7), "t", 0));
+  EXPECT_FALSE(queue.push(task(7), "other", 99));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.pop(), task(7));
+  EXPECT_EQ(queue.pop(), std::nullopt);
+  // Once popped it may be pushed again (legitimate requeue).
+  EXPECT_TRUE(queue.push(task(7), "t", 0));
 }
 
 TEST(FairQueue, EraseRemovesMembership) {
@@ -305,9 +303,9 @@ TEST(FairQueue, LoadRejectsImagesSaveCannotWrite) {
   queue.push(task(2), "fast", 500);
   const QueueImage good = queue.save();
 
-  auto expect_rejected = [&](const QueueImage& bad, SchedOptions options) {
+  auto expect_rejected = [&](const QueueImage& bad) {
     FairQueue target;
-    target.configure(options);
+    target.configure(economy_options());
     target.push(task(9), "", 0);
     EXPECT_FALSE(target.load(bad).is_ok());
     EXPECT_EQ(target.fifo_order(), std::vector<TaskId>{task(9)});  // untouched
@@ -315,23 +313,19 @@ TEST(FairQueue, LoadRejectsImagesSaveCannotWrite) {
 
   QueueImage short_meta = good;
   short_meta.entries.pop_back();
-  expect_rejected(short_meta, economy_options());
+  expect_rejected(short_meta);
 
   QueueImage twice = good;
   twice.ids[1] = twice.ids[0];
-  expect_rejected(twice, economy_options());
+  expect_rejected(twice);
 
   QueueImage unsorted = good;
   std::swap(unsorted.passes[0], unsorted.passes[1]);
-  expect_rejected(unsorted, economy_options());
+  expect_rejected(unsorted);
 
   QueueImage passless = good;
   passless.passes.pop_back();
-  expect_rejected(passless, economy_options());
-
-  // Economy off, push() drops tenants and deadlines: an image that carries
-  // them cannot be what an economy-off queue saved.
-  expect_rejected(good, SchedOptions{});
+  expect_rejected(passless);
 
   FairQueue restored;
   restored.configure(economy_options());
