@@ -259,13 +259,21 @@ protocol::CkptManifest CkptAgent::build_manifest(AppId app, std::int32_t rank,
                         : 0;
     const bool fresh = cache.image_bytes != image_bytes ||
                        cache.model_step > model_step ||
-                       cache.page_versions.size() != model.pages() ||
                        cache.chunk_refs.size() != chunk_count;
     if (fresh) {
       cache.image_bytes = image_bytes;
       cache.model_step = 0;
       cache.page_versions.assign(model.pages(), 0);
       cache.chunk_refs.assign(chunk_count, {});
+    } else if (cache.page_versions.size() != model.pages()) {
+      // Primed by a restore, which keeps only the chunk refs: this save
+      // continues from it, so replay the dirty sets up to the restored step.
+      cache.page_versions.assign(model.pages(), 0);
+      for (std::int64_t t = 1; t <= cache.model_step; ++t) {
+        for (std::size_t page : model.dirty_pages(t)) {
+          ++cache.page_versions[page];
+        }
+      }
     }
     std::vector<char> dirty(chunk_count, fresh ? 1 : 0);
     for (std::int64_t t = cache.model_step + 1; t <= model_step; ++t) {
@@ -656,18 +664,12 @@ void CkptAgent::finish_restore(const std::shared_ptr<RestoreOp>& op, bool ok) {
       options_.chunking.chunk_size % options_.page_size == 0) {
     // Prime the incremental cache from the restored manifest so the next
     // save renders only the pages dirtied after the restored superstep.
-    const auto image_bytes = static_cast<Bytes>(manifest.image_bytes);
-    const ImageModel model(op->request.app, op->request.rank,
-                           model_params(image_bytes));
+    // The page versions are left empty: build_manifest replays them only if
+    // a save continues from this cache. A sequential save seldom does: its
+    // model step is a per-line save ordinal, far below a version in seconds.
     LineCache cache;
-    cache.image_bytes = image_bytes;
+    cache.image_bytes = static_cast<Bytes>(manifest.image_bytes);
     cache.model_step = manifest.version;
-    cache.page_versions.assign(model.pages(), 0);
-    for (std::int64_t t = 1; t <= manifest.version; ++t) {
-      for (std::size_t page : model.dirty_pages(t)) {
-        ++cache.page_versions[page];
-      }
-    }
     cache.chunk_refs = manifest.chunks;
     lines_[key] = std::move(cache);
   }

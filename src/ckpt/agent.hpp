@@ -125,7 +125,7 @@ class CkptAgent {
   struct LineCache {
     Bytes image_bytes = 0;
     std::int64_t model_step = 0;  // superstep the cache reflects
-    std::vector<std::uint64_t> page_versions;
+    std::vector<std::uint64_t> page_versions;  // empty after a restore
     std::vector<protocol::CkptChunkRef> chunk_refs;  // aligned fixed chunker
     std::int64_t seq_ordinal = 0;  // sequential path: checkpoints taken
   };

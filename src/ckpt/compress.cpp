@@ -1,6 +1,7 @@
 #include "ckpt/compress.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace integrade::ckpt {
@@ -11,6 +12,9 @@ namespace {
 constexpr std::size_t kWindow = 4096;        // 12-bit offset
 constexpr std::size_t kMinMatch = 3;
 constexpr std::size_t kMaxMatch = kMinMatch + 15;  // 4-bit length field
+// A 2-byte token yields at most kMaxMatch bytes and a literal byte yields
+// one, so a stream never expands to more than this many bytes per byte.
+constexpr std::size_t kMaxExpansion = kMaxMatch / 2;
 
 // Hash-chain match finder: heads indexed by a 3-byte hash, chains bounded so
 // worst-case inputs stay linear-ish.
@@ -22,6 +26,27 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
   const std::uint32_t v = std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
                           (std::uint32_t{p[2]} << 16);
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of a and b, at most `limit`: eight bytes per
+// compare, the first differing byte found from the XOR of the two words.
+inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                                std::size_t limit) {
+  std::size_t len = 0;
+  for (; len + 8 <= limit; len += 8) {
+    std::uint64_t x = 0;
+    std::uint64_t y = 0;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      const int bits = std::endian::native == std::endian::big
+                           ? std::countl_zero(diff)
+                           : std::countr_zero(diff);
+      return len + static_cast<std::size_t>(bits) / 8;
+    }
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 }  // namespace
@@ -53,10 +78,7 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
         for (int depth = 0; cand >= 0 && depth < kMaxChain; ++depth) {
           const std::size_t off = pos - static_cast<std::size_t>(cand);
           if (off > kWindow) break;  // chain only gets older from here
-          const std::uint8_t* a = input + pos;
-          const std::uint8_t* b = input + cand;
-          std::size_t len = 0;
-          while (len < limit && a[len] == b[len]) ++len;
+          const std::size_t len = match_length(input + pos, input + cand, limit);
           if (len > best_len) {
             best_len = len;
             best_off = off;
@@ -100,13 +122,16 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
 Result<std::vector<std::uint8_t>> lz_decompress(const std::uint8_t* input,
                                                 std::size_t size,
                                                 std::size_t raw_size) {
-  std::vector<std::uint8_t> out;
-  out.reserve(raw_size);
+  // Sized once. The cap keeps a hostile raw_size from allocating more than
+  // the stream could ever fill; such a stream ends short and is rejected.
+  std::vector<std::uint8_t> out(std::min(raw_size, size * kMaxExpansion));
+  std::uint8_t* const base = out.data();
+  std::size_t produced = 0;
   std::size_t pos = 0;
   while (pos < size) {
     const std::uint8_t control = input[pos++];
     for (int bit = 0; bit < 8; ++bit) {
-      if (out.size() == raw_size) {
+      if (produced == raw_size) {
         // Output complete; the stream must end exactly here.
         if (pos != size) {
           return Status(ErrorCode::kInvalidArgument,
@@ -116,7 +141,7 @@ Result<std::vector<std::uint8_t>> lz_decompress(const std::uint8_t* input,
       }
       if (pos >= size) break;  // stream exhausted mid-control-group
       if (control & (1u << bit)) {
-        out.push_back(input[pos++]);
+        base[produced++] = input[pos++];
       } else {
         if (pos + 2 > size) {
           return Status(ErrorCode::kInvalidArgument,
@@ -128,22 +153,28 @@ Result<std::vector<std::uint8_t>> lz_decompress(const std::uint8_t* input,
         const std::size_t off =
             (std::size_t{lo} | (static_cast<std::size_t>(hi >> 4) << 8)) + 1;
         const std::size_t len = static_cast<std::size_t>(hi & 0x0f) + kMinMatch;
-        if (off > out.size()) {
+        if (off > produced) {
           return Status(ErrorCode::kInvalidArgument,
                         "lz match offset reaches before stream start");
         }
-        if (out.size() + len > raw_size) {
+        if (produced + len > raw_size) {
           return Status(ErrorCode::kInvalidArgument,
                         "lz match overruns declared raw size");
         }
-        // Byte-by-byte: overlapping matches (off < len) are legal and copy
-        // the bytes the match itself produces.
-        std::size_t src = out.size() - off;
-        for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+        std::uint8_t* const dst = base + produced;
+        const std::uint8_t* const src = dst - off;
+        if (off >= len) {
+          std::memcpy(dst, src, len);
+        } else {
+          // Overlapping match (off < len): copy forwards, byte by byte, so
+          // the match reads the bytes it has just produced.
+          for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+        }
+        produced += len;
       }
     }
   }
-  if (out.size() != raw_size) {
+  if (produced != raw_size) {
     return Status(ErrorCode::kInvalidArgument,
                   "lz stream ended short of declared raw size");
   }

@@ -874,11 +874,9 @@ void Lrm::checkpoint_task(RunningTask& task,
     // Data plane: the image ships as content-addressed chunks — only what
     // the repository's store is missing crosses the wire, LZ-compressed.
     // A preemption passes the successor node's peers so its restore starts
-    // warm. The agent's version doubles as the synthetic image model's
-    // content step (one dirty-page set per step, like a BSP superstep), so
-    // it must stay small: seconds of runtime, not microsecond ticks —
-    // tick-valued steps make every save and restore iterate millions of
-    // dirty sets. Monotonic across evict/restart cycles either way.
+    // warm. The version is in seconds, monotonic across evict/restart
+    // cycles, so the stores' regression guard holds; the synthetic image's
+    // content step is the agent's per-line save ordinal, not this version.
     ckpt_agent_->save_sequential(checkpoint.app, checkpoint.rank,
                                  engine_.now() / kSecond,
                                  task.desc.checkpoint_bytes, ckpt_peers);

@@ -1,9 +1,18 @@
 #include "security/sha256.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
+#include "security/sha256_blocks.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace integrade::security {
+namespace detail {
 namespace {
 
 constexpr std::array<std::uint32_t, 64> kRoundConstants = {
@@ -23,67 +32,173 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 
 }  // namespace
 
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* data,
+                            std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t{data[4 * i]} << 24) |
+             (std::uint32_t{data[4 * i + 1]} << 16) |
+             (std::uint32_t{data[4 * i + 2]} << 8) |
+             std::uint32_t{data[4 * i + 3]};
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+// Each sha256rnds2 does two rounds on the state split as ABEF / CDGH; each
+// four rounds take one vector of message words, scheduled from the four
+// before it by sha256msg1/sha256msg2. Lane names read high to low.
+[[gnu::target("sha,sse4.1,ssse3")]] void sha256_blocks_sha_ni(
+    Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
+  // Big-endian message words: reverse the bytes of each 32-bit lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data() + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4]{};
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& wi = w[i % 4];  // holds the words of group i - 4 until now
+      if (i < 4) {
+        wi = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      } else {
+        const __m128i prev1 = w[(i + 3) % 4];
+        const __m128i prev2 = w[(i + 2) % 4];
+        wi = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(wi, w[(i + 1) % 4]),
+                          _mm_alignr_epi8(prev1, prev2, 4)),
+            prev1);
+      }
+      const __m128i wk = _mm_add_epi32(
+          wi, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                  kRoundConstants.data() + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data() + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool host_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return ssse3 && sse41 && sha;
+}
+
+#else
+
+void sha256_blocks_sha_ni(Sha256State& state, const std::uint8_t* data,
+                          std::size_t blocks) {
+  sha256_blocks_portable(state, data, blocks);  // never chosen off x86-64
+}
+
+bool host_has_sha_ni() { return false; }
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+void compress(detail::Sha256State& state, const std::uint8_t* data,
+              std::size_t blocks) {
+  // Chosen once, on first use: a function-local static is initialised
+  // before it is read, even from another translation unit's static
+  // initialisation, so no hash can run through an unchosen path.
+  static const auto blocks_fn = detail::host_has_sha_ni()
+                                    ? &detail::sha256_blocks_sha_ni
+                                    : &detail::sha256_blocks_portable;
+  blocks_fn(state, data, blocks);
+}
+
+}  // namespace
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[4 * i]} << 24) |
-           (std::uint32_t{block[4 * i + 1]} << 16) |
-           (std::uint32_t{block[4 * i + 2]} << 8) |
-           std::uint32_t{block[4 * i + 3]};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(const std::uint8_t* data, std::size_t size) {
   assert(!finished_);
+  if (size == 0) return;
   total_bits_ += static_cast<std::uint64_t>(size) * 8;
-  while (size > 0) {
+  if (buffered_ > 0) {
     const std::size_t take = std::min(size, buffer_.size() - buffered_);
     std::memcpy(buffer_.data() + buffered_, data, take);
     buffered_ += take;
     data += take;
     size -= take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    if (buffered_ < buffer_.size()) return;
+    compress(state_, buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  // Whole blocks hash straight from the caller's buffer.
+  const std::size_t blocks = size / buffer_.size();
+  if (blocks > 0) {
+    compress(state_, data, blocks);
+    data += blocks * buffer_.size();
+    size -= blocks * buffer_.size();
+  }
+  if (size > 0) {
+    std::memcpy(buffer_.data(), data, size);
+    buffered_ = size;
   }
 }
 
@@ -96,7 +211,7 @@ Digest Sha256::finish() {
   buffer_[buffered_++] = 0x80;
   if (buffered_ > 56) {
     std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
-    process_block(buffer_.data());
+    compress(state_, buffer_.data(), 1);
     buffered_ = 0;
   }
   std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
@@ -104,7 +219,7 @@ Digest Sha256::finish() {
     buffer_[static_cast<std::size_t>(56 + i)] =
         static_cast<std::uint8_t>(bits >> (56 - 8 * i));
   }
-  process_block(buffer_.data());
+  compress(state_, buffer_.data(), 1);
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {

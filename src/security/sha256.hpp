@@ -3,8 +3,11 @@
 // The paper (§3) lists authentication and cryptography among InteGrade's
 // security requirements. SHA-256 is the primitive beneath the HMAC message
 // authentication used by the SecureTransport; it is implemented here rather
-// than imported so the repository stays dependency-free. Verified against
-// the FIPS/NIST test vectors in tests/security_test.cpp.
+// than imported so the repository stays dependency-free. Whole blocks go
+// through the x86 SHA extensions when CPUID reports them and through
+// portable C++ rounds otherwise (sha256_blocks.hpp); both are verified
+// against the FIPS/NIST test vectors, and each other, in
+// tests/security_test.cpp.
 #pragma once
 
 #include <array>
@@ -42,8 +45,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "ckpt/agent.hpp"
 #include "ckpt/chunk.hpp"
@@ -242,6 +244,73 @@ TEST(Compress, TruncatedStreamRejected) {
   // Wrong declared size also rejected.
   EXPECT_FALSE(
       unpack_chunk(Encoding::kLz, packed.raw_size + 1, packed.payload).is_ok());
+}
+
+// The compressor's exact output. Chunk hashes, wire bytes and E17 depend on
+// it, so a match-finder change that alters the parse must fail here first.
+// Pinned values: size and SHA-256 of the packed stream.
+TEST(Compress, PinnedStream) {
+  ImageModelParams mp;
+  mp.image_bytes = 1 * kMiB;
+  const auto image = ImageModel(AppId(7), 3, mp).render(5);
+  // Chunk 9 of 16 (64 KiB each) holds pages superstep 5 dirtied.
+  const std::vector<std::uint8_t> chunk(image.begin() + 9 * 64 * 1024,
+                                        image.begin() + 10 * 64 * 1024);
+  EXPECT_EQ(security::to_hex(security::Sha256::hash(chunk)),
+            "cf2cb325812a0908a6eb13d907a00673f67a018c47bacbb559f5003246dd4734");
+  const auto packed = lz_compress(chunk);
+  EXPECT_EQ(packed.size(), 26221u);
+  EXPECT_EQ(security::to_hex(security::Sha256::hash(packed)),
+            "eaf601e730bfcf5ddd49ef312f86a2044fb509d6df39f46cb16471a21ec63f9e");
+
+  std::vector<std::uint8_t> text;
+  for (int i = 0; i < 200; ++i) {
+    for (char c : std::string("the quick brown fox ")) {
+      text.push_back(static_cast<std::uint8_t>(c));
+    }
+  }
+  const auto packed_text = lz_compress(text);
+  EXPECT_EQ(packed_text.size(), 495u);
+  EXPECT_EQ(security::to_hex(security::Sha256::hash(packed_text)),
+            "6806de65dcfd8cf8d27958ab78084d3b6bf68e09d1ee212126f5c5ce8ca2e118");
+}
+
+// Hand-built streams, one per decoder rejection. A control byte's bits,
+// LSB first, pick a literal (1) or a 2-byte token (0): low byte = offset-1
+// low bits, high byte = offset-1 high nibble << 4 | length-3.
+TEST(Compress, DecoderRejectsEachMalformedStream) {
+  auto rejection = [](std::vector<std::uint8_t> stream, std::size_t raw_size) {
+    auto result = lz_decompress(stream, raw_size);
+    EXPECT_FALSE(result.is_ok());
+    return result.is_ok() ? std::string() : result.status().message();
+  };
+  // A match at the very start: offset 1 reaches before the first byte.
+  EXPECT_EQ(rejection({0x00, 0x00, 0x00}, 3),
+            "lz match offset reaches before stream start");
+  // 'a', then offset 1 length 18: 19 bytes against a declared 4.
+  EXPECT_EQ(rejection({0x01, 'a', 0x00, 0x0f}, 4),
+            "lz match overruns declared raw size");
+  // Two literals where the declared size is one.
+  EXPECT_EQ(rejection({0xff, 'a', 'b'}, 1),
+            "lz stream continues past declared raw size");
+  // A token cut after its first byte.
+  EXPECT_EQ(rejection({0x01, 'a', 0x00}, 10),
+            "lz stream truncated inside a match token");
+  // Three literals where five are declared.
+  EXPECT_EQ(rejection({0xff, 'a', 'b', 'c'}, 5),
+            "lz stream ended short of declared raw size");
+}
+
+TEST(Compress, OverlappingMatchRoundTrip) {
+  // A run of one byte: after the first literal the compressor emits one
+  // offset-1 match of the maximum length, 18, which reads bytes the match
+  // itself produces.
+  const std::vector<std::uint8_t> run(1 + 18, 'x');
+  const auto packed = lz_compress(run);
+  EXPECT_EQ(packed, (std::vector<std::uint8_t>{0x01, 'x', 0x00, 0x0f}));
+  auto back = lz_decompress(packed, run.size());
+  ASSERT_TRUE(back.is_ok());
+  EXPECT_EQ(back.value(), run);
 }
 
 // --- image model ---
@@ -546,6 +615,117 @@ TEST(CkptAgent, RestorePullsFromPeersWhenManagerPartitioned) {
   EXPECT_EQ(image.value(), ImageModel(app, 0, mp).render(3));
   EXPECT_GT(agent_c.metrics().counter_value("restore_chunks_from_peers"), 0);
   EXPECT_EQ(agent_c.metrics().counter_value("restore_chunks_from_repository"), 0);
+}
+
+// --- agent: a save after a restore equals a save without one ---
+
+// Agents on one LAN around a repository store (endpoint 1).
+struct AgentLan {
+  explicit AgentLan(int count) {
+    network.set_jitter(0.0);
+    const auto lan = network.add_segment(sim::SegmentSpec{});
+    for (sim::EndpointId ep = 1; ep <= static_cast<sim::EndpointId>(count) + 1;
+         ++ep) {
+      network.attach(ep, lan);
+    }
+    repo_ref = repo_orb.activate(std::make_shared<StoreServant>(repo_store));
+    for (int i = 0; i < count; ++i) {
+      orbs.push_back(std::make_unique<orb::Orb>(
+          static_cast<sim::EndpointId>(i + 2), transport, &engine));
+      agents.push_back(std::make_unique<CkptAgent>(engine, *orbs.back(),
+                                                   DataPlaneOptions{}));
+      agents.back()->set_repository(repo_ref);
+      agents.back()->start();
+    }
+  }
+  CkptAgent& agent(std::size_t i) { return *agents[i]; }
+
+  sim::Engine engine;
+  sim::Network network{engine, Rng(42)};
+  orb::SimNetworkTransport transport{network};
+  orb::Orb repo_orb{1, transport, &engine};
+  ChunkStore repo_store;
+  orb::ObjectRef repo_ref;
+  std::vector<std::unique_ptr<orb::Orb>> orbs;
+  std::vector<std::unique_ptr<CkptAgent>> agents;
+};
+
+TEST(CkptAgent, BspSaveAfterRestoreEqualsSaveWithoutOne) {
+  // A restore primes the agent's incremental image cache from the restored
+  // manifest; the next save re-renders only the chunks dirtied since. Its
+  // manifest must be the one built by an agent that never restored.
+  AgentLan lan(3);
+  CkptAgent& origin = lan.agent(0);
+  CkptAgent& restored = lan.agent(1);
+  CkptAgent& fresh = lan.agent(2);
+  const AppId app(31);
+  const std::int32_t rank = 1;
+  const std::int64_t v = 6;
+  auto save_at = [&](std::int64_t version) {
+    protocol::CkptSaveRequest save;
+    save.app = app;
+    save.rank = rank;
+    save.version = version;
+    save.image_bytes = 1 * kMiB;
+    save.repository = lan.repo_ref;
+    return save;
+  };
+
+  origin.handle_save(save_at(v));
+  lan.engine.run();
+  const auto* at_v = origin.store().latest_manifest(app, rank);
+  ASSERT_NE(at_v, nullptr);
+  protocol::CkptRestoreRequest restore;
+  restore.app = app;
+  restore.rank = rank;
+  restore.version = v;
+  restore.manifest = *at_v;
+  restore.repository = lan.repo_ref;
+  restore.peers = {origin.ref()};
+  restored.handle_restore(restore);
+  lan.engine.run();
+  ASSERT_NE(restored.store().manifest(app, rank, v), nullptr);
+
+  restored.handle_save(save_at(v + 2));
+  fresh.handle_save(save_at(v + 2));
+  lan.engine.run();
+  const auto* after_restore = restored.store().manifest(app, rank, v + 2);
+  const auto* without_restore = fresh.store().manifest(app, rank, v + 2);
+  ASSERT_NE(after_restore, nullptr);
+  ASSERT_NE(without_restore, nullptr);
+  EXPECT_EQ(*after_restore, *without_restore);
+  auto image = restored.store().materialize(app, rank, v + 2);
+  ASSERT_TRUE(image.is_ok());
+  ImageModelParams mp;
+  mp.image_bytes = 1 * kMiB;
+  EXPECT_EQ(image.value(), ImageModel(app, rank, mp).render(v + 2));
+}
+
+TEST(CkptAgent, SequentialSaveAfterWarmRestoreEqualsFreshSave) {
+  // Sequential versions are seconds of sim time; the image's content step
+  // is the agent's per-line save ordinal.
+  AgentLan lan(3);
+  CkptAgent& origin = lan.agent(0);
+  CkptAgent& restored = lan.agent(1);
+  CkptAgent& fresh = lan.agent(2);
+  const AppId app(32);
+  origin.save_sequential(app, 0, /*version=*/86'400, 1 * kMiB);
+  lan.engine.run();
+  restored.warm_restore(app, 0, {origin.ref()});
+  lan.engine.run();
+  const auto* warm = restored.store().latest_manifest(app, 0);
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(warm->version, 86'400);
+
+  restored.save_sequential(app, 0, /*version=*/86'460, 1 * kMiB);
+  fresh.save_sequential(app, 0, /*version=*/86'460, 1 * kMiB);
+  lan.engine.run();
+  const auto* after_restore = restored.store().latest_manifest(app, 0);
+  const auto* without_restore = fresh.store().latest_manifest(app, 0);
+  ASSERT_NE(after_restore, nullptr);
+  ASSERT_NE(without_restore, nullptr);
+  EXPECT_EQ(after_restore->version, 86'460);
+  EXPECT_EQ(*after_restore, *without_restore);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 // the authenticating transport, and the task-admission sandbox.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "orb/orb.hpp"
 #include "security/auth.hpp"
 #include "security/hmac.hpp"
 #include "security/sandbox.hpp"
 #include "security/sha256.hpp"
+#include "security/sha256_blocks.hpp"
 
 namespace integrade::security {
 namespace {
@@ -61,6 +68,101 @@ TEST_P(Sha256Boundary, StreamedAndSplitAgree) {
   split.update(data.data(), data.size() / 2);
   split.update(data.data() + data.size() / 2, data.size() - data.size() / 2);
   EXPECT_EQ(to_hex(split.finish()), to_hex(whole));
+}
+
+// --- The two block paths: SHA-NI and portable (sha256_blocks.hpp) ---
+
+using BlockFn = void (*)(detail::Sha256State&, const std::uint8_t*, std::size_t);
+
+// One-shot SHA-256 through one block function: FIPS 180-4 padding, then all
+// blocks in one call.
+Digest hash_with(BlockFn blocks_fn, const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  detail::Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  blocks_fn(state, padded.data(), padded.size() / 64);
+  Digest digest{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+std::vector<std::uint8_t> bytes_of(const std::string& text) {
+  return {text.begin(), text.end()};
+}
+
+void expect_fips_vectors(BlockFn blocks_fn) {
+  EXPECT_EQ(to_hex(hash_with(blocks_fn, {})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(hash_with(blocks_fn, bytes_of("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(to_hex(hash_with(
+                blocks_fn,
+                bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(to_hex(hash_with(blocks_fn, std::vector<std::uint8_t>(1'000'000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Seeded random messages of every length 0..300 bytes, plus one 64 KiB
+// checkpoint chunk.
+std::vector<std::vector<std::uint8_t>> random_messages() {
+  Rng rng(180);
+  std::vector<std::vector<std::uint8_t>> messages;
+  for (std::size_t n = 0; n <= 300; ++n) messages.emplace_back(n);
+  messages.emplace_back(64 * 1024);
+  for (auto& message : messages) {
+    for (auto& byte : message) byte = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  return messages;
+}
+
+TEST(Sha256Paths, PortableMatchesFipsVectors) {
+  std::cout << "[ host     ] Sha256 block path: "
+            << (detail::host_has_sha_ni() ? "SHA-NI" : "portable") << std::endl;
+  expect_fips_vectors(&detail::sha256_blocks_portable);
+}
+
+TEST(Sha256Paths, ShaNiMatchesFipsVectorsAndPortable) {
+  if (!detail::host_has_sha_ni()) {
+    GTEST_SKIP() << "host has no SHA-NI; the portable path is checked alone";
+  }
+  expect_fips_vectors(&detail::sha256_blocks_sha_ni);
+  for (const auto& message : random_messages()) {
+    EXPECT_EQ(hash_with(&detail::sha256_blocks_sha_ni, message),
+              hash_with(&detail::sha256_blocks_portable, message))
+        << message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Paths, StreamedPiecesMatchPortable) {
+  // Each message goes through update() as a first piece that leaves the
+  // block buffer part full, then a piece that tops it up and runs on across
+  // several whole blocks (hashed straight from the caller's bytes), then the
+  // rest.
+  for (const auto& message : random_messages()) {
+    const Digest expected = hash_with(&detail::sha256_blocks_portable, message);
+    EXPECT_EQ(Sha256::hash(message), expected) << message.size() << " bytes";
+    for (const std::size_t lead : {1, 17, 63}) {
+      const std::size_t first = std::min(lead, message.size());
+      const std::size_t second = std::min<std::size_t>(lead + 3 * 64 + 5,
+                                                       message.size() - first);
+      Sha256 hasher;
+      hasher.update(message.data(), first);
+      hasher.update(message.data() + first, second);
+      hasher.update(message.data() + first + second,
+                    message.size() - first - second);
+      EXPECT_EQ(hasher.finish(), expected)
+          << message.size() << " bytes, lead " << lead;
+    }
+  }
 }
 
 // --- HMAC-SHA256: RFC 4231 vectors ---
