@@ -26,7 +26,6 @@
 // Exit code is non-zero if the 2%/min-crash + 5%-loss cell completes < 95%
 // of tasks, sees any duplicate completion, or the no-fault traces differ.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -186,7 +185,9 @@ CellResult run_cell(const Scenario& scenario, double crash_per_node_per_min,
   const double ideal = static_cast<double>(scenario.tasks) * scenario.work;
   const double done = cluster.total_work_done();
   out.wasted_frac = done > ideal ? (done - ideal) / ideal : 0.0;
-  if (out.completion < 1.0 && std::getenv("BENCH_CHAOS_DEBUG") != nullptr) {
+  // Name every stuck task on stderr, so a failing E12 gate says which tasks
+  // never completed and what last happened to each.
+  if (out.completion < 1.0) {
     std::map<std::uint64_t, std::string> last;
     for (const auto& event : cluster.asct().events()) {
       last[event.task.value] =

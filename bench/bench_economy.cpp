@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -154,22 +153,8 @@ CellResult run_cell(Mode mode, const Scenario& scenario, std::uint64_t seed) {
        sampled += kSecond) {
     grid.run_for(kSecond);
     for (int t = 0; t < scenario.small_tenants; ++t) {
-      slot_seconds[t] += cluster.grm().tenant_registry().running(
-          "user" + std::to_string(t));
-    }
-    if (std::getenv("ECON_DEBUG") != nullptr &&
-        (sampled / kSecond) % 10 == 0) {
-      std::printf("  [%s] t=%.0fs slots:", mode_name(mode),
-                  to_seconds(grid.engine().now()));
-      for (int t = 0; t < scenario.small_tenants; ++t) {
-        std::printf(" %d", cluster.grm().tenant_registry().running(
-                               "user" + std::to_string(t)));
-      }
-      std::printf(" greedy=%d preempt=%lld\n",
-                  cluster.grm().tenant_registry().running("greedy"),
-                  static_cast<long long>(cluster.grm().metrics().counter_value(
-                      "sched_preemptions")));
-      std::fflush(stdout);
+      slot_seconds[t] +=
+          cluster.grm().running_tasks("user" + std::to_string(t));
     }
   }
 

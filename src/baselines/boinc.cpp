@@ -6,6 +6,8 @@ using protocol::TaskOutcome;
 
 namespace {
 
+constexpr SimDuration kCallTimeout = 5 * kSecond;
+
 class BoincServant final : public orb::SkeletonBase {
  public:
   explicit BoincServant(BoincMaster& master) {
@@ -130,7 +132,7 @@ void BoincWorker::poll() {
           orb::oneway(orb_, master_, "report", report);
         }
       },
-      options_.call_timeout);
+      kCallTimeout);
 }
 
 }  // namespace integrade::baselines

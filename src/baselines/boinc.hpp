@@ -28,7 +28,6 @@ namespace integrade::baselines {
 struct BoincOptions {
   /// Worker poll period (BOINC clients poll on the order of minutes).
   SimDuration poll_period = 60 * kSecond;
-  SimDuration call_timeout = 5 * kSecond;
 };
 
 class BoincMaster {

@@ -10,6 +10,14 @@ using protocol::TaskOutcome;
 
 namespace {
 
+/// Machines not heard from within this window drop out of the pool.
+constexpr SimDuration kAdTtl = 150 * kSecond;
+constexpr SimDuration kRetryBackoff = 20 * kSecond;
+/// Rank expression over machine ads (Condor RANK); best first.
+constexpr const char* kRank = "max exportable_mips";
+constexpr SimDuration kCallTimeout = 5 * kSecond;
+constexpr int kMaxTriesPerPass = 4;
+
 class CondorServant final : public orb::SkeletonBase {
  public:
   explicit CondorServant(CondorScheduler& scheduler) {
@@ -38,9 +46,8 @@ class CondorServant final : public orb::SkeletonBase {
 
 }  // namespace
 
-CondorScheduler::CondorScheduler(sim::Engine& engine, orb::Orb& orb, Rng rng,
-                                 CondorOptions options)
-    : engine_(engine), orb_(orb), rng_(rng), options_(options) {}
+CondorScheduler::CondorScheduler(sim::Engine& engine, orb::Orb& orb, Rng rng)
+    : engine_(engine), orb_(orb), rng_(rng) {}
 
 CondorScheduler::~CondorScheduler() { stop(); }
 
@@ -102,7 +109,7 @@ void CondorScheduler::kick(SimDuration delay) {
 
 void CondorScheduler::pass() {
   // Drop stale ads.
-  const SimTime cutoff = engine_.now() - options_.ad_ttl;
+  const SimTime cutoff = engine_.now() - kAdTtl;
   for (auto it = ads_.begin(); it != ads_.end();) {
     if (it->second.last_update < cutoff) {
       it = ads_.erase(it);
@@ -124,7 +131,7 @@ void CondorScheduler::pass() {
       next_eligible = std::min(next_eligible, it->second.eligible_at);
       continue;
     }
-    try_run(it->second, options_.max_tries_per_pass);
+    try_run(it->second, kMaxTriesPerPass);
   }
   for (TaskId id : deferred) queue_.push_back(id);
   if (next_eligible != kTimeNever) {
@@ -134,14 +141,14 @@ void CondorScheduler::pass() {
 
 void CondorScheduler::try_run(Job& job, int tries_left) {
   if (tries_left <= 0) {
-    job.eligible_at = engine_.now() + options_.retry_backoff;
+    job.eligible_at = engine_.now() + kRetryBackoff;
     queue_.push_back(job.desc.id);
-    kick(options_.retry_backoff);
+    kick(kRetryBackoff);
     return;
   }
 
   // Matchmake: best unclaimed ad by RANK that satisfies requirements.
-  auto rank = services::Preference::parse(options_.rank);
+  auto rank = services::Preference::parse(kRank);
   std::string req_expr = "shareable == true and exportable_cpu > 0";
   if (job.desc.ram_needed > 0) {
     req_expr += " and free_ram_mb >= " + std::to_string(job.desc.ram_needed / kMiB);
@@ -164,9 +171,9 @@ void CondorScheduler::try_run(Job& job, int tries_left) {
   }
   if (matches.empty()) {
     metrics_.counter("no_match").add();
-    job.eligible_at = engine_.now() + options_.retry_backoff;
+    job.eligible_at = engine_.now() + kRetryBackoff;
     queue_.push_back(job.desc.id);
-    kick(options_.retry_backoff);
+    kick(kRetryBackoff);
     return;
   }
   std::vector<const services::PropertySet*> prop_ptrs;
@@ -202,7 +209,7 @@ void CondorScheduler::try_run(Job& job, int tries_left) {
         it->second.running = true;
         metrics_.counter("jobs_started").add();
       },
-      options_.call_timeout);
+      kCallTimeout);
 }
 
 void CondorScheduler::handle_report(const protocol::TaskReport& report) {

@@ -30,20 +30,9 @@
 
 namespace integrade::baselines {
 
-struct CondorOptions {
-  /// Machines not heard from within this window drop out of the pool.
-  SimDuration ad_ttl = 150 * kSecond;
-  SimDuration retry_backoff = 20 * kSecond;
-  /// Rank expression over machine ads (Condor RANK); best first.
-  std::string rank = "max exportable_mips";
-  SimDuration call_timeout = 5 * kSecond;
-  int max_tries_per_pass = 4;
-};
-
 class CondorScheduler {
  public:
-  CondorScheduler(sim::Engine& engine, orb::Orb& orb, Rng rng,
-                  CondorOptions options = {});
+  CondorScheduler(sim::Engine& engine, orb::Orb& orb, Rng rng);
   ~CondorScheduler();
   CondorScheduler(const CondorScheduler&) = delete;
   CondorScheduler& operator=(const CondorScheduler&) = delete;
@@ -85,7 +74,6 @@ class CondorScheduler {
   sim::Engine& engine_;
   orb::Orb& orb_;
   Rng rng_;
-  CondorOptions options_;
 
   orb::ObjectRef self_ref_;
   std::map<NodeId, Ad> ads_;

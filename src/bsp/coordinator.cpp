@@ -10,6 +10,9 @@ namespace integrade::bsp {
 
 namespace {
 
+/// Valiant's `l`: fixed barrier synchronization latency per superstep.
+constexpr SimDuration kBarrierLatency = 5 * kMillisecond;
+
 class CoordinatorServant final : public orb::SkeletonBase {
  public:
   explicit CoordinatorServant(BspCoordinator& coordinator) {
@@ -44,13 +47,12 @@ class CoordinatorServant final : public orb::SkeletonBase {
 
 BspCoordinator::BspCoordinator(sim::Engine& engine, orb::Orb& orb, grm::Grm& grm,
                                ckpt::CheckpointRepository* repository,
-                               sim::Network* network, BspOptions options)
+                               sim::Network* network)
     : engine_(engine),
       orb_(orb),
       grm_(grm),
       repository_(repository),
-      network_(network),
-      options_(options) {}
+      network_(network) {}
 
 BspCoordinator::~BspCoordinator() { stop(); }
 
@@ -330,7 +332,7 @@ void BspCoordinator::begin_barrier(App& app) {
   app.phase = Phase::kBarrier;
   const std::uint64_t epoch = app.epoch;
   const AppId app_id = app.spec.id;
-  engine_.schedule_after(options_.barrier_latency, [this, app_id, epoch] {
+  engine_.schedule_after(kBarrierLatency, [this, app_id, epoch] {
     auto it = apps_.find(app_id);
     if (it == apps_.end()) return;
     App& a = it->second;

@@ -36,11 +36,6 @@
 
 namespace integrade::bsp {
 
-struct BspOptions {
-  /// Valiant's `l`: fixed barrier synchronization latency per superstep.
-  SimDuration barrier_latency = 5 * kMillisecond;
-};
-
 struct AppStats {
   SimTime started_at = 0;
   SimTime finished_at = kTimeNever;
@@ -71,8 +66,7 @@ struct AppStats {
 class BspCoordinator {
  public:
   BspCoordinator(sim::Engine& engine, orb::Orb& orb, grm::Grm& grm,
-                 ckpt::CheckpointRepository* repository, sim::Network* network,
-                 BspOptions options = {});
+                 ckpt::CheckpointRepository* repository, sim::Network* network);
   ~BspCoordinator();
   BspCoordinator(const BspCoordinator&) = delete;
   BspCoordinator& operator=(const BspCoordinator&) = delete;
@@ -168,7 +162,6 @@ class BspCoordinator {
   grm::Grm& grm_;
   ckpt::CheckpointRepository* repository_;
   sim::Network* network_;
-  BspOptions options_;
 
   orb::ObjectRef self_ref_;
   std::map<AppId, App> apps_;

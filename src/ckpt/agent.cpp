@@ -211,7 +211,6 @@ void CkptAgent::abort_inflight() {
 ImageModelParams CkptAgent::model_params(Bytes image_bytes) const {
   ImageModelParams params;
   params.image_bytes = image_bytes;
-  params.page_size = options_.page_size;
   params.dirty_permille = options_.dirty_permille;
   params.dirty_run_pages = options_.dirty_run_pages;
   return params;
@@ -660,8 +659,7 @@ void CkptAgent::finish_restore(const std::shared_ptr<RestoreOp>& op, bool ok) {
   if (ok && options_.chunking.chunker == Chunker::kFixed &&
       manifest.chunker == static_cast<std::uint8_t>(Chunker::kFixed) &&
       manifest.chunk_size == options_.chunking.chunk_size &&
-      options_.page_size > 0 &&
-      options_.chunking.chunk_size % options_.page_size == 0) {
+      options_.chunking.chunk_size % ImageModelParams{}.page_size == 0) {
     // Prime the incremental cache from the restored manifest so the next
     // save renders only the pages dirtied after the restored superstep.
     // The page versions are left empty: build_manifest replays them only if

@@ -44,8 +44,8 @@ struct DataPlaneOptions {
   bool dedup = true;
   /// Peer stores each checkpoint replicates to (besides the repository).
   int replicate_k = 2;
-  /// Synthetic image model (see chunk.hpp).
-  std::uint32_t page_size = 4096;
+  /// Synthetic image model (see chunk.hpp); pages keep the model's default
+  /// size.
   std::uint32_t dirty_permille = 50;
   std::uint32_t dirty_run_pages = 64;
 };

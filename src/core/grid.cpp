@@ -83,8 +83,7 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
   grm_->set_sched(config_.sched);
   grm_->start(&gupa_, &repository_, &grid_.network());
   coordinator_ = std::make_unique<bsp::BspCoordinator>(
-      grid_.engine(), *manager_orb_, *grm_, &repository_, &grid_.network(),
-      config_.bsp);
+      grid_.engine(), *manager_orb_, *grm_, &repository_, &grid_.network());
   coordinator_->start();
 
   // --- Warm-standby Cluster Manager (optional) ---

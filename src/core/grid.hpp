@@ -63,7 +63,6 @@ struct ClusterConfig {
   std::vector<NodeConfig> nodes;
   grm::GrmOptions grm;
   lrm::LrmOptions lrm;
-  bsp::BspOptions bsp;
   /// Reliability options applied to every ORB in the cluster (manager,
   /// user, providers). Defaults preserve historical behaviour.
   orb::OrbOptions orb;

@@ -24,6 +24,21 @@ constexpr const char* kOpRemoteSubmit = "remote_submit";
 constexpr const char* kOpRemoteAdopted = "remote_adopted";
 constexpr const char* kOpClusterSummary = "cluster_summary";
 
+/// Period of the stale-offer sweep.
+constexpr SimDuration kStaleSweepPeriod = 30 * kSecond;
+/// Summary push cadence toward the parent cluster.
+constexpr SimDuration kSummaryPeriod = 60 * kSecond;
+/// Hold the GRM asks LRMs to keep on granted reservations.
+constexpr SimDuration kReservationHold = 30 * kSecond;
+/// Timeout of every call the GRM makes to an LRM.
+constexpr SimDuration kCallTimeout = 5 * kSecond;
+/// Candidates tried per negotiation wave before the task is requeued.
+constexpr std::size_t kMaxCandidatesPerWave = 8;
+/// After this many fruitless waves, try the cluster hierarchy.
+constexpr int kForwardAfterWaves = 2;
+/// CPU fraction requested per task reservation.
+constexpr double kCpuRequest = 1.0;
+
 class GrmServant final : public orb::SkeletonBase {
  public:
   explicit GrmServant(Grm& grm) {
@@ -109,9 +124,8 @@ void Grm::start(lupa::Gupa* gupa, ckpt::CheckpointRepository* checkpoints,
   checkpoints_ = checkpoints;
   network_ = network;
   self_ref_ = orb_.activate(std::make_shared<GrmServant>(*this));
-  sweep_timer_.start(engine_, options_.stale_sweep_period,
-                     [this] { sweep_stale_offers(); });
-  summary_timer_.start(engine_, options_.summary_period, [this] { push_summary(); });
+  sweep_timer_.start(engine_, kStaleSweepPeriod, [this] { sweep_stale_offers(); });
+  summary_timer_.start(engine_, kSummaryPeriod, [this] { push_summary(); });
 }
 
 void Grm::set_sched(const sched::SchedOptions& options) {
@@ -178,7 +192,7 @@ void Grm::pull_status(const protocol::NodeLoad& load) {
         on_update(reply.value());
         if (reply.value().shareable) kick_scheduler();
       },
-      options_.call_timeout);
+      kCallTimeout);
 }
 
 void Grm::refresh_load(const NodeRecord& record) {
@@ -205,18 +219,12 @@ void Grm::handle_task_resync(const protocol::TaskResync& resync) {
         task.placement.node == resync.node) {
       continue;  // nothing to learn
     }
-    const bool was_running = task.state == TaskState::kRunning;
     task.remote_timeout.cancel();
     task.remote_deadline = 0;
     task.state = TaskState::kRunning;
     task.placement = Placement{resync.node, resync.lrm};
     task.waves = 0;
     metrics_.counter("tasks_resynced").add();
-    if (!was_running) {
-      tenant_registry_.on_task_start(task.tenant);
-      auto app_it = apps_.find(task.app);
-      if (app_it != apps_.end()) ++app_it->second.running;
-    }
   }
 }
 
@@ -278,25 +286,29 @@ void Grm::on_node_dead(NodeId node, const NodeRecord& record) {
     if (record.status.lrm.valid()) {
       orb::oneway(orb_, record.status.lrm, "cancel", protocol::CancelTask{task_id});
     }
-    ++task.evictions;
-    tenant_registry_.on_task_stop(task.tenant);
-    preempting_.erase(task_id);
-    metrics_.counter("tasks_node_failed").add();
-    auto app_it = apps_.find(task.app);
-    if (app_it != apps_.end()) {
-      AppRecord& app = app_it->second;
-      --app.running;
-      notify(app, AppEventKind::kTaskEvicted, task_id, node,
-             "node declared dead by stale sweep");
-      if (app.spec.kind == AppKind::kBsp && bsp_lost_) {
-        bsp_lost_(app.spec.id, task.desc.bsp_rank);
-      }
-      requeue(task);
-      notify(app, AppEventKind::kTaskRescheduled, task_id, NodeId(), "");
-    } else {
-      requeue(task);
-    }
+    lose_running_task(task, node, "tasks_node_failed",
+                      "node declared dead by stale sweep");
   }
+}
+
+void Grm::lose_running_task(TaskRecord& task, NodeId node, const char* counter,
+                            const std::string& detail) {
+  const TaskId id = task.desc.id;
+  ++task.evictions;
+  preempting_.erase(id);
+  metrics_.counter(counter).add();
+  auto app_it = apps_.find(task.app);
+  if (app_it == apps_.end()) {
+    requeue(task);
+    return;
+  }
+  const AppRecord& app = app_it->second;
+  notify(app, AppEventKind::kTaskEvicted, id, node, detail);
+  if (app.spec.kind == AppKind::kBsp && bsp_lost_) {
+    bsp_lost_(app.spec.id, task.desc.bsp_rank);
+  }
+  requeue(task);
+  notify(app, AppEventKind::kTaskRescheduled, id, NodeId(), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -493,9 +505,10 @@ void Grm::scheduler_pass() {
   // Every shareable load kicks a pass; with nothing queued it costs nothing.
   if (queue_.empty()) return;
 
-  // Slots each tenant holds (running or negotiating) feed the entitlement
-  // veto below; negotiating waves also come off the dispatch budget.
-  std::map<std::string, int> committed;
+  // Slots each tenant holds (running or negotiating) feed the quota and
+  // entitlement vetoes below; negotiating waves also come off the dispatch
+  // budget.
+  sched::TenantCounts committed;
   int committed_total = 0;
   int negotiating = 0;
   for (const auto& [_, task] : tasks_) {
@@ -520,11 +533,14 @@ void Grm::scheduler_pass() {
   if (budget <= 0) budget = negotiating == 0 ? 1 : 0;
 
   // Tenants at their running quota sit out this pass; their queued tasks
-  // stay put and a completion report re-kicks the scheduler.
-  auto blocked = [this](const std::string& tenant) {
+  // stay put and a completion report re-kicks the scheduler. A wave holds
+  // its slot from dispatch on, so one pass cannot open more waves than the
+  // quota has room for.
+  auto blocked = [&](const std::string& tenant) {
     const sched::TenantSpec quota = tenant_registry_.spec(tenant);
-    return quota.max_running > 0 &&
-           tenant_registry_.running(tenant) >= quota.max_running;
+    if (quota.max_running <= 0) return false;
+    const auto it = committed.find(tenant);
+    return it != committed.end() && it->second >= quota.max_running;
   };
   // Slot-aware dispatch. Stride order alone equalises long-run dispatch
   // COUNTS, but fairness here is about concurrently-held slots: when a
@@ -537,22 +553,11 @@ void Grm::scheduler_pass() {
   // carve-out backstop it is meant to be. With no under-cap competitor
   // queued the veto lifts entirely: dispatch stays work-conserving.
   const int capacity = committed_total + free_hints;
-  auto entitled = [&](const std::string& tenant) {
-    double total_weight = tenant_registry_.weight(tenant);
-    for (const auto& [name, count] : committed) {
-      if (count > 0 && name != tenant) {
-        total_weight += tenant_registry_.weight(name);
-      }
-    }
-    return total_weight > 0.0 ? static_cast<double>(capacity) *
-                                    tenant_registry_.weight(tenant) /
-                                    total_weight
-                              : static_cast<double>(capacity);
-  };
   auto under_cap = [&](const std::string& tenant) {
     const auto it = committed.find(tenant);
     const int current = it == committed.end() ? 0 : it->second;
-    return static_cast<double>(current + 1) <= entitled(tenant);
+    return static_cast<double>(current + 1) <=
+           tenant_registry_.entitled_slots(tenant, capacity, committed);
   };
   auto sched_blocked = [&](const std::string& tenant) {
     if (blocked(tenant)) return true;  // hard running quota
@@ -623,8 +628,7 @@ std::vector<const services::ServiceOffer*> Grm::candidates_for(
   // machines the forecast favours would otherwise be truncated away by the
   // trader preference (e.g. "max exportable_mips") before re-ranking.
   const std::size_t pool_depth =
-      static_cast<std::size_t>(options_.max_candidates_per_wave) *
-      (options_.use_forecast && gupa_ != nullptr ? 16 : 3);
+      kMaxCandidatesPerWave * (options_.use_forecast && gupa_ != nullptr ? 16 : 3);
   // The string query path memoizes compiled expressions in the Trader's LRU,
   // so repeat waves of the same task shape skip the parse entirely.
   obs::Tracer* tr = orb_.tracer();
@@ -714,9 +718,7 @@ std::vector<const services::ServiceOffer*> Grm::candidates_for(
                      return load(a) < load(b);
                    });
 
-  if (offers.size() > static_cast<std::size_t>(options_.max_candidates_per_wave)) {
-    offers.resize(static_cast<std::size_t>(options_.max_candidates_per_wave));
-  }
+  if (offers.size() > kMaxCandidatesPerWave) offers.resize(kMaxCandidatesPerWave);
   return offers;
 }
 
@@ -732,7 +734,7 @@ void Grm::begin_wave(TaskRecord& task) {
     }
     ++task.waves;
     metrics_.counter("waves_no_candidates").add();
-    if (task.waves >= options_.forward_after_waves &&
+    if (task.waves >= kForwardAfterWaves &&
         (parent_.valid() || !children_.empty())) {
       forward_remote(task);
     } else {
@@ -766,9 +768,9 @@ void Grm::continue_wave(const std::shared_ptr<Wave>& wave) {
   protocol::ReservationRequest reserve;
   reserve.id = ReservationId(next_reservation_++);
   reserve.task = wave->task;
-  reserve.cpu_fraction = options_.cpu_request;
+  reserve.cpu_fraction = kCpuRequest;
   reserve.ram = it->second.desc.ram_needed;
-  reserve.hold = options_.reservation_hold;
+  reserve.hold = kReservationHold;
   if (sched_.enabled) {
     // The bid rides the reservation so node owners can screen it (NCC
     // bid_filter). Deadline travels as time remaining: absolute sim times
@@ -864,9 +866,9 @@ void Grm::continue_wave(const std::shared_ptr<Wave>& wave) {
               }
               task_placed(wave->task, candidate);
             },
-            options_.call_timeout);
+            kCallTimeout);
       },
-      options_.call_timeout);
+      kCallTimeout);
 }
 
 void Grm::wave_failed(const std::shared_ptr<Wave>& wave) {
@@ -876,7 +878,7 @@ void Grm::wave_failed(const std::shared_ptr<Wave>& wave) {
   task.state = TaskState::kPending;
   ++task.waves;
   metrics_.counter("waves_exhausted").add();
-  if (task.waves >= options_.forward_after_waves &&
+  if (task.waves >= kForwardAfterWaves &&
       (parent_.valid() || !children_.empty())) {
     forward_remote(task);
   } else {
@@ -903,7 +905,6 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
   task.placement = placement;
   task.waves = 0;
   metrics_.counter("tasks_placed").add();
-  tenant_registry_.on_task_start(task.tenant);
   // Nothing else runs a pass between a placement and the next completion:
   // without this kick a saturated leaf would never probe, so never forward.
   if (!queue_.empty()) kick_scheduler();
@@ -911,15 +912,13 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
   auto app_it = apps_.find(task.app);
   if (app_it == apps_.end()) return;
   AppRecord& app = app_it->second;
-  ++app.running;
   notify(app, AppEventKind::kTaskScheduled, id, placement.node, "");
 
   // Keep the GRM's own hint honest: that node now has less capacity.
   auto node_it = nodes_.find(placement.node);
   if (node_it != nodes_.end()) {
     protocol::NodeStatus& hint = node_it->second.status;
-    hint.exportable_cpu =
-        std::max(0.0, hint.exportable_cpu - options_.cpu_request);
+    hint.exportable_cpu = std::max(0.0, hint.exportable_cpu - kCpuRequest);
     hint.shareable =
         hint.shareable && hint.exportable_cpu >= protocol::kMinUsefulCpu;
     hint.running_tasks += 1;
@@ -927,8 +926,14 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
   }
 
   if (app.spec.kind == AppKind::kBsp) {
-    const std::int32_t total = static_cast<std::int32_t>(app.spec.tasks.size());
-    if (!app.bsp_ready_fired && app.running == total) {
+    auto rank_running = [this](const protocol::TaskDescriptor& rank) {
+      const auto rank_it = tasks_.find(rank.id);
+      return rank_it != tasks_.end() &&
+             rank_it->second.state == TaskState::kRunning;
+    };
+    if (!app.bsp_ready_fired &&
+        std::all_of(app.spec.tasks.begin(), app.spec.tasks.end(),
+                    rank_running)) {
       app.bsp_ready_fired = true;
       if (bsp_ready_) bsp_ready_(app.spec.id);
     } else if (app.bsp_ready_fired && bsp_placed_) {
@@ -954,7 +959,7 @@ void Grm::credit_node_capacity(NodeId node) {
   // protocol refuses and the next heartbeat trues it up.
   auto node_it = nodes_.find(node);
   if (node_it == nodes_.end()) return;
-  node_it->second.status.exportable_cpu += options_.cpu_request;
+  node_it->second.status.exportable_cpu += kCpuRequest;
   node_it->second.status.running_tasks =
       std::max(0, node_it->second.status.running_tasks - 1);
   node_it->second.status.shareable = true;
@@ -970,11 +975,21 @@ bool Grm::maybe_preempt(const TaskRecord& requester) {
   // counts have transiently dipped and the replacement dispatches are not
   // yet accepted. Judging entitlements against that dip systematically
   // under-counts capacity at every decision point and stalls the carve.
-  int slots = tenant_registry_.total_running();
+  sched::TenantCounts running;
+  int slots = 0;
   for (const auto& [_, task] : tasks_) {
-    if (task.state == TaskState::kNegotiating) ++slots;
+    if (task.state == TaskState::kRunning) {
+      ++running[task.tenant];
+    } else if (task.state != TaskState::kNegotiating) {
+      continue;
+    }
+    ++slots;
   }
   if (slots <= 0) return false;
+  auto running_of = [&running](const std::string& tenant) {
+    const auto it = running.find(tenant);
+    return it == running.end() ? 0 : it->second;
+  };
   // Hysteresis keeps preemption convergent instead of oscillating. A naive
   // "requester below entitlement, victim above" rule ping-pongs forever at
   // fractional entitlements: evicting the victim pushes the requester just
@@ -985,8 +1000,8 @@ bool Grm::maybe_preempt(const TaskRecord& requester) {
   // or over after losing one. Then neither side can immediately qualify
   // for the reverse move, so every migration strictly shrinks the fairness
   // gap.
-  if (static_cast<double>(tenant_registry_.running(requester.tenant) + 1) >
-      tenant_registry_.entitled_slots(requester.tenant, slots)) {
+  if (static_cast<double>(running_of(requester.tenant) + 1) >
+      tenant_registry_.entitled_slots(requester.tenant, slots, running)) {
     return false;
   }
   // In-flight preemptions have not hit the running counts yet; charge them
@@ -1011,10 +1026,10 @@ bool Grm::maybe_preempt(const TaskRecord& requester) {
     // preemption can ever fire.
     const auto inflight_it = inflight.find(task.tenant);
     const int effective_running =
-        tenant_registry_.running(task.tenant) -
+        running_of(task.tenant) -
         (inflight_it == inflight.end() ? 0 : inflight_it->second);
     if (static_cast<double>(effective_running - 1) <
-        tenant_registry_.entitled_slots(task.tenant, slots,
+        tenant_registry_.entitled_slots(task.tenant, slots, running,
                                         requester.tenant)) {
       continue;
     }
@@ -1092,10 +1107,6 @@ void Grm::handle_report(const protocol::TaskReport& report) {
         metrics_.counter("duplicate_reports_ignored").add();
         break;
       }
-      if (task.state == TaskState::kRunning) {
-        --app.running;
-        tenant_registry_.on_task_stop(task.tenant);
-      }
       task.remote_timeout.cancel();
       task.remote_deadline = 0;
       task.state = TaskState::kCompleted;
@@ -1136,22 +1147,14 @@ void Grm::handle_report(const protocol::TaskReport& report) {
         metrics_.counter("stale_reports_ignored").add();
         break;
       }
-      --app.running;
-      tenant_registry_.on_task_stop(task.tenant);
-      preempting_.erase(report.task);
-      ++task.evictions;
-      metrics_.counter(report.outcome == TaskOutcome::kEvicted
-                           ? "tasks_evicted"
-                           : "tasks_node_failed")
-          .add();
-      notify(app, AppEventKind::kTaskEvicted, report.task, report.node,
-             report.detail);
-      if (app.spec.kind == AppKind::kBsp && bsp_lost_) {
-        bsp_lost_(app.spec.id, task.desc.bsp_rank);
-      }
+      // The reporter's slot is free now (the hint is GRM-local state, so
+      // crediting it before the shared steps changes no message).
       credit_node_capacity(report.node);
-      requeue(task);
-      notify(app, AppEventKind::kTaskRescheduled, report.task, NodeId(), "");
+      lose_running_task(task, report.node,
+                        report.outcome == TaskOutcome::kEvicted
+                            ? "tasks_evicted"
+                            : "tasks_node_failed",
+                        report.detail);
       break;
     }
     case TaskOutcome::kCancelled:
@@ -1199,12 +1202,9 @@ void Grm::handle_cancel_app(AppId app_id) {
       ++task_it;
       continue;
     }
-    if (task.state == TaskState::kRunning) {
-      if (task.placement.lrm.valid()) {
-        orb::oneway(orb_, task.placement.lrm, "cancel",
-                    protocol::CancelTask{task_it->first});
-      }
-      tenant_registry_.on_task_stop(task.tenant);
+    if (task.state == TaskState::kRunning && task.placement.lrm.valid()) {
+      orb::oneway(orb_, task.placement.lrm, "cancel",
+                  protocol::CancelTask{task_it->first});
     }
     task.remote_timeout.cancel();
     queue_.erase(task_it->first);
@@ -1246,13 +1246,9 @@ void Grm::complete_bsp_app(AppId app_id) {
   AppRecord& app = it->second;
   for (auto& [task_id, task] : tasks_) {
     if (task.app != app_id) continue;
-    if (task.state == TaskState::kRunning) {
-      if (task.placement.lrm.valid()) {
-        orb::oneway(orb_, task.placement.lrm, "cancel",
-                    protocol::CancelTask{task_id});
-      }
-      --app.running;
-      tenant_registry_.on_task_stop(task.tenant);
+    if (task.state == TaskState::kRunning && task.placement.lrm.valid()) {
+      orb::oneway(orb_, task.placement.lrm, "cancel",
+                  protocol::CancelTask{task_id});
     }
     preempting_.erase(task_id);
     task.state = TaskState::kCompleted;
@@ -1465,29 +1461,18 @@ void Grm::handle_remote_adopted(const protocol::RemoteAdopted& ack) {
 // ---------------------------------------------------------------------------
 
 struct Grm::Image {
-  /// Reserve requests in flight to one node.
-  struct Inflight {
-    NodeId node;
-    std::int32_t count = 0;
-
-    friend constexpr auto wire_fields(const Inflight*) {
-      return cdr::fields(&Inflight::node, &Inflight::count);
-    }
-  };
-
   std::uint64_t next_reservation = 1;
   Rng::State rng;
   std::vector<NodeRecord> nodes;  // node-ascending
   std::vector<AppRecord> apps;    // app-ascending
   std::vector<TaskRecord> tasks;  // task-ascending
   sched::QueueImage queue;
-  std::vector<Inflight> inflight;  // node-ascending
   std::vector<protocol::ClusterSummary> child_summaries;  // cluster-ascending
 
   friend constexpr auto wire_fields(const Image*) {
     using S = Image;
-    return cdr::fields(&S::next_reservation, &S::rng, &S::nodes, &S::apps, &S::tasks, &S::queue, &S::inflight,
-                       &S::child_summaries);
+    return cdr::fields(&S::next_reservation, &S::rng, &S::nodes, &S::apps,
+                       &S::tasks, &S::queue, &S::child_summaries);
   }
 };
 
@@ -1495,7 +1480,7 @@ void Grm::save(cdr::Writer& w) const {
   Image image;
   image.next_reservation = next_reservation_;
   image.rng = rng_.state();
-  // nodes_ and inflight_ are hash-keyed; sort for deterministic bytes.
+  // nodes_ is hash-keyed; sort for deterministic bytes.
   image.nodes.reserve(nodes_.size());
   for (const auto& [_, record] : nodes_) image.nodes.push_back(record);
   std::sort(image.nodes.begin(), image.nodes.end(),
@@ -1505,13 +1490,6 @@ void Grm::save(cdr::Writer& w) const {
   for (const auto& [_, app] : apps_) image.apps.push_back(app);
   for (const auto& [_, task] : tasks_) image.tasks.push_back(task);
   image.queue = queue_.save();
-  for (const auto& [node, count] : inflight_) {
-    image.inflight.push_back({node, count});
-  }
-  std::sort(image.inflight.begin(), image.inflight.end(),
-            [](const Image::Inflight& a, const Image::Inflight& b) {
-              return a.node < b.node;
-            });
   for (const auto& [_, summary] : child_summaries_) {
     image.child_summaries.push_back(summary);
   }
@@ -1535,8 +1513,6 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
                           [](const AppRecord& a) { return a.spec.id; }) ||
       !strictly_ascending(image.tasks,
                           [](const TaskRecord& t) { return t.desc.id; }) ||
-      !strictly_ascending(image.inflight,
-                          [](const Image::Inflight& i) { return i.node; }) ||
       !strictly_ascending(image.child_summaries,
                           [](const protocol::ClusterSummary& c) {
                             return c.cluster;
@@ -1578,10 +1554,6 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
     const TaskId id = task.desc.id;
     tasks.emplace_hint(tasks.end(), id, std::move(task));
   }
-  std::unordered_map<NodeId, int> inflight;
-  for (const Image::Inflight& entry : image.inflight) {
-    inflight[entry.node] = entry.count;
-  }
   std::map<ClusterId, protocol::ClusterSummary> child_summaries;
   for (protocol::ClusterSummary& summary : image.child_summaries) {
     const ClusterId id = summary.cluster;
@@ -1596,15 +1568,8 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   apps_ = std::move(apps);
   tasks_ = std::move(tasks);
   queue_ = std::move(queue);
-  inflight_ = std::move(inflight);
   child_summaries_ = std::move(child_summaries);
   preempting_.clear();
-  tenant_registry_.clear_running();
-  for (const auto& [_, task] : tasks_) {
-    if (task.state == TaskState::kRunning) {
-      tenant_registry_.on_task_start(task.tenant);
-    }
-  }
 
   // The loaded state stays dormant — no timers armed, no scheduler kick —
   // until recover_in_flight() runs at promotion. A warm standby installs
@@ -1665,6 +1630,14 @@ int Grm::running_tasks() const {
   int n = 0;
   for (const auto& [_, task] : tasks_) {
     if (task.state == TaskState::kRunning) ++n;
+  }
+  return n;
+}
+
+int Grm::running_tasks(const std::string& tenant) const {
+  int n = 0;
+  for (const auto& [_, task] : tasks_) {
+    if (task.state == TaskState::kRunning && task.tenant == tenant) ++n;
   }
   return n;
 }

@@ -51,22 +51,10 @@ namespace integrade::grm {
 struct GrmOptions {
   /// Offers not refreshed within this window are withdrawn (dead LRM).
   SimDuration offer_ttl = 150 * kSecond;
-  SimDuration stale_sweep_period = 30 * kSecond;
-  /// Hold the GRM asks LRMs to keep on granted reservations.
-  SimDuration reservation_hold = 30 * kSecond;
-  /// Candidates tried per negotiation wave before the task is requeued.
-  int max_candidates_per_wave = 8;
-  /// After this many fruitless waves, try the cluster hierarchy.
-  int forward_after_waves = 2;
   /// Consult the GUPA when ranking candidates (the E5 ablation switch).
   bool use_forecast = true;
   /// Trader preference applied when the user supplies none.
   std::string default_preference = "max exportable_mips";
-  SimDuration call_timeout = 5 * kSecond;
-  /// CPU fraction requested per task reservation.
-  double cpu_request = 1.0;
-  /// Summary push cadence toward the parent cluster.
-  SimDuration summary_period = 60 * kSecond;
 };
 
 enum class TaskState : std::uint8_t {
@@ -163,22 +151,20 @@ class Grm {
   }
   [[nodiscard]] int pending_tasks() const;
   [[nodiscard]] int running_tasks() const;
+  /// Running tasks of one tenant (per-tenant slot occupancy — what
+  /// fair-share benchmarks sample). "" is the economy-off tenant.
+  [[nodiscard]] int running_tasks(const std::string& tenant) const;
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  /// Read-only view of the tenant running-count registry (per-tenant slot
-  /// occupancy — what fair-share benchmarks sample).
-  [[nodiscard]] const sched::TenantRegistry& tenant_registry() const {
-    return tenant_registry_;
-  }
   [[nodiscard]] std::optional<protocol::NodeStatus> node_view(NodeId node) const;
 
   // ---- control-plane snapshots (see docs/snapshots.md) ----
   /// Snapshot format version of the "grm" section (the Image in grm.cpp).
-  static constexpr std::uint32_t kSnapshotVersion = 4;
+  static constexpr std::uint32_t kSnapshotVersion = 5;
   /// Serialize scheduler state: node records, apps, tasks, the pending
-  /// queue, in-flight counts, child summaries, reservation counter, and
-  /// the RNG stream. Engine-coupled transients (armed timers, active
-  /// negotiation waves, trace spans) are intentionally excluded; a loaded
-  /// GRM re-derives them. The Trader is its own snapshot section.
+  /// queue, child summaries, reservation counter, and the RNG stream.
+  /// Engine-coupled transients (armed timers, active negotiation waves and
+  /// their in-flight counts, trace spans) are intentionally excluded; a
+  /// loaded GRM re-derives them. The Trader is its own snapshot section.
   void save(cdr::Writer& w) const;
   /// Replace scheduler state from a snapshot section of exactly
   /// kSnapshotVersion. Accepts only bytes save() could have written: the
@@ -253,7 +239,6 @@ class Grm {
     bool adopted_remote = false;  // this GRM hosts it for another cluster
     orb::ObjectRef origin;        // origin GRM (adopted fragments only)
     int outstanding = 0;          // tasks not yet completed
-    int running = 0;
     bool bsp_ready_fired = false;
     bool failed = false;
 
@@ -263,7 +248,7 @@ class Grm {
       using S = AppRecord;
       return cdr::fields(cdr::BaseOf{&S::spec}, cdr::TailOf{&S::spec},
                          &S::adopted_remote, &S::origin, &S::outstanding,
-                         &S::running, &S::bsp_ready_fired, &S::failed);
+                         &S::bsp_ready_fired, &S::failed);
     }
   };
 
@@ -280,6 +265,11 @@ class Grm {
   void refresh_load(const NodeRecord& record);
   void sweep_stale_offers();
   void on_node_dead(NodeId node, const NodeRecord& record);
+  /// The steps an eviction report and a dead-node sweep share for a task
+  /// that was running on `node`: count the eviction, drop any preemption
+  /// mark, notify, tell the BSP coordinator, and requeue.
+  void lose_running_task(TaskRecord& task, NodeId node, const char* counter,
+                         const std::string& detail);
   void kick_scheduler(SimDuration delay = 0);
   void scheduler_pass();
   void begin_wave(TaskRecord& task);
@@ -337,6 +327,8 @@ class Grm {
   /// with the economy off (one tenant, no deadlines). Deduplicated.
   sched::FairQueue queue_;
   sched::SchedOptions sched_;
+  /// Tenant specs and the entitlement formula. Running counts are not
+  /// tracked: each reader counts them from tasks_.
   sched::TenantRegistry tenant_registry_;
   /// Tasks with a preempt request in flight (never re-victimised).
   std::set<TaskId> preempting_;

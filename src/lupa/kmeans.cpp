@@ -29,6 +29,9 @@ std::vector<double> Clustering::weights() const {
 
 namespace {
 
+/// Lloyd iterations per restart, at most.
+constexpr int kMaxIterations = 100;
+
 /// k-means++ seeding: first centroid uniform, then each next proportional
 /// to squared distance from the nearest chosen centroid.
 std::vector<Vector> seed_plus_plus(const std::vector<Vector>& points,
@@ -62,8 +65,7 @@ std::vector<Vector> seed_plus_plus(const std::vector<Vector>& points,
   return centroids;
 }
 
-Clustering lloyd(const std::vector<Vector>& points, std::vector<Vector> centroids,
-                 const KMeansOptions& options) {
+Clustering lloyd(const std::vector<Vector>& points, std::vector<Vector> centroids) {
   const std::size_t n = points.size();
   const std::size_t k = centroids.size();
   const std::size_t dims = points.front().size();
@@ -71,7 +73,7 @@ Clustering lloyd(const std::vector<Vector>& points, std::vector<Vector> centroid
   Clustering result;
   result.assignment.assign(n, 0);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     bool moved = false;
     // Assign.
     for (std::size_t i = 0; i < n; ++i) {
@@ -153,7 +155,7 @@ Clustering kmeans(const std::vector<Vector>& points, std::size_t k, Rng& rng,
   Clustering best;
   best.distortion = std::numeric_limits<double>::max();
   for (int r = 0; r < std::max(1, options.restarts); ++r) {
-    Clustering attempt = lloyd(points, seed_plus_plus(points, k, rng), options);
+    Clustering attempt = lloyd(points, seed_plus_plus(points, k, rng));
     if (attempt.distortion < best.distortion) best = std::move(attempt);
   }
   return best;

@@ -31,7 +31,6 @@ struct Clustering {
 };
 
 struct KMeansOptions {
-  int max_iterations = 100;
   /// Restart count; the best distortion wins (k-means is seed-sensitive).
   int restarts = 4;
 };

@@ -8,6 +8,18 @@ namespace integrade::lupa {
 
 using node::kSlotsPerDay;
 
+namespace {
+
+constexpr SimDuration kSampleInterval = 5 * kMinute;
+/// An owner-CPU sample above this counts as "busy" (mirrors the NCC's
+/// default idleness definition).
+constexpr double kBusyCpuThreshold = 0.15;
+/// Upper bound for category discovery; actual k is selected by BIC.
+constexpr std::size_t kMaxCategories = 6;
+constexpr double kBicPenalty = 2.0;
+
+}  // namespace
+
 Lupa::Lupa(sim::Engine& engine, const node::Machine& machine, Rng rng,
            LupaOptions options)
     : engine_(engine),
@@ -19,7 +31,7 @@ Lupa::Lupa(sim::Engine& engine, const node::Machine& machine, Rng rng,
 
 void Lupa::start() {
   current_day_index_ = static_cast<int>(engine_.now() / kDay);
-  timer_.start(engine_, options_.sample_interval, [this] { sample(); });
+  timer_.start(engine_, kSampleInterval, [this] { sample(); });
 }
 
 void Lupa::stop() { timer_.stop(); }
@@ -37,7 +49,7 @@ void Lupa::sample() {
   const int slot = node::slot_of_day(now);
   const auto& load = machine_.owner_load();
   const bool busy =
-      load.present || load.cpu_fraction > options_.busy_cpu_threshold;
+      load.present || load.cpu_fraction > kBusyCpuThreshold;
   ++slot_samples_[static_cast<std::size_t>(slot)];
   if (busy) ++slot_busy_[static_cast<std::size_t>(slot)];
 }
@@ -83,9 +95,9 @@ void Lupa::recluster() {
   points.reserve(history_.size());
   for (const auto& day : history_) points.push_back(day.busy_fraction);
 
-  const std::size_t max_k = std::min(options_.max_categories, points.size());
+  const std::size_t max_k = std::min(kMaxCategories, points.size());
   const Clustering clustering =
-      kmeans_select_k(points, max_k, rng_, options_.bic_penalty);
+      kmeans_select_k(points, max_k, rng_, kBicPenalty);
 
   categories_.clear();
   const std::vector<double> weights = clustering.weights();

@@ -26,13 +26,6 @@
 namespace integrade::lupa {
 
 struct LupaOptions {
-  SimDuration sample_interval = 5 * kMinute;
-  /// An owner-CPU sample above this counts as "busy" (mirrors the NCC's
-  /// default idleness definition).
-  double busy_cpu_threshold = 0.15;
-  /// Upper bound for category discovery; actual k is selected by BIC.
-  std::size_t max_categories = 6;
-  double bic_penalty = 2.0;
   /// Re-cluster cadence, in completed days.
   int recluster_every_days = 1;
   /// Sliding window of retained day vectors (8 weeks by default).

@@ -35,42 +35,22 @@ double TenantRegistry::weight(const std::string& tenant) const {
   return (std::isfinite(w) && w > 0.0) ? w : 1.0;
 }
 
-void TenantRegistry::on_task_start(const std::string& tenant) {
-  ++running_[tenant];
-  ++total_running_;
-}
-
-void TenantRegistry::on_task_stop(const std::string& tenant) {
-  auto it = running_.find(tenant);
-  if (it == running_.end() || it->second <= 0) return;
-  if (--it->second == 0) running_.erase(it);
-  --total_running_;
-}
-
-int TenantRegistry::running(const std::string& tenant) const {
-  auto it = running_.find(tenant);
-  return it == running_.end() ? 0 : it->second;
-}
-
-int TenantRegistry::total_running() const { return total_running_; }
-
 double TenantRegistry::entitled_slots(const std::string& tenant, int slots,
+                                      const TenantCounts& counts,
                                       const std::string& also_active) const {
+  auto holds = [&counts](const std::string& name) {
+    const auto it = counts.find(name);
+    return it != counts.end() && it->second > 0;
+  };
   double total_weight = weight(tenant);
-  if (!also_active.empty() && also_active != tenant &&
-      running_.find(also_active) == running_.end()) {
+  if (!also_active.empty() && also_active != tenant && !holds(also_active)) {
     total_weight += weight(also_active);
   }
-  for (const auto& [name, count] : running_) {
+  for (const auto& [name, count] : counts) {
     if (count > 0 && name != tenant) total_weight += weight(name);
   }
   if (total_weight <= 0.0) return static_cast<double>(slots);
   return static_cast<double>(slots) * weight(tenant) / total_weight;
-}
-
-void TenantRegistry::clear_running() {
-  running_.clear();
-  total_running_ = 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -71,8 +71,12 @@ struct SchedOptions {
   int max_preemptions_per_wave = 1;
 };
 
-/// Resolves tenant names to specs and tracks running-task counts — the
-/// inputs to quota checks and preemption share math.
+/// Tasks each tenant holds, by tenant name. The GRM counts them from its
+/// task map where it needs them; nothing here tracks them.
+using TenantCounts = std::map<std::string, int>;
+
+/// Resolves tenant names to specs and holds the one entitlement formula —
+/// the inputs to quota checks and fair-share math.
 class TenantRegistry {
  public:
   void configure(const SchedOptions& options);
@@ -80,29 +84,22 @@ class TenantRegistry {
   [[nodiscard]] TenantSpec spec(const std::string& tenant) const;
   [[nodiscard]] double weight(const std::string& tenant) const;
 
-  void on_task_start(const std::string& tenant);
-  void on_task_stop(const std::string& tenant);
-  [[nodiscard]] int running(const std::string& tenant) const;
-  [[nodiscard]] int total_running() const;
-
   /// Weight-proportional entitlement of `tenant` out of `slots` total
-  /// running slots, counting only tenants that currently have running
-  /// tasks plus `tenant` itself. `also_active` names one extra tenant to
-  /// count as active even when it has nothing running — the preemption
-  /// path passes the requester here, since a tenant with queued demand and
-  /// zero running tasks must still dilute the incumbents' shares
-  /// (otherwise a monopolist is always exactly at-entitlement and no
-  /// preemption can ever fire).
+  /// slots, counting only tenants with a positive entry in `counts` plus
+  /// `tenant` itself. `also_active` names one extra tenant to count as
+  /// active even when it holds nothing — the preemption path passes the
+  /// requester here, since a tenant with queued demand and zero running
+  /// tasks must still dilute the incumbents' shares (otherwise a
+  /// monopolist is always exactly at-entitlement and no preemption can
+  /// ever fire). Weights sum in a fixed order: `tenant`, then
+  /// `also_active`, then the others by name.
   [[nodiscard]] double entitled_slots(const std::string& tenant, int slots,
+                                      const TenantCounts& counts,
                                       const std::string& also_active = "") const;
-
-  void clear_running();
 
  private:
   SchedOptions options_;
   std::map<std::string, TenantSpec> specs_;
-  std::map<std::string, int> running_;
-  int total_running_ = 0;
 };
 
 /// One queued task's scheduling metadata in a queue image.

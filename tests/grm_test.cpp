@@ -392,11 +392,10 @@ TEST_F(GrmFixture, EconomyOffDispatchesInArrivalOrder) {
   for (const auto& task : b.tasks) {
     EXPECT_EQ(cluster.grm().task_state(task.id), TaskState::kPending);
   }
-  const sched::TenantRegistry& tenants = cluster.grm().tenant_registry();
-  EXPECT_EQ(tenants.running(""), 2);
-  EXPECT_EQ(tenants.running("a"), 0);
-  EXPECT_EQ(tenants.running("b"), 0);
-  EXPECT_EQ(tenants.total_running(), 2);
+  EXPECT_EQ(cluster.grm().running_tasks(""), 2);
+  EXPECT_EQ(cluster.grm().running_tasks("a"), 0);
+  EXPECT_EQ(cluster.grm().running_tasks("b"), 0);
+  EXPECT_EQ(cluster.grm().running_tasks(), 2);
 }
 
 TEST_F(GrmFixture, SummariesFlowUpTheHierarchy) {
@@ -445,6 +444,208 @@ TEST_F(GrmFixture, AdmissionRejectsOverQuotaSubmit) {
   EXPECT_FALSE(flood_reply.accepted);
   EXPECT_EQ(cluster.grm().metrics().counter_value("sched_admission_rejected"),
             2);
+}
+
+/// Steps `grid` one event at a time until `done()` holds, running `check()`
+/// after every event; fails if `limit` of sim-time passes first.
+template <class Done, class Check>
+::testing::AssertionResult step_until(core::Grid& grid, SimDuration limit,
+                                      Done done, Check check) {
+  const SimTime deadline = grid.engine().now() + limit;
+  while (!done()) {
+    if (!grid.engine().step(deadline)) {
+      return ::testing::AssertionFailure()
+             << "not reached within " << to_seconds(limit) << " s";
+    }
+    check();
+    if (::testing::Test::HasFatalFailure()) {
+      return ::testing::AssertionFailure() << "check failed";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Index of the LRM running `task`, per the GRM's placement.
+std::size_t host_of(core::Cluster& cluster, TaskId task) {
+  const Grm::Placement* placement = cluster.grm().placement_of(task);
+  EXPECT_NE(placement, nullptr);
+  for (std::size_t i = 0; placement != nullptr && i < cluster.size(); ++i) {
+    if (cluster.lrm(i).node_id() == placement->node) return i;
+  }
+  ADD_FAILURE() << "task " << task.value << " has no host";
+  return 0;
+}
+
+TEST_F(GrmFixture, RunningQuotaHoldsAcrossEveryWayATaskLeaves) {
+  // max_running = 1: the tenant never holds two slots, and its next task
+  // dispatches once the running one leaves — by completing, by its owner
+  // evicting it, by the stale sweep declaring its node dead, and by its app
+  // being cancelled. Queue order within the tenant is arrival order.
+  core::ClusterConfig config = core::quiet_cluster(5, 31);
+  config.sched.enabled = true;
+  config.sched.tenants = {{"capped", 1.0, /*max_running=*/1, 0}};
+  auto& cluster = grid.add_cluster(config);
+  grid.run_for(2 * kMinute);
+  Grm& grm = cluster.grm();
+
+  AppBuilder short_app("short");
+  short_app.tasks(1, 60'000.0).tenant("capped");
+  AppBuilder long_app("long");
+  long_app.kind(protocol::AppKind::kParametric)
+      .tasks(3, 6'000'000.0)
+      .tenant("capped");
+  AppBuilder tail_app("tail");
+  tail_app.tasks(1, 6'000'000.0).tenant("capped");
+  const auto s = short_app.build(cluster.asct().ref());
+  const auto l = long_app.build(cluster.asct().ref());
+  const auto t = tail_app.build(cluster.asct().ref());
+  ASSERT_TRUE(grm.handle_submit(s).accepted);
+  ASSERT_TRUE(grm.handle_submit(l).accepted);
+  ASSERT_TRUE(grm.handle_submit(t).accepted);
+
+  auto one_slot = [&grm] { ASSERT_LE(grm.running_tasks("capped"), 1); };
+  auto running = [&grm](TaskId id) {
+    return [&grm, id] { return grm.task_state(id) == TaskState::kRunning; };
+  };
+  const TaskId s0 = s.tasks[0].id;
+  const TaskId l0 = l.tasks[0].id;
+  const TaskId l1 = l.tasks[1].id;
+  const TaskId l2 = l.tasks[2].id;
+  const TaskId t0 = t.tasks[0].id;
+
+  ASSERT_TRUE(step_until(grid, kMinute, running(s0), one_slot));
+  EXPECT_EQ(grm.running_tasks("capped"), 1);
+  EXPECT_EQ(grm.task_state(l0), TaskState::kPending);
+
+  // Completion.
+  ASSERT_TRUE(step_until(grid, 10 * kMinute, running(l0), one_slot));
+  EXPECT_EQ(grm.task_state(s0), TaskState::kCompleted);
+  EXPECT_EQ(grm.running_tasks("capped"), 1);
+
+  // The owner evicts l0; it requeues behind the tenant's queued tasks.
+  node::OwnerLoad busy;
+  busy.present = true;
+  busy.cpu_fraction = 0.9;
+  cluster.machine(host_of(cluster, l0)).set_owner_load(busy);
+  ASSERT_TRUE(step_until(grid, 10 * kMinute, running(l1), one_slot));
+  EXPECT_EQ(grm.task_state(l0), TaskState::kPending);
+  EXPECT_EQ(grm.metrics().counter_value("tasks_evicted"), 1);
+  EXPECT_EQ(grm.running_tasks("capped"), 1);
+
+  // l1's node crashes and never restarts: the stale sweep reclaims it.
+  cluster.lrm(host_of(cluster, l1)).crash();
+  ASSERT_TRUE(step_until(grid, 10 * kMinute, running(l2), one_slot));
+  EXPECT_EQ(grm.task_state(l1), TaskState::kPending);
+  EXPECT_EQ(grm.metrics().counter_value("tasks_node_failed"), 1);
+  EXPECT_EQ(grm.running_tasks("capped"), 1);
+
+  // Cancelling "long" drops l2 (and the requeued l0, l1): t0 goes next.
+  grm.handle_cancel_app(l.id);
+  EXPECT_EQ(grm.running_tasks("capped"), 0);
+  ASSERT_TRUE(step_until(grid, 10 * kMinute, running(t0), one_slot));
+  EXPECT_EQ(grm.running_tasks("capped"), 1);
+  EXPECT_EQ(grm.running_tasks(), 1);
+}
+
+/// A greedy tenant holding every node of a four-node cluster with
+/// preemption on (one preempt request in flight at most), then a second
+/// tenant queueing two tasks of its own.
+class PreemptionFixture : public GrmFixture {
+ protected:
+  void start() {
+    core::ClusterConfig config = core::quiet_cluster(4, 41);
+    config.sched.enabled = true;
+    config.sched.preemption = true;
+    config.sched.max_preemptions_per_wave = 1;
+    cluster = &grid.add_cluster(config);
+    grid.run_for(2 * kMinute);
+
+    AppBuilder greedy_app("greedy");
+    greedy_app.kind(protocol::AppKind::kParametric)
+        .tasks(4, 6'000'000.0)
+        .tenant("greedy");
+    greedy = greedy_app.build(cluster->asct().ref());
+    ASSERT_TRUE(cluster->grm().handle_submit(greedy).accepted);
+    grid.run_for(kMinute);
+    ASSERT_EQ(cluster->grm().running_tasks("greedy"), 4);
+
+    AppBuilder small_app("small");
+    small_app.kind(protocol::AppKind::kParametric)
+        .tasks(2, 6'000'000.0)
+        .tenant("small");
+    small = small_app.build(cluster->asct().ref());
+    ASSERT_TRUE(cluster->grm().handle_submit(small).accepted);
+  }
+
+  [[nodiscard]] std::int64_t preemptions() const {
+    return cluster->grm().metrics().counter_value("sched_preemptions");
+  }
+  [[nodiscard]] TaskId lowest_greedy_task() const {
+    TaskId lowest = greedy.tasks.front().id;
+    for (const auto& task : greedy.tasks) lowest = std::min(lowest, task.id);
+    return lowest;
+  }
+
+  core::Cluster* cluster = nullptr;
+  protocol::ApplicationSpec greedy;
+  protocol::ApplicationSpec small;
+};
+
+TEST_F(PreemptionFixture, EvictsTheLowestGreedyTaskOneRequestAtATime) {
+  ASSERT_NO_FATAL_FAILURE(start());
+  Grm& grm = cluster->grm();
+  const TaskId victim = lowest_greedy_task();
+  ASSERT_TRUE(step_until(
+      grid, kMinute, [this] { return preemptions() > 0; }, [] {}));
+  const std::size_t host = host_of(*cluster, victim);
+
+  // Until the victim's eviction report lands, no second request goes out.
+  ASSERT_TRUE(step_until(
+      grid, kMinute,
+      [&] { return grm.task_state(victim) != TaskState::kRunning; },
+      [this] { ASSERT_EQ(preemptions(), 1); }));
+  EXPECT_EQ(cluster->lrm(host).metrics().counter_value("tasks_preempted"), 1);
+  EXPECT_EQ(grm.task_state(victim), TaskState::kPending);
+  for (const auto& task : greedy.tasks) {
+    if (task.id != victim) {
+      EXPECT_EQ(grm.task_state(task.id), TaskState::kRunning);
+    }
+  }
+
+  // The freed node goes to the second tenant.
+  ASSERT_TRUE(step_until(
+      grid, kMinute, [&] { return grm.running_tasks("small") == 1; }, [] {}));
+  int on_freed_node = 0;
+  for (const auto& task : small.tasks) {
+    const Grm::Placement* placement = grm.placement_of(task.id);
+    if (placement != nullptr &&
+        placement->node == cluster->lrm(host).node_id()) {
+      ++on_freed_node;
+    }
+  }
+  EXPECT_EQ(on_freed_node, 1);
+}
+
+TEST_F(PreemptionFixture, SweptVictimFreesThePreemptionCap) {
+  ASSERT_NO_FATAL_FAILURE(start());
+  Grm& grm = cluster->grm();
+  const TaskId victim = lowest_greedy_task();
+  ASSERT_TRUE(step_until(
+      grid, kMinute, [this] { return preemptions() > 0; }, [] {}));
+
+  // The victim's node dies before the request reaches it: no eviction
+  // report will ever come, and the request holds the cap until the stale
+  // sweep reclaims the node.
+  cluster->lrm(host_of(*cluster, victim)).crash();
+  ASSERT_TRUE(step_until(
+      grid, 10 * kMinute,
+      [&] { return grm.task_state(victim) != TaskState::kRunning; },
+      [this] { ASSERT_EQ(preemptions(), 1); }));
+  EXPECT_EQ(grm.metrics().counter_value("tasks_node_failed"), 1);
+
+  // The cap is free again: the next greedy task is asked to leave.
+  ASSERT_TRUE(step_until(
+      grid, kMinute, [this] { return preemptions() == 2; }, [] {}));
 }
 
 /// One GRM and one LRM on a LAN, with no periodic traffic between them: the

@@ -57,33 +57,16 @@ TEST(TenantRegistry, ClampsDegenerateWeights) {
   EXPECT_DOUBLE_EQ(registry.weight("nan"), 1.0);
 }
 
-TEST(TenantRegistry, TracksRunningCountsWithoutUnderflow) {
-  TenantRegistry registry;
-  registry.configure(SchedOptions{});
-  registry.on_task_start("a");
-  registry.on_task_start("a");
-  registry.on_task_start("b");
-  EXPECT_EQ(registry.running("a"), 2);
-  EXPECT_EQ(registry.total_running(), 3);
-  registry.on_task_stop("a");
-  registry.on_task_stop("ghost");  // never started: must not underflow
-  EXPECT_EQ(registry.running("a"), 1);
-  EXPECT_EQ(registry.running("ghost"), 0);
-  EXPECT_EQ(registry.total_running(), 2);
-  registry.clear_running();
-  EXPECT_EQ(registry.total_running(), 0);
-}
-
 TEST(TenantRegistry, EntitledSlotsFollowWeightRatio) {
   SchedOptions options;
   options.tenants = {{"a", 3.0, 0, 0}, {"b", 1.0, 0, 0}};
   TenantRegistry registry;
   registry.configure(options);
-  registry.on_task_start("b");
+  const TenantCounts running = {{"b", 1}};
   // a and b share 8 slots 3:1 — a is entitled to 6 of them.
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8), 6.0);
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, running), 6.0);
   // Idle tenants don't dilute the share: with only b running, b owns it all.
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("b", 8), 8.0);
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("b", 8, running), 8.0);
 }
 
 TEST(TenantRegistry, QueuedRequesterDilutesEntitlementViaAlsoActive) {
@@ -91,18 +74,18 @@ TEST(TenantRegistry, QueuedRequesterDilutesEntitlementViaAlsoActive) {
   options.tenants = {{"a", 3.0, 0, 0}, {"b", 1.0, 0, 0}};
   TenantRegistry registry;
   registry.configure(options);
-  registry.on_task_start("a");
+  TenantCounts running = {{"a", 1}};
   // b has nothing running, so by default it does not dilute a's share —
   // the monopolist is exactly at-entitlement and preemption could never
   // fire. Naming b as also_active counts its queued demand in.
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8), 8.0);
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, "b"), 6.0);
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, running), 8.0);
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, running, "b"), 6.0);
   // The requester's own weight is always counted: also_active naming the
   // tenant itself or an already-running tenant must not double-count.
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("b", 8, "b"), 2.0);
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, "a"), 8.0);
-  registry.on_task_start("b");
-  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, "b"), 6.0);
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("b", 8, running, "b"), 2.0);
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, running, "a"), 8.0);
+  running["b"] = 1;
+  EXPECT_DOUBLE_EQ(registry.entitled_slots("a", 8, running, "b"), 6.0);
 }
 
 // --- FairQueue, one anonymous tenant (how the GRM queues with the economy
