@@ -517,7 +517,6 @@ void BspCoordinator::finish(App& app) {
   app.stats.finished_at = engine_.now();
   if (repository_ != nullptr) repository_->drop_app(app.spec.id);
   grm_.complete_bsp_app(app.spec.id);
-  if (on_complete_) on_complete_(app.spec.id, app.stats);
 }
 
 }  // namespace integrade::bsp

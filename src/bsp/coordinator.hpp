@@ -75,10 +75,6 @@ class BspCoordinator {
   void start();
   void stop();
 
-  void set_on_app_complete(std::function<void(AppId, const AppStats&)> callback) {
-    on_complete_ = std::move(callback);
-  }
-
   /// Route checkpoints through the content-addressed data plane instead of
   /// the legacy whole-image network bill. `repository_store` is the chunk
   /// store co-located with this coordinator (the manager's repository),
@@ -165,7 +161,6 @@ class BspCoordinator {
 
   orb::ObjectRef self_ref_;
   std::map<AppId, App> apps_;
-  std::function<void(AppId, const AppStats&)> on_complete_;
   bool started_ = false;
 
   // Checkpoint data plane (null/empty = legacy whole-image path).

@@ -1,6 +1,8 @@
 #include "ckpt/chunk.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace integrade::ckpt {
 namespace {
@@ -148,14 +150,22 @@ void ImageModel::render_page(std::size_t page, std::uint64_t version,
   const std::uint64_t base =
       mix64(mix64(app_.value, static_cast<std::uint64_t>(rank_)),
             mix64(static_cast<std::uint64_t>(page), version));
+  // Each block is stored whole: its mixed bytes are h's bytes, least
+  // significant first, in one 8-byte store, and the fill is one memset.
+  std::uint8_t* const bytes = out.data();
   for (std::size_t block = 0; block * 32 < size; ++block) {
     const std::uint64_t h = mix64(base, block);
-    const std::uint8_t fill = static_cast<std::uint8_t>(h >> 56);
-    const std::size_t start = block * 32;
-    const std::size_t end = std::min(start + 32, size);
-    for (std::size_t i = start; i < end; ++i) {
-      const std::size_t rel = i - start;
-      out[i] = rel < 8 ? static_cast<std::uint8_t>(h >> (8 * rel)) : fill;
+    std::uint8_t* const dst = bytes + block * 32;
+    const std::size_t len = std::min<std::size_t>(32, size - block * 32);
+    if (len >= 8) {
+      const std::uint64_t mixed =
+          std::endian::native == std::endian::big ? __builtin_bswap64(h) : h;
+      std::memcpy(dst, &mixed, 8);
+      std::memset(dst + 8, static_cast<std::uint8_t>(h >> 56), len - 8);
+    } else {
+      for (std::size_t i = 0; i < len; ++i) {
+        dst[i] = static_cast<std::uint8_t>(h >> (8 * i));
+      }
     }
   }
 }

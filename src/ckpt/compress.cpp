@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
+
+#include "ckpt/lz_tables.hpp"
 
 namespace integrade::ckpt {
 namespace {
@@ -16,11 +20,12 @@ constexpr std::size_t kMaxMatch = kMinMatch + 15;  // 4-bit length field
 // one, so a stream never expands to more than this many bytes per byte.
 constexpr std::size_t kMaxExpansion = kMaxMatch / 2;
 
-// Hash-chain match finder: heads indexed by a 3-byte hash, chains bounded so
-// worst-case inputs stay linear-ish.
-constexpr std::size_t kHashBits = 13;
+// Hash-chain match finder: a 16-bit hash of the next three bytes heads a
+// chain of earlier positions with that hash; at most kMaxChain of them are
+// tried. Only the first position of a match enters the chains.
+constexpr std::size_t kHashBits = 16;
 constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
-constexpr int kMaxChain = 32;
+constexpr int kMaxChain = 4;
 
 inline std::uint32_t hash3(const std::uint8_t* p) {
   const std::uint32_t v = std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
@@ -49,7 +54,54 @@ inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
   return len;
 }
 
+// The chains, kept per thread across calls. Positions in them are absolute:
+// byte i of a call sits at start + i, and each call starts kWindow past the
+// previous call's last byte, so every entry an earlier call left reads as
+// out of window and the output depends on the input alone. `prev` is a ring
+// over the window: a position's slot is only reused once it is out of reach.
+struct MatchTables {
+  // A zeroed entry reads as out of window from every position.
+  static constexpr std::uint32_t kFirstStart = kWindow + 1;
+
+  std::uint32_t head[kHashSize] = {};
+  std::uint32_t prev[kWindow] = {};
+  std::uint32_t next_start = kFirstStart;
+
+  // Positions for a call of `size` bytes; clears the tables first when they
+  // and the gap after them would not fit in 32 bits.
+  std::uint32_t reserve(std::size_t size) {
+    if (const std::uint32_t room = UINT32_MAX - next_start;
+        room < kWindow || size > room - kWindow) {
+      if (size > UINT32_MAX - kFirstStart - kWindow) {
+        throw std::length_error("lz_compress input exceeds 32-bit positions");
+      }
+      std::memset(head, 0, sizeof head);
+      std::memset(prev, 0, sizeof prev);
+      next_start = kFirstStart;
+    }
+    const std::uint32_t start = next_start;
+    next_start = static_cast<std::uint32_t>(start + size + kWindow);
+    return start;
+  }
+};
+
+// Allocated on a thread's first compression, so a process that never
+// compresses carries none of it.
+MatchTables& match_tables() {
+  thread_local std::unique_ptr<MatchTables> tables;
+  if (!tables) tables = std::make_unique<MatchTables>();
+  return *tables;
+}
+
 }  // namespace
+
+namespace detail {
+
+std::uint32_t lz_next_position() { return match_tables().next_start; }
+
+void lz_skip_positions(std::size_t count) { match_tables().reserve(count); }
+
+}  // namespace detail
 
 // Cache-line aligned: otherwise its hot match loop's speed shifts with the
 // size of whatever code the linker places before it.
@@ -59,8 +111,10 @@ inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
   if (size == 0) return out;
   out.reserve(size / 2 + 16);
 
-  std::vector<std::int32_t> head(kHashSize, -1);
-  std::vector<std::int32_t> prev(size, -1);
+  MatchTables& tables = match_tables();
+  std::uint32_t* const head = tables.head;
+  std::uint32_t* const prev = tables.prev;
+  const std::uint32_t start = tables.reserve(size);
 
   std::size_t pos = 0;
   while (pos < size) {
@@ -71,21 +125,24 @@ inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
       std::size_t best_len = 0;
       std::size_t best_off = 0;
       if (pos + kMinMatch <= size) {
+        const std::uint32_t here = start + static_cast<std::uint32_t>(pos);
         const std::uint32_t h = hash3(input + pos);
-        std::int32_t cand = head[h];
-        const std::size_t limit =
-            std::min(kMaxMatch, size - pos);
-        for (int depth = 0; cand >= 0 && depth < kMaxChain; ++depth) {
-          const std::size_t off = pos - static_cast<std::size_t>(cand);
+        const std::size_t limit = std::min(kMaxMatch, size - pos);
+        std::uint32_t cand = head[h];
+        for (int depth = 0; depth < kMaxChain; ++depth) {
+          const std::size_t off = here - cand;
           if (off > kWindow) break;  // chain only gets older from here
-          const std::size_t len = match_length(input + pos, input + cand, limit);
+          const std::size_t len =
+              match_length(input + pos, input + pos - off, limit);
           if (len > best_len) {
             best_len = len;
             best_off = off;
             if (len == limit) break;
           }
-          cand = prev[static_cast<std::size_t>(cand)];
+          cand = prev[cand % kWindow];
         }
+        prev[here % kWindow] = head[h];
+        head[h] = here;
       }
       if (best_len >= kMinMatch) {
         // Token: low byte = offset-1 low bits; high byte = offset-1 high
@@ -94,23 +151,10 @@ inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
         out.push_back(static_cast<std::uint8_t>(off1 & 0xff));
         out.push_back(static_cast<std::uint8_t>(((off1 >> 8) & 0x0f) << 4 |
                                                 (best_len - kMinMatch)));
-        // Insert every covered position into the chains.
-        const std::size_t end = pos + best_len;
-        for (; pos < end; ++pos) {
-          if (pos + kMinMatch <= size) {
-            const std::uint32_t h = hash3(input + pos);
-            prev[pos] = head[h];
-            head[h] = static_cast<std::int32_t>(pos);
-          }
-        }
+        pos += best_len;
       } else {
         control |= static_cast<std::uint8_t>(1u << bit);
         out.push_back(input[pos]);
-        if (pos + kMinMatch <= size) {
-          const std::uint32_t h = hash3(input + pos);
-          prev[pos] = head[h];
-          head[h] = static_cast<std::int32_t>(pos);
-        }
         ++pos;
       }
     }
@@ -165,6 +209,8 @@ Result<std::vector<std::uint8_t>> lz_decompress(const std::uint8_t* input,
         const std::uint8_t* const src = dst - off;
         if (off >= len) {
           std::memcpy(dst, src, len);
+        } else if (off == 1) {
+          std::memset(dst, *src, len);  // a run of the byte before it
         } else {
           // Overlapping match (off < len): copy forwards, byte by byte, so
           // the match reads the bytes it has just produced.

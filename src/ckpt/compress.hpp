@@ -26,8 +26,10 @@ enum class Encoding : std::uint8_t {
   kLz = 1,   // payload is an LZSS stream expanding to raw_size bytes
 };
 
-/// Compress `input`. Always succeeds; output may be larger than input for
-/// incompressible data (callers use pack_chunk to fall back to kRaw).
+/// Compress `input`. Output may be larger than input for incompressible
+/// data (callers use pack_chunk to fall back to kRaw). The output depends
+/// on the input alone. Throws std::length_error for 4 GiB − 8 KiB or more,
+/// which no 32-bit chunk size reaches.
 std::vector<std::uint8_t> lz_compress(const std::uint8_t* input,
                                       std::size_t size);
 inline std::vector<std::uint8_t> lz_compress(

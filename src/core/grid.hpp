@@ -129,10 +129,6 @@ class Cluster {
   [[nodiscard]] ckpt::CkptAgent* ckpt_agent(std::size_t i) {
     return workers_[i]->ckpt_agent.get();
   }
-  /// Wire ref of the repository's chunk-store servant (nil when disabled).
-  [[nodiscard]] const orb::ObjectRef& ckpt_store_ref() const {
-    return ckpt_store_ref_;
-  }
   [[nodiscard]] node::Machine& machine(std::size_t i) {
     return *workers_[i]->machine;
   }

@@ -50,7 +50,6 @@ class OwnerWorkload {
 
   /// Day indices (t / kDay) that were holidays, in order.
   [[nodiscard]] const std::vector<int>& holidays() const { return holidays_; }
-  [[nodiscard]] bool holiday_today() const { return holiday_today_; }
 
   /// Duration from `t` until the owner next becomes present (oracle; uses
   /// the recorded trace). Returns kTimeNever-t if never within the trace.

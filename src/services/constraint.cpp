@@ -381,8 +381,9 @@ std::string Expr::to_string() const {
       }
       return "?";
     case ExprKind::kBinary:
-      return "(" + lhs->to_string() + " " + binary_op_name(binary_op) + " " +
-             rhs->to_string() + ")";
+      // Not "(" + temporary: gcc 12 at -O3 flags that with a false -Wrestrict.
+      return std::string("(") + lhs->to_string() + " " +
+             binary_op_name(binary_op) + " " + rhs->to_string() + ")";
   }
   return "?";
 }

@@ -55,7 +55,6 @@ class Network {
   [[nodiscard]] bool attached(EndpointId endpoint) const;
   [[nodiscard]] SegmentId segment_of(EndpointId endpoint) const;
   [[nodiscard]] const SegmentSpec& segment(SegmentId id) const;
-  [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 
   /// Detach (machine unplugged / crashed). In-flight messages to it drop.
   void detach(EndpointId endpoint);

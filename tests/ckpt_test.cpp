@@ -11,6 +11,7 @@
 #include "ckpt/agent.hpp"
 #include "ckpt/chunk.hpp"
 #include "ckpt/compress.hpp"
+#include "ckpt/lz_tables.hpp"
 #include "ckpt/repository.hpp"
 #include "ckpt/store.hpp"
 #include "common/rng.hpp"
@@ -168,7 +169,9 @@ TEST(Chunking, CdcBoundarySweepRespectsBounds) {
     for (std::size_t i = 0; i < spans.size(); ++i) {
       EXPECT_LE(spans[i].size, params.cdc_max);
       // Every span but the last respects the minimum.
-      if (i + 1 < spans.size()) EXPECT_GE(spans[i].size, params.cdc_min);
+      if (i + 1 < spans.size()) {
+        EXPECT_GE(spans[i].size, params.cdc_min);
+      }
     }
   }
 }
@@ -207,14 +210,29 @@ TEST(Chunking, CdcBoundariesShiftLocallyOnInsertion) {
 
 // --- compression ---
 
-TEST(Compress, RoundTripAndRawFallback) {
-  // Compressible: repeated text.
+// "the quick brown fox " 200 times.
+std::vector<std::uint8_t> fox_text() {
   std::vector<std::uint8_t> text;
   for (int i = 0; i < 200; ++i) {
     for (char c : std::string("the quick brown fox ")) {
       text.push_back(static_cast<std::uint8_t>(c));
     }
   }
+  return text;
+}
+
+// Chunk 9 of 16 (64 KiB each) of app 7 rank 3's 1 MiB image at superstep 5;
+// it holds pages superstep 5 dirtied.
+std::vector<std::uint8_t> image_chunk() {
+  ImageModelParams mp;
+  mp.image_bytes = 1 * kMiB;
+  const auto image = ImageModel(AppId(7), 3, mp).render(5);
+  return {image.begin() + 9 * 64 * 1024, image.begin() + 10 * 64 * 1024};
+}
+
+TEST(Compress, RoundTripAndRawFallback) {
+  // Compressible: repeated text.
+  const auto text = fox_text();
   auto packed = pack_chunk(text, /*try_compress=*/true);
   EXPECT_EQ(packed.encoding, Encoding::kLz);
   EXPECT_LT(packed.payload.size(), text.size());
@@ -250,29 +268,18 @@ TEST(Compress, TruncatedStreamRejected) {
 // it, so a match-finder change that alters the parse must fail here first.
 // Pinned values: size and SHA-256 of the packed stream.
 TEST(Compress, PinnedStream) {
-  ImageModelParams mp;
-  mp.image_bytes = 1 * kMiB;
-  const auto image = ImageModel(AppId(7), 3, mp).render(5);
-  // Chunk 9 of 16 (64 KiB each) holds pages superstep 5 dirtied.
-  const std::vector<std::uint8_t> chunk(image.begin() + 9 * 64 * 1024,
-                                        image.begin() + 10 * 64 * 1024);
+  const auto chunk = image_chunk();
   EXPECT_EQ(security::to_hex(security::Sha256::hash(chunk)),
             "cf2cb325812a0908a6eb13d907a00673f67a018c47bacbb559f5003246dd4734");
   const auto packed = lz_compress(chunk);
-  EXPECT_EQ(packed.size(), 26221u);
+  EXPECT_EQ(packed.size(), 26226u);
   EXPECT_EQ(security::to_hex(security::Sha256::hash(packed)),
-            "eaf601e730bfcf5ddd49ef312f86a2044fb509d6df39f46cb16471a21ec63f9e");
+            "4026d5a24efb5cc640da719feae79c260b7add90ea109282032018808c6dfdcd");
 
-  std::vector<std::uint8_t> text;
-  for (int i = 0; i < 200; ++i) {
-    for (char c : std::string("the quick brown fox ")) {
-      text.push_back(static_cast<std::uint8_t>(c));
-    }
-  }
-  const auto packed_text = lz_compress(text);
+  const auto packed_text = lz_compress(fox_text());
   EXPECT_EQ(packed_text.size(), 495u);
   EXPECT_EQ(security::to_hex(security::Sha256::hash(packed_text)),
-            "6806de65dcfd8cf8d27958ab78084d3b6bf68e09d1ee212126f5c5ce8ca2e118");
+            "d4f52a3e3a860dc49ba96b6de720ab39294c7c48812a59b92c0739050eda0262");
 }
 
 // Hand-built streams, one per decoder rejection. A control byte's bits,
@@ -313,6 +320,140 @@ TEST(Compress, OverlappingMatchRoundTrip) {
   EXPECT_EQ(back.value(), run);
 }
 
+// lz_compress keeps its match tables from one call to the next
+// (lz_tables.hpp). Nothing a call leaves in them may change a later call's
+// output, including across the reset when the position counter would wrap.
+TEST(Compress, OutputIsAPureFunctionOfInput) {
+  constexpr std::size_t kWindow = 4096;
+  Rng rng(21);
+  std::vector<std::vector<std::uint8_t>> inputs;
+  for (std::size_t size : {0, 1, 2, 3, 4095, 4096, 4097}) {
+    // Four symbols, so three-byte matches are everywhere.
+    std::vector<std::uint8_t> bytes(size);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
+    inputs.push_back(std::move(bytes));
+  }
+  inputs.push_back(image_chunk());
+  inputs.push_back(fox_text());
+
+  auto round_trips = [](const std::uint8_t* raw, std::size_t size,
+                        const std::vector<std::uint8_t>& packed) {
+    auto back = lz_decompress(packed, size);
+    return back.is_ok() && std::equal(raw, raw + size, back.value().begin(),
+                                      back.value().end());
+  };
+  std::vector<std::vector<std::uint8_t>> firsts;
+  for (const auto& a : inputs) {
+    // B (a's size, other bytes) sits right before a copy of A in one
+    // buffer, so a chain B left behind would point at B's bytes and find
+    // real matches in the second A.
+    std::vector<std::uint8_t> ba(a);
+    for (auto& byte : ba) byte ^= 0x01;
+    ba.insert(ba.end(), a.begin(), a.end());
+    const std::uint8_t* const b = ba.data();
+    const auto first = lz_compress(a);
+    const auto other = lz_compress(b, a.size());
+    const auto again = lz_compress(b + a.size(), a.size());
+    EXPECT_EQ(again, first) << "size " << a.size();
+    EXPECT_TRUE(round_trips(a.data(), a.size(), first)) << "size " << a.size();
+    EXPECT_TRUE(round_trips(b, a.size(), other)) << "size " << a.size();
+    firsts.push_back(first);
+  }
+
+  // Move the counter so the image chunk's positions end just below the
+  // 32-bit limit: it still fits, and no call after it does.
+  const std::uint32_t chunk_start =
+      UINT32_MAX - 10 - static_cast<std::uint32_t>(inputs[7].size() + kWindow);
+  detail::lz_skip_positions(chunk_start - kWindow - detail::lz_next_position());
+  ASSERT_EQ(detail::lz_next_position(), chunk_start);
+  EXPECT_EQ(lz_compress(inputs[7]), firsts[7]);
+  EXPECT_EQ(detail::lz_next_position(), UINT32_MAX - 10);
+  // Each call below would cross the limit, so it clears the tables and
+  // starts over one window past zero. A counter that wrapped instead would
+  // bring entries from before the wrap back into the window.
+  for (std::size_t i : {4, 5, 6, 7, 8}) {
+    EXPECT_EQ(lz_compress(inputs[i]), firsts[i]) << "size " << inputs[i].size();
+    EXPECT_EQ(detail::lz_next_position(), kWindow + 1 + inputs[i].size() + kWindow)
+        << "size " << inputs[i].size();
+    detail::lz_skip_positions(UINT32_MAX - kWindow - detail::lz_next_position());
+    ASSERT_EQ(detail::lz_next_position(), UINT32_MAX);
+  }
+}
+
+// Decodes a well-formed stream one byte at a time, as the format reads.
+std::vector<std::uint8_t> reference_decode(const std::vector<std::uint8_t>& s) {
+  std::vector<std::uint8_t> out;
+  std::size_t pos = 0;
+  while (pos < s.size()) {
+    const std::uint8_t control = s[pos++];
+    for (int bit = 0; bit < 8 && pos < s.size(); ++bit) {
+      if ((control >> bit) & 1) {
+        out.push_back(s[pos++]);
+        continue;
+      }
+      const std::size_t off = (s[pos] | (std::size_t{s[pos + 1]} >> 4) << 8) + 1;
+      const std::size_t len = (s[pos + 1] & 0x0fu) + 3;
+      pos += 2;
+      for (std::size_t i = 0; i < len; ++i) out.push_back(out[out.size() - off]);
+    }
+  }
+  return out;
+}
+
+TEST(Compress, EveryMutatedStreamIsRejectedOrExact) {
+  auto rejected_or_exact = [](const std::vector<std::uint8_t>& stream,
+                              std::size_t raw_size) {
+    auto result = lz_decompress(stream, raw_size);
+    return !result.is_ok() || result.value().size() == raw_size;
+  };
+  auto flip = [](std::vector<std::uint8_t> stream, std::size_t bit) {
+    stream[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    return stream;
+  };
+
+  const auto text = fox_text();
+  const auto packed_text = lz_compress(text);
+  for (std::size_t bit = 0; bit < packed_text.size() * 8; ++bit) {
+    EXPECT_TRUE(rejected_or_exact(flip(packed_text, bit), text.size()))
+        << "bit " << bit;
+  }
+  // Every strict prefix ends short of the declared size.
+  for (std::size_t len = 0; len < packed_text.size(); ++len) {
+    const std::vector<std::uint8_t> cut(packed_text.begin(),
+                                        packed_text.begin() + len);
+    EXPECT_FALSE(lz_decompress(cut, text.size()).is_ok()) << "length " << len;
+  }
+
+  const auto chunk = image_chunk();
+  const auto packed_chunk = lz_compress(chunk);
+  Rng rng(4096);
+  const auto bits = static_cast<std::int64_t>(packed_chunk.size() * 8);
+  for (int i = 0; i < 4096; ++i) {
+    const auto bit = static_cast<std::size_t>(rng.uniform_int(0, bits - 1));
+    EXPECT_TRUE(rejected_or_exact(flip(packed_chunk, bit), chunk.size()))
+        << "bit " << bit;
+  }
+
+  // Seventeen distinct literals, then one match of every offset 1-17 and
+  // length 3-18: runs (offset 1), other overlaps (offset < length) and
+  // plain copies, each against the byte-at-a-time reference.
+  for (std::size_t off = 1; off <= 17; ++off) {
+    for (std::size_t len = 3; len <= 18; ++len) {
+      std::vector<std::uint8_t> stream;
+      for (std::size_t i = 0; i < 17; ++i) {
+        if (i % 8 == 0) stream.push_back(i < 16 ? 0xff : 0x01);
+        stream.push_back(static_cast<std::uint8_t>('a' + i));
+      }
+      stream.push_back(static_cast<std::uint8_t>(off - 1));
+      stream.push_back(static_cast<std::uint8_t>(len - 3));
+      const auto decoded = lz_decompress(stream, 17 + len);
+      ASSERT_TRUE(decoded.is_ok()) << "offset " << off << " length " << len;
+      EXPECT_EQ(decoded.value(), reference_decode(stream))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
 // --- image model ---
 
 TEST(ImageModel, DeterministicAndIncrementallyDirty) {
@@ -339,6 +480,59 @@ TEST(ImageModel, DeterministicAndIncrementallyDirty) {
                                      after.begin() + off);
     const bool dirtied = std::find(dirty.begin(), dirty.end(), page) != dirty.end();
     EXPECT_EQ(changed, dirtied) << "page " << page;
+  }
+}
+
+// The per-byte rendering that ImageModel::render_page's block stores
+// replaced, with its splitmix64 mixer: 32-byte blocks of h's low eight bytes
+// (least significant first) then 24 copies of h's top byte.
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+std::uint64_t splitmix64(std::uint64_t a, std::uint64_t b) {
+  return splitmix64(a * 0x2545f4914f6cdd1dull + b);
+}
+std::vector<std::uint8_t> reference_page(AppId app, std::int32_t rank,
+                                         const ImageModelParams& params,
+                                         std::size_t page, std::uint64_t version) {
+  const std::size_t offset = page * params.page_size;
+  const std::size_t size = std::min<std::size_t>(
+      params.page_size, static_cast<std::size_t>(params.image_bytes) - offset);
+  const std::uint64_t base =
+      splitmix64(splitmix64(app.value, static_cast<std::uint64_t>(rank)),
+                 splitmix64(page, version));
+  std::vector<std::uint8_t> out(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::uint64_t h = splitmix64(base, i / 32);
+    const std::size_t rel = i % 32;
+    out[i] = static_cast<std::uint8_t>(rel < 8 ? h >> (8 * rel) : h >> 56);
+  }
+  return out;
+}
+
+TEST(ImageModel, RenderPageMatchesBytewiseReference) {
+  // Neither image size is a multiple of 32 or of its page size. With 4 KiB
+  // pages the last page is 165 bytes and ends in a 5-byte block; 1000-byte
+  // pages end in an 8-byte block, and the last page is one 20-byte block.
+  for (const auto& [page_size, image_bytes] :
+       {std::pair<std::uint32_t, Bytes>{4096, 3 * 4096 + 165},
+        std::pair<std::uint32_t, Bytes>{1000, 5 * 1000 + 20}}) {
+    ImageModelParams params;
+    params.page_size = page_size;
+    params.image_bytes = image_bytes;
+    const ImageModel model(AppId(11), 2, params);
+    std::vector<std::uint8_t> out;  // reused, as the agent reuses its buffer
+    for (std::uint64_t version : {0, 1, 7}) {
+      for (std::size_t page = 0; page < model.pages(); ++page) {
+        model.render_page(page, version, out);
+        EXPECT_EQ(out, reference_page(AppId(11), 2, params, page, version))
+            << "page size " << page_size << " page " << page << " version "
+            << version;
+      }
+    }
   }
 }
 

@@ -203,8 +203,8 @@ TEST_P(FuzzSeed, ThreeValuedLogicLaws) {
     const auto a = random_expr(rng, 1);
     const auto b = random_expr(rng, 1);
     const auto props = random_props(rng);
-    const std::string sa = "(" + a->to_string() + ")";
-    const std::string sb = "(" + b->to_string() + ")";
+    const std::string sa = '(' + a->to_string() + ')';
+    const std::string sb = '(' + b->to_string() + ')';
 
     auto value_of = [&](const std::string& src) {
       auto parsed = services::Constraint::parse(src);
