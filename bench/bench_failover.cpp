@@ -99,7 +99,6 @@ core::ClusterConfig cell_config(Mode mode, const Scenario& scenario,
   config.standby_grm = true;
   config.lrm.reliable_updates = true;
   config.lrm.report_journal_window = 5 * kMinute;
-  config.lrm.grm_failure_threshold = 3;
   switch (mode) {
     case Mode::kSnapshot:
       config.lrm.update_period = 10 * kSecond;

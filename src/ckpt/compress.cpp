@@ -235,6 +235,9 @@ PackedChunk pack_chunk(const std::vector<std::uint8_t>& raw,
     std::vector<std::uint8_t> lz = lz_compress(raw);
     if (lz.size() < raw.size()) {
       packed.encoding = Encoding::kLz;
+      // lz_compress reserves for a typical ratio, and a store keeps the
+      // payload as is: hand it over at its exact size.
+      lz.shrink_to_fit();
       packed.payload = std::move(lz);
       return packed;
     }

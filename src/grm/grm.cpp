@@ -219,11 +219,9 @@ void Grm::handle_task_resync(const protocol::TaskResync& resync) {
         task.placement.node == resync.node) {
       continue;  // nothing to learn
     }
-    task.remote_timeout.cancel();
-    task.remote_deadline = 0;
-    task.state = TaskState::kRunning;
-    task.placement = Placement{resync.node, resync.lrm};
-    task.waves = 0;
+    // A copy running elsewhere is left alone: two resyncs for one task can
+    // cross in flight, and a cancel on each would kill both copies.
+    transition(task, TaskState::kRunning, Placement{resync.node, resync.lrm});
     metrics_.counter("tasks_resynced").add();
   }
 }
@@ -295,14 +293,8 @@ void Grm::lose_running_task(TaskRecord& task, NodeId node, const char* counter,
                             const std::string& detail) {
   const TaskId id = task.desc.id;
   ++task.evictions;
-  preempting_.erase(id);
   metrics_.counter(counter).add();
-  auto app_it = apps_.find(task.app);
-  if (app_it == apps_.end()) {
-    requeue(task);
-    return;
-  }
-  const AppRecord& app = app_it->second;
+  const AppRecord& app = apps_.at(task.app);
   notify(app, AppEventKind::kTaskEvicted, id, node, detail);
   if (app.spec.kind == AppKind::kBsp && bsp_lost_) {
     bsp_lost_(app.spec.id, task.desc.bsp_rank);
@@ -418,8 +410,6 @@ protocol::SubmitReply Grm::handle_submit(const protocol::ApplicationSpec& spec) 
       if (spec.bid_deadline > 0) task.deadline = engine_.now() + spec.bid_deadline;
     }
     const TaskId id = task.desc.id;
-    const std::string tenant = task.tenant;
-    const SimTime deadline = task.deadline;
     if (submit_span.valid()) {
       // Lifetime span per task; every negotiation wave parents on it and
       // its duration is the task's submission→completion latency.
@@ -427,8 +417,8 @@ protocol::SubmitReply Grm::handle_submit(const protocol::ApplicationSpec& spec) 
       task.span.app = spec.id.value;
       task.span.task = id.value;
     }
-    tasks_.emplace(id, std::move(task));
-    queue_.push(id, tenant, deadline);
+    transition(tasks_.emplace(id, std::move(task)).first->second,
+               TaskState::kPending);  // joins the queue
   }
   metrics_.counter("apps_submitted").add();
   metrics_.counter("tasks_submitted").add(static_cast<std::int64_t>(spec.tasks.size()));
@@ -571,17 +561,14 @@ void Grm::scheduler_pass() {
   for (int i = 0; i < budget && !queue_.empty(); ++i) {
     const auto popped = queue_.pop(sched_blocked);
     if (!popped) break;  // everything left is quota-blocked
-    auto it = tasks_.find(*popped);
-    if (it == tasks_.end() || it->second.state != TaskState::kPending) {
-      ++budget;  // stale entry: doesn't consume a dispatch slot
-      continue;
-    }
+    TaskRecord& task = tasks_.at(*popped);
+    assert(task.state == TaskState::kPending);
     // Charge at dispatch so later pops in this same pass already see the
     // advanced pass value — a big backlog interleaves instead of bursting.
-    queue_.account_dispatch(it->second.tenant, it->second.desc.work);
+    queue_.account_dispatch(task.tenant, task.desc.work);
     metrics_.counter("sched_dispatched").add();
-    ++committed[it->second.tenant];  // the wave now holds this slot
-    begin_wave(it->second);
+    ++committed[task.tenant];  // the wave now holds this slot
+    begin_wave(task);
   }
   // Preemption is a pass-level policy decision, not a wave-failure
   // fallback: a hint that one node looks free must not hide that a
@@ -590,10 +577,7 @@ void Grm::scheduler_pass() {
   // enforces the under-/over-share and in-flight-cap checks.
   if (sched_.preemption) {
     for (const auto& [tenant, head] : queue_.queued_heads()) {
-      auto it = tasks_.find(head);
-      if (it != tasks_.end() && it->second.state == TaskState::kPending) {
-        (void)maybe_preempt(it->second);
-      }
+      (void)maybe_preempt(tasks_.at(head));
     }
   }
 }
@@ -750,7 +734,7 @@ void Grm::begin_wave(TaskRecord& task) {
     const auto status = protocol::from_properties(offer->properties);
     wave->candidates.push_back(Placement{status.node, offer->provider});
   }
-  task.state = TaskState::kNegotiating;
+  transition(task, TaskState::kNegotiating);
   continue_wave(wave);
 }
 
@@ -775,12 +759,10 @@ void Grm::continue_wave(const std::shared_ptr<Wave>& wave) {
     // The bid rides the reservation so node owners can screen it (NCC
     // bid_filter). Deadline travels as time remaining: absolute sim times
     // mean nothing to the provider.
-    if (auto app_it = apps_.find(it->second.app); app_it != apps_.end()) {
-      reserve.tenant = it->second.tenant;
-      reserve.bid_budget = app_it->second.spec.bid_budget;
-      if (it->second.deadline > engine_.now()) {
-        reserve.bid_deadline = it->second.deadline - engine_.now();
-      }
+    reserve.tenant = it->second.tenant;
+    reserve.bid_budget = apps_.at(it->second.app).spec.bid_budget;
+    if (it->second.deadline > engine_.now()) {
+      reserve.bid_deadline = it->second.deadline - engine_.now();
     }
   }
 
@@ -875,7 +857,6 @@ void Grm::wave_failed(const std::shared_ptr<Wave>& wave) {
   auto it = tasks_.find(wave->task);
   if (it == tasks_.end()) return;
   TaskRecord& task = it->second;
-  task.state = TaskState::kPending;
   ++task.waves;
   metrics_.counter("waves_exhausted").add();
   if (task.waves >= kForwardAfterWaves &&
@@ -901,29 +882,14 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
     }
     return;
   }
-  task.state = TaskState::kRunning;
-  task.placement = placement;
-  task.waves = 0;
+  transition(task, TaskState::kRunning, placement);
   metrics_.counter("tasks_placed").add();
   // Nothing else runs a pass between a placement and the next completion:
   // without this kick a saturated leaf would never probe, so never forward.
   if (!queue_.empty()) kick_scheduler();
 
-  auto app_it = apps_.find(task.app);
-  if (app_it == apps_.end()) return;
-  AppRecord& app = app_it->second;
+  AppRecord& app = apps_.at(task.app);
   notify(app, AppEventKind::kTaskScheduled, id, placement.node, "");
-
-  // Keep the GRM's own hint honest: that node now has less capacity.
-  auto node_it = nodes_.find(placement.node);
-  if (node_it != nodes_.end()) {
-    protocol::NodeStatus& hint = node_it->second.status;
-    hint.exportable_cpu = std::max(0.0, hint.exportable_cpu - kCpuRequest);
-    hint.shareable =
-        hint.shareable && hint.exportable_cpu >= protocol::kMinUsefulCpu;
-    hint.running_tasks += 1;
-    refresh_load(node_it->second);
-  }
 
   if (app.spec.kind == AppKind::kBsp) {
     auto rank_running = [this](const protocol::TaskDescriptor& rank) {
@@ -943,27 +909,52 @@ void Grm::task_placed(TaskId id, const Placement& placement) {
 }
 
 void Grm::requeue(TaskRecord& task) {
-  task.state = TaskState::kPending;
-  // push() deduplicates: a task already queued (e.g. a node-death sweep
-  // racing a duplicated eviction report) keeps exactly one queue entry.
-  queue_.push(task.desc.id, task.tenant, task.deadline);
+  transition(task, TaskState::kPending);
   kick_scheduler(1 * kSecond);
 }
 
-void Grm::credit_node_capacity(NodeId node) {
-  // Inverse of the placement-time decrement: a completion or eviction
-  // report frees the reporter's slot NOW, not at its next heartbeat. Left
-  // stale, the trader hides the freed node for a full heartbeat period and
-  // the pass budget counts one free slot too few. The hint may overshoot
-  // the node's true capacity (an owner may have returned); the reservation
-  // protocol refuses and the next heartbeat trues it up.
-  auto node_it = nodes_.find(node);
-  if (node_it == nodes_.end()) return;
-  node_it->second.status.exportable_cpu += kCpuRequest;
-  node_it->second.status.running_tasks =
-      std::max(0, node_it->second.status.running_tasks - 1);
-  node_it->second.status.shareable = true;
-  refresh_load(node_it->second);
+void Grm::transition(TaskRecord& task, TaskState to, const Placement& at) {
+  const TaskId id = task.desc.id;
+  const TaskState from = task.state;
+  if (from == TaskState::kRunning) {
+    preempting_.erase(id);
+    // Inverse of the debit below: the slot is free NOW, not at the node's
+    // next load, which would hide it from the trader and the pass budget
+    // until then. The hint may overshoot (an owner may have returned); a
+    // refused reservation and the next load true it up.
+    if (auto node = nodes_.find(task.placement.node); node != nodes_.end()) {
+      protocol::NodeStatus& hint = node->second.status;
+      hint.exportable_cpu += kCpuRequest;
+      hint.running_tasks = std::max(0, hint.running_tasks - 1);
+      hint.shareable = true;
+      refresh_load(node->second);
+    }
+  }
+  if (from == TaskState::kRemote) {
+    task.remote_timeout.cancel();
+    task.remote_deadline = 0;
+  }
+  task.state = to;
+  // push() is a no-op for a queued task; a task the pass just popped joins
+  // again at the back.
+  if (to == TaskState::kPending) {
+    queue_.push(id, task.tenant, task.deadline);
+  } else if (from == TaskState::kPending) {
+    queue_.erase(id);
+  }
+  if (to == TaskState::kRunning) {
+    task.placement = at;
+    task.waves = 0;
+    // Keep the GRM's own hint honest: that node now has less capacity.
+    if (auto node = nodes_.find(at.node); node != nodes_.end()) {
+      protocol::NodeStatus& hint = node->second.status;
+      hint.exportable_cpu = std::max(0.0, hint.exportable_cpu - kCpuRequest);
+      hint.shareable =
+          hint.shareable && hint.exportable_cpu >= protocol::kMinUsefulCpu;
+      hint.running_tasks += 1;
+      refresh_load(node->second);
+    }
+  }
 }
 
 bool Grm::maybe_preempt(const TaskRecord& requester) {
@@ -1008,10 +999,7 @@ bool Grm::maybe_preempt(const TaskRecord& requester) {
   // to their victim tenants so concurrent waves cannot overshoot one
   // tenant.
   std::map<std::string, int> inflight;
-  for (const TaskId id : preempting_) {
-    auto it = tasks_.find(id);
-    if (it != tasks_.end()) ++inflight[it->second.tenant];
-  }
+  for (const TaskId id : preempting_) ++inflight[tasks_.at(id).tenant];
   // Deterministic victim pick: among running sequential tasks of over-share
   // tenants (other than the requester's), lowest (tenant name, task id).
   const TaskRecord* victim = nullptr;
@@ -1081,9 +1069,7 @@ void Grm::handle_report(const protocol::TaskReport& report) {
   auto it = tasks_.find(report.task);
   if (it == tasks_.end()) return;
   TaskRecord& task = it->second;
-  auto app_it = apps_.find(task.app);
-  if (app_it == apps_.end()) return;
-  AppRecord& app = app_it->second;
+  AppRecord& app = apps_.at(task.app);
 
   // "grm.report" span: child of the LRM's "lrm.run" span (carried on the
   // report request), so completion causality is visible in the trace tree.
@@ -1107,11 +1093,15 @@ void Grm::handle_report(const protocol::TaskReport& report) {
         metrics_.counter("duplicate_reports_ignored").add();
         break;
       }
-      task.remote_timeout.cancel();
-      task.remote_deadline = 0;
-      task.state = TaskState::kCompleted;
+      if (task.state == TaskState::kRunning &&
+          task.placement.node != report.node && task.placement.lrm.valid()) {
+        // Another copy finished first (e.g. on a node the stale sweep gave
+        // up on): the one at the placement has nothing left to do.
+        orb::oneway(orb_, task.placement.lrm, "cancel",
+                    protocol::CancelTask{report.task});
+      }
+      transition(task, TaskState::kCompleted);
       --app.outstanding;
-      preempting_.erase(report.task);
       if (task.deadline > 0) {
         metrics_.counter(engine_.now() <= task.deadline
                              ? "sched_deadline_hits"
@@ -1120,7 +1110,6 @@ void Grm::handle_report(const protocol::TaskReport& report) {
       }
       // A finished task frees a slot a queued (or quota-blocked) task may
       // be waiting on.
-      credit_node_capacity(report.node);
       if (!queue_.empty()) kick_scheduler();
       if (tr != nullptr && task.span.valid()) {
         // Close the lifetime span: its duration is the task's
@@ -1147,9 +1136,6 @@ void Grm::handle_report(const protocol::TaskReport& report) {
         metrics_.counter("stale_reports_ignored").add();
         break;
       }
-      // The reporter's slot is free now (the hint is GRM-local state, so
-      // crediting it before the shared steps changes no message).
-      credit_node_capacity(report.node);
       lose_running_task(task, report.node,
                         report.outcome == TaskOutcome::kEvicted
                             ? "tasks_evicted"
@@ -1206,9 +1192,7 @@ void Grm::handle_cancel_app(AppId app_id) {
       orb::oneway(orb_, task.placement.lrm, "cancel",
                   protocol::CancelTask{task_it->first});
     }
-    task.remote_timeout.cancel();
-    queue_.erase(task_it->first);
-    preempting_.erase(task_it->first);
+    transition(task, TaskState::kFailed);
     task_it = tasks_.erase(task_it);
   }
   if (it->second.spec.kind == AppKind::kBsp && bsp_cancelled_) {
@@ -1250,8 +1234,7 @@ void Grm::complete_bsp_app(AppId app_id) {
       orb::oneway(orb_, task.placement.lrm, "cancel",
                   protocol::CancelTask{task_id});
     }
-    preempting_.erase(task_id);
-    task.state = TaskState::kCompleted;
+    transition(task, TaskState::kCompleted);
   }
   app.outstanding = 0;
   notify(app, AppEventKind::kAppCompleted, TaskId(), NodeId(), "");
@@ -1318,7 +1301,7 @@ void Grm::forward_remote(TaskRecord& task) {
     return;
   }
 
-  task.state = TaskState::kRemote;
+  transition(task, TaskState::kRemote);
   metrics_.counter("remote_forwards").add();
   {
     // Keep the remote hop inside the task's trace.
@@ -1344,7 +1327,6 @@ void Grm::arm_remote_timeout(TaskRecord& task) {
     auto it = tasks_.find(id);
     if (it == tasks_.end() || it->second.state != TaskState::kRemote) return;
     metrics_.counter("remote_timeouts").add();
-    it->second.remote_deadline = 0;
     it->second.waves = 0;  // start the local/remote cycle over
     requeue(it->second);
   });
@@ -1407,10 +1389,8 @@ void Grm::handle_remote_submit(const protocol::RemoteSubmit& request) {
       task.span.app = request.spec.id.value;
       task.span.task = id.value;
     }
-    const std::string tenant = task.tenant;
-    const SimTime deadline = task.deadline;
-    tasks_.emplace(id, std::move(task));
-    queue_.push(id, tenant, deadline);
+    transition(tasks_.emplace(id, std::move(task)).first->second,
+               TaskState::kPending);  // joins the queue
     kick_scheduler();
     metrics_.counter("remote_adoptions").add();
 
@@ -1550,9 +1530,26 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
     apps.emplace_hint(apps.end(), id, std::move(app));
   }
   std::map<TaskId, TaskRecord> tasks;
+  std::size_t pending = 0;
   for (TaskRecord& task : image.tasks) {
     const TaskId id = task.desc.id;
+    // The first pass that ranks a task looks its app up, and the pass
+    // trusts the queue to hold exactly the kPending tasks.
+    const bool is_pending = task.state == TaskState::kPending;
+    const char* bad = !apps.contains(task.app) ? " belongs to no app record"
+                      : queue.contains(id) == is_pending ? nullptr
+                      : is_pending ? " is pending but not queued"
+                                   : " is queued but not pending";
+    if (bad != nullptr) {
+      return Status(ErrorCode::kInternal,
+                    "grm snapshot task " + to_string(id) + bad);
+    }
+    if (is_pending) ++pending;
     tasks.emplace_hint(tasks.end(), id, std::move(task));
+  }
+  if (pending != queue.size()) {
+    return Status(ErrorCode::kInternal,
+                  "grm snapshot queues a task it has no record of");
   }
   std::map<ClusterId, protocol::ClusterSummary> child_summaries;
   for (protocol::ClusterSummary& summary : image.child_summaries) {
@@ -1590,8 +1587,7 @@ void Grm::recover_in_flight() {
   int recovered = 0;
   for (auto& [id, task] : tasks_) {
     if (task.state == TaskState::kNegotiating) {
-      task.state = TaskState::kPending;
-      queue_.push(id, task.tenant, task.deadline);
+      transition(task, TaskState::kPending);
       ++recovered;
       continue;
     }

@@ -159,7 +159,7 @@ class Grm {
 
   // ---- control-plane snapshots (see docs/snapshots.md) ----
   /// Snapshot format version of the "grm" section (the Image in grm.cpp).
-  static constexpr std::uint32_t kSnapshotVersion = 5;
+  static constexpr std::uint32_t kSnapshotVersion = 6;
   /// Serialize scheduler state: node records, apps, tasks, the pending
   /// queue, child summaries, reservation counter, and the RNG stream.
   /// Engine-coupled transients (armed timers, active negotiation waves and
@@ -169,7 +169,8 @@ class Grm {
   /// Replace scheduler state from a snapshot section of exactly
   /// kSnapshotVersion. Accepts only bytes save() could have written: the
   /// whole payload, keyed records in strictly ascending key order, task
-  /// states in range, one queue entry per queued task. Decode-into-scratch:
+  /// states in range, every task's app on record, and a queue that holds
+  /// exactly the kPending tasks, once each. Decode-into-scratch:
   /// on any error the GRM is untouched. Requires the Trader section to have
   /// been loaded first (node records must reference live offers). The
   /// loaded state is dormant until recover_in_flight().
@@ -200,7 +201,7 @@ class Grm {
 
   struct TaskRecord {
     protocol::TaskDescriptor desc;
-    AppId app;
+    AppId app;  // on record in apps_ for as long as the task is
     TaskState state = TaskState::kPending;
     Placement placement;
     int waves = 0;      // fruitless negotiation waves so far
@@ -240,7 +241,6 @@ class Grm {
     orb::ObjectRef origin;        // origin GRM (adopted fragments only)
     int outstanding = 0;          // tasks not yet completed
     bool bsp_ready_fired = false;
-    bool failed = false;
 
     // The spec's bid tail is written unconditionally: a record never ends
     // the section.
@@ -248,7 +248,7 @@ class Grm {
       using S = AppRecord;
       return cdr::fields(cdr::BaseOf{&S::spec}, cdr::TailOf{&S::spec},
                          &S::adopted_remote, &S::origin, &S::outstanding,
-                         &S::bsp_ready_fired, &S::failed);
+                         &S::bsp_ready_fired);
     }
   };
 
@@ -265,9 +265,16 @@ class Grm {
   void refresh_load(const NodeRecord& record);
   void sweep_stale_offers();
   void on_node_dead(NodeId node, const NodeRecord& record);
+  /// The one writer of TaskRecord::state (intake creates kPending records
+  /// and load() decodes them). It keeps in step everything that must agree
+  /// with the state: the task is queued exactly while kPending; entering
+  /// kRunning sets the placement, resets `waves` and debits the node's
+  /// hint; leaving kRunning credits that hint and clears the preemption
+  /// mark; leaving kRemote cancels the adoption timer. Sends nothing.
+  void transition(TaskRecord& task, TaskState to, const Placement& at = {});
   /// The steps an eviction report and a dead-node sweep share for a task
-  /// that was running on `node`: count the eviction, drop any preemption
-  /// mark, notify, tell the BSP coordinator, and requeue.
+  /// that was running on `node`: count the eviction, notify, tell the BSP
+  /// coordinator, and requeue.
   void lose_running_task(TaskRecord& task, NodeId node, const char* counter,
                          const std::string& detail);
   void kick_scheduler(SimDuration delay = 0);
@@ -280,7 +287,6 @@ class Grm {
   /// task off its node so `requester` can take the slot. Returns true when
   /// a victim was told to checkpoint out.
   bool maybe_preempt(const TaskRecord& requester);
-  void credit_node_capacity(NodeId node);
   [[nodiscard]] std::vector<orb::ObjectRef> pick_ckpt_peers(
       NodeId exclude) const;
   /// Back to the queue (fruitless wave, eviction, dead node, preemption,
@@ -324,13 +330,15 @@ class Grm {
   std::map<AppId, AppRecord> apps_;
   std::map<TaskId, TaskRecord> tasks_;
   /// Ready queue: weighted stride across tenants, EDF within each, FIFO
-  /// with the economy off (one tenant, no deadlines). Deduplicated.
+  /// with the economy off (one tenant, no deadlines). Holds exactly the
+  /// kPending tasks; only transition() adds or removes one, apart from the
+  /// scheduler pass's pop, which hands the task straight to begin_wave().
   sched::FairQueue queue_;
   sched::SchedOptions sched_;
   /// Tenant specs and the entitlement formula. Running counts are not
   /// tracked: each reader counts them from tasks_.
   sched::TenantRegistry tenant_registry_;
-  /// Tasks with a preempt request in flight (never re-victimised).
+  /// Running tasks with a preempt request in flight (never re-victimised).
   std::set<TaskId> preempting_;
   std::vector<std::pair<NodeId, orb::ObjectRef>> ckpt_agents_;
   std::map<ClusterId, protocol::ClusterSummary> child_summaries_;

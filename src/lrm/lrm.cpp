@@ -248,9 +248,10 @@ void Lrm::push_update() {
     return;
   }
   // Reliable mode: a two-way update doubles as a liveness probe of the
-  // Cluster Manager. After `grm_failure_threshold` consecutive misses the
+  // Cluster Manager. After kGrmFailureThreshold consecutive misses the
   // primary is presumed dead and the standby takes its place; the old
   // primary becomes the standby, so a later flip-back works the same way.
+  constexpr int kGrmFailureThreshold = 3;
   orb::call<protocol::NodeLoad, cdr::Empty>(
       orb_, grm_, "update_status", load,
       [this](Result<cdr::Empty> reply) {
@@ -259,7 +260,7 @@ void Lrm::push_update() {
           grm_misses_ = 0;
           return;
         }
-        if (++grm_misses_ < options_.grm_failure_threshold) return;
+        if (++grm_misses_ < kGrmFailureThreshold) return;
         grm_misses_ = 0;
         const orb::ObjectRef old_grm = grm_;
         std::swap(grm_, standby_grm_);
@@ -440,9 +441,11 @@ protocol::ReservationReply Lrm::handle_reserve(
     metrics_.counter("reservations_refused").add();
     return reply;
   }
-  if (ram_committed() + req.ram > exportable_ram) {
+  // The request's RAM comes off the wire: refuse a negative one, which would
+  // corrupt every later sum of committed RAM, and compare without a sum.
+  if (req.ram < 0 || req.ram > exportable_ram - ram_committed()) {
     reply.granted = false;
-    reply.reason = "insufficient RAM";
+    reply.reason = req.ram < 0 ? "negative RAM request" : "insufficient RAM";
     metrics_.counter("reservations_refused").add();
     return reply;
   }
@@ -488,6 +491,12 @@ protocol::ExecuteReply Lrm::handle_execute(const protocol::ExecuteRequest& req) 
     }
   } span_closer{*this, tr, espan, reply};
 
+  if (req.task.ram_needed < 0) {
+    reply.accepted = false;
+    reply.reason = "negative RAM request";
+    metrics_.counter("executes_rejected").add();
+    return reply;
+  }
   protocol::ReservationRequest reservation;
   auto it = reservations_.find(req.reservation);
   if (it == reservations_.end()) {
@@ -508,7 +517,7 @@ protocol::ExecuteReply Lrm::handle_execute(const protocol::ExecuteRequest& req) 
     reservation.cpu_fraction = std::min(1.0, grantable);
     if (!ncc_.shareable(machine_, now, owner_quiet_since_) ||
         grantable < protocol::kMinUsefulCpu ||
-        ram_committed() + reservation.ram > ncc_.exportable_ram(machine_)) {
+        reservation.ram > ncc_.exportable_ram(machine_) - ram_committed()) {
       reply.accepted = false;
       reply.reason = "node busy (direct execute refused)";
       metrics_.counter("executes_rejected").add();

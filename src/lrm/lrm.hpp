@@ -57,10 +57,9 @@ struct LrmOptions {
   /// tasks exceeding its limits are refused at Execute time.
   security::Sandbox sandbox;
   /// Two-way status updates: the LRM watches for GRM replies and fails over
-  /// to the standby GRM (set_standby_grm) after `grm_failure_threshold`
-  /// consecutive misses. Off by default — oneway updates, no failover.
+  /// to the standby GRM (set_standby_grm) after three consecutive misses.
+  /// Off by default — oneway updates, no failover.
   bool reliable_updates = false;
-  int grm_failure_threshold = 3;
   /// Keep a sliding-window journal of outgoing TaskReports and replay it to
   /// a newly adopted GRM (snapshot-restore failover): terminal outcomes the
   /// dead primary swallowed are re-delivered, and the GRM's duplicate/stale

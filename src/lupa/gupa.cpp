@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "lupa/lupa.hpp"
+
 namespace integrade::lupa {
 
 void Gupa::upload(const protocol::UsagePatternUpload& upload) {
@@ -37,18 +39,6 @@ std::vector<double> Gupa::dow_weights(
   return weights;
 }
 
-double Gupa::busy_prob(const protocol::UsagePatternUpload& pattern,
-                       const std::vector<double>& weights, int slot) {
-  double p = 0.0;
-  for (std::size_t c = 0; c < pattern.categories.size(); ++c) {
-    const auto& centroid = pattern.categories[c].centroid;
-    if (centroid.empty()) continue;
-    p += weights[c] *
-         centroid[static_cast<std::size_t>(slot) % centroid.size()];
-  }
-  return std::clamp(p, 0.0, 1.0);
-}
-
 protocol::ForecastReply Gupa::forecast(
     const protocol::ForecastRequest& request) const {
   protocol::ForecastReply reply;
@@ -58,36 +48,13 @@ protocol::ForecastReply Gupa::forecast(
     reply.known = false;
     return reply;
   }
-  const auto& pattern = it->second;
+  const auto& categories = it->second.categories;
   reply.known = true;
-  const std::vector<double> weights = dow_weights(pattern, request.at);
-
-  // Rising-curve hazard, mirroring Lupa::p_idle_through (see the comment
-  // there): conditioned on idle-now, the owner arrives when the category
-  // busy curve climbs above its current level.
-  const double baseline = busy_prob(pattern, weights, node::slot_of_day(request.at));
-  double peak = baseline;
-  const SimTime end = request.at + request.horizon;
-  SimTime cursor = (request.at / node::kSlotDuration + 1) * node::kSlotDuration;
-  while (cursor < end) {
-    peak = std::max(peak, busy_prob(pattern, weights, node::slot_of_day(cursor)));
-    cursor += node::kSlotDuration;
-  }
-  reply.p_idle_through = 1.0 - std::clamp(peak - baseline, 0.0, 1.0);
-
-  double expected_us = static_cast<double>(
-      (request.at / node::kSlotDuration + 1) * node::kSlotDuration - request.at);
-  SimTime scan = (request.at / node::kSlotDuration + 1) * node::kSlotDuration;
-  const SimTime cap = request.at + kDay;
-  double running_peak = baseline;
-  while (scan < cap) {
-    running_peak = std::max(running_peak, busy_prob(pattern, weights, node::slot_of_day(scan)));
-    const double survival = 1.0 - std::clamp(running_peak - baseline, 0.0, 1.0);
-    if (survival <= 1e-4) break;
-    expected_us += survival * static_cast<double>(node::kSlotDuration);
-    scan += node::kSlotDuration;
-  }
-  reply.expected_idle_remaining = static_cast<SimDuration>(expected_us);
+  const std::vector<double> weights = dow_weights(it->second, request.at);
+  reply.p_idle_through =
+      mixture_p_idle_through(categories, weights, request.at, request.horizon);
+  reply.expected_idle_remaining =
+      mixture_expected_idle(categories, weights, request.at);
   return reply;
 }
 

@@ -34,9 +34,6 @@ class Gupa {
  private:
   [[nodiscard]] static std::vector<double> dow_weights(
       const protocol::UsagePatternUpload& pattern, SimTime at);
-  [[nodiscard]] static double busy_prob(
-      const protocol::UsagePatternUpload& pattern,
-      const std::vector<double>& weights, int slot);
 
   std::unordered_map<NodeId, protocol::UsagePatternUpload> patterns_;
 };

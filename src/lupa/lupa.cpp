@@ -18,6 +18,19 @@ constexpr double kBusyCpuThreshold = 0.15;
 constexpr std::size_t kMaxCategories = 6;
 constexpr double kBicPenalty = 2.0;
 
+/// Mixture busy probability of `categories` under `weights` at a day-slot.
+double mixture_busy_prob(const std::vector<protocol::UsageCategory>& categories,
+                         const std::vector<double>& weights, int slot) {
+  double p = 0.0;
+  for (std::size_t c = 0; c < categories.size(); ++c) {
+    const auto& centroid = categories[c].centroid;
+    if (centroid.empty()) continue;
+    p += weights[c] *
+         centroid[static_cast<std::size_t>(slot) % centroid.size()];
+  }
+  return std::clamp(p, 0.0, 1.0);
+}
+
 }  // namespace
 
 Lupa::Lupa(sim::Engine& engine, const node::Machine& machine, Rng rng,
@@ -179,25 +192,21 @@ std::vector<double> Lupa::category_posterior(SimTime at) const {
   return weights;
 }
 
-double Lupa::busy_prob(const std::vector<double>& weights, int slot) const {
-  double p = 0.0;
-  for (std::size_t c = 0; c < categories_.size(); ++c) {
-    const auto& centroid = categories_[c].centroid;
-    const double v =
-        centroid.empty()
-            ? 0.0
-            : centroid[static_cast<std::size_t>(slot) % centroid.size()];
-    p += weights[c] * v;
-  }
-  return std::clamp(p, 0.0, 1.0);
-}
-
 double Lupa::p_idle_through(SimTime at, SimDuration horizon) const {
   if (!has_model()) return 0.0;
   if (horizon <= 0) return 1.0;
+  return mixture_p_idle_through(categories_, category_posterior(at), at,
+                                horizon);
+}
 
-  const std::vector<double> weights = category_posterior(at);
+SimDuration Lupa::expected_idle_remaining(SimTime at) const {
+  if (!has_model()) return 0;
+  return mixture_expected_idle(categories_, category_posterior(at), at);
+}
 
+double mixture_p_idle_through(
+    const std::vector<protocol::UsageCategory>& categories,
+    const std::vector<double>& weights, SimTime at, SimDuration horizon) {
   // Owner sessions are block-structured (work mornings, lunch dips,
   // nights), so within a category the day's busy-fraction curve traces the
   // blocks. Conditioned on "idle now", the owner arrives inside the window
@@ -205,35 +214,35 @@ double Lupa::p_idle_through(SimTime at, SimDuration horizon) const {
   //   P(arrival) ≈ clamp(max_{slot in window} c[slot] − c[now], 0, 1)
   // which, unlike an independent-slots survival product, does not manufacture
   // arrivals out of a flat low-busy night. Mixture-weighted over categories.
-  const int now_slot = node::slot_of_day(at);
-  const double baseline = busy_prob(weights, now_slot);
+  const double baseline =
+      mixture_busy_prob(categories, weights, node::slot_of_day(at));
   const SimTime end = at + horizon;
   double peak = baseline;
   SimTime cursor = (at / node::kSlotDuration + 1) * node::kSlotDuration;
   while (cursor < end) {
-    peak = std::max(peak, busy_prob(weights, node::slot_of_day(cursor)));
+    peak = std::max(peak, mixture_busy_prob(categories, weights,
+                                            node::slot_of_day(cursor)));
     cursor += node::kSlotDuration;
   }
   return 1.0 - std::clamp(peak - baseline, 0.0, 1.0);
 }
 
-SimDuration Lupa::expected_idle_remaining(SimTime at) const {
-  if (!has_model()) return 0;
-  const std::vector<double> weights = category_posterior(at);
-
+SimDuration mixture_expected_idle(
+    const std::vector<protocol::UsageCategory>& categories,
+    const std::vector<double>& weights, SimTime at) {
   // E[idle] = Σ_k S_k · slot with the same rising-curve hazard:
   // S_k = 1 − clamp(max_{j ≤ k} c_j − c_now, 0, 1), monotone in k.
-  const int now_slot = node::slot_of_day(at);
-  const double baseline = busy_prob(weights, now_slot);
+  const double baseline =
+      mixture_busy_prob(categories, weights, node::slot_of_day(at));
   double peak = baseline;
-  double expected_us = 0.0;
   SimTime cursor = (at / node::kSlotDuration + 1) * node::kSlotDuration;
   // Idle runs that survive a whole day are rare enough (and irrelevant to
   // scheduling) that the expectation scan stops there.
   const SimTime cap = at + kDay;
-  expected_us += static_cast<double>(cursor - at);  // remainder of this slot
+  double expected_us = static_cast<double>(cursor - at);  // rest of this slot
   while (cursor < cap) {
-    peak = std::max(peak, busy_prob(weights, node::slot_of_day(cursor)));
+    peak = std::max(peak, mixture_busy_prob(categories, weights,
+                                            node::slot_of_day(cursor)));
     const double survival = 1.0 - std::clamp(peak - baseline, 0.0, 1.0);
     if (survival <= 1e-4) break;
     expected_us += survival * static_cast<double>(node::kSlotDuration);

@@ -32,6 +32,23 @@ struct LupaOptions {
   std::size_t max_history_days = 56;
 };
 
+// The idleness forecast over a category mixture, shared by the node-local
+// LUPA and the cluster's GUPA. Only the category weights differ: the LUPA's
+// posterior also conditions on today's partial day, which never leaves the
+// node.
+
+/// P(owner stays away from `at` through `at + horizon`), conditioned on the
+/// node being idle at `at` (the rising-curve hazard; see lupa.cpp).
+[[nodiscard]] double mixture_p_idle_through(
+    const std::vector<protocol::UsageCategory>& categories,
+    const std::vector<double>& weights, SimTime at, SimDuration horizon);
+
+/// Expected remaining idle time from `at` under the same hazard, scanned at
+/// most one day ahead.
+[[nodiscard]] SimDuration mixture_expected_idle(
+    const std::vector<protocol::UsageCategory>& categories,
+    const std::vector<double>& weights, SimTime at);
+
 /// A finished day of observation.
 struct DayRecord {
   Vector busy_fraction;  // 48 slots
@@ -69,7 +86,8 @@ class Lupa {
   /// a pessimistic 0 when no model exists yet.
   [[nodiscard]] double p_idle_through(SimTime at, SimDuration horizon) const;
 
-  /// Expected remaining idle time starting at `at` (capped at one week).
+  /// Expected remaining idle time starting at `at` (scanned at most one day
+  /// ahead).
   [[nodiscard]] SimDuration expected_idle_remaining(SimTime at) const;
 
   /// Posterior category weights given today's partial observation; priors
@@ -84,9 +102,6 @@ class Lupa {
  private:
   void sample();
   void finalize_day(bool weekday);
-  /// Mixture busy probability for a day-slot under posterior `weights`.
-  [[nodiscard]] double busy_prob(const std::vector<double>& weights,
-                                 int slot) const;
 
   sim::Engine& engine_;
   const node::Machine& machine_;

@@ -282,6 +282,13 @@ TEST(Compress, PinnedStream) {
             "d4f52a3e3a860dc49ba96b6de720ab39294c7c48812a59b92c0739050eda0262");
 }
 
+// A store keeps a packed payload as is, for as long as it holds the chunk.
+TEST(Compress, PackedPayloadHasNoSpareCapacity) {
+  const auto packed = pack_chunk(image_chunk(), /*try_compress=*/true);
+  ASSERT_EQ(packed.encoding, Encoding::kLz);
+  EXPECT_EQ(packed.payload.capacity(), packed.payload.size());
+}
+
 // Hand-built streams, one per decoder rejection. A control byte's bits,
 // LSB first, pick a literal (1) or a 2-byte token (0): low byte = offset-1
 // low bits, high byte = offset-1 high nibble << 4 | length-3.

@@ -251,8 +251,8 @@ TEST(FaultsDeterminism, LossPlanStreamIsIsolatedFromJitterStream) {
 TEST(FaultsFailover, ManagerCrashRotatesEveryLrmToStandby) {
   // Reliable per-node status updates double as each LRM's liveness probe of
   // the Cluster Manager. Kill the manager node: every LRM's two-way updates
-  // start missing, and after grm_failure_threshold misses each LRM rotates
-  // onto the warm standby on its own and re-announces there.
+  // start missing, and after three misses each LRM rotates onto the warm
+  // standby on its own and re-announces there.
   core::Grid grid(131);
   auto config = core::quiet_cluster(6, 131, 1000.0, "failover");
   config.lrm.update_period = 10 * kSecond;

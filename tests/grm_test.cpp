@@ -3,6 +3,9 @@
 // requeue on eviction, and checkpoint-based restarts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/grid.hpp"
 #include "core/workloads.hpp"
 #include "grm/grm.hpp"
@@ -503,15 +506,23 @@ TEST_F(GrmFixture, RunningQuotaHoldsAcrossEveryWayATaskLeaves) {
   ASSERT_TRUE(grm.handle_submit(l).accepted);
   ASSERT_TRUE(grm.handle_submit(t).accepted);
 
-  auto one_slot = [&grm] { ASSERT_LE(grm.running_tasks("capped"), 1); };
-  auto running = [&grm](TaskId id) {
-    return [&grm, id] { return grm.task_state(id) == TaskState::kRunning; };
-  };
   const TaskId s0 = s.tasks[0].id;
   const TaskId l0 = l.tasks[0].id;
   const TaskId l1 = l.tasks[1].id;
   const TaskId l2 = l.tasks[2].id;
   const TaskId t0 = t.tasks[0].id;
+  // After every event: one slot at most, and the queue holds exactly the
+  // pending tasks (a cancelled task reads as kFailed).
+  auto one_slot = [&grm, all = std::vector<TaskId>{s0, l0, l1, l2, t0}] {
+    ASSERT_LE(grm.running_tasks("capped"), 1);
+    const auto pending = std::count_if(all.begin(), all.end(), [&grm](TaskId id) {
+      return grm.task_state(id) == TaskState::kPending;
+    });
+    ASSERT_EQ(grm.queue_length(), static_cast<std::size_t>(pending));
+  };
+  auto running = [&grm](TaskId id) {
+    return [&grm, id] { return grm.task_state(id) == TaskState::kRunning; };
+  };
 
   ASSERT_TRUE(step_until(grid, kMinute, running(s0), one_slot));
   EXPECT_EQ(grm.running_tasks("capped"), 1);
@@ -545,6 +556,141 @@ TEST_F(GrmFixture, RunningQuotaHoldsAcrossEveryWayATaskLeaves) {
   ASSERT_TRUE(step_until(grid, 10 * kMinute, running(t0), one_slot));
   EXPECT_EQ(grm.running_tasks("capped"), 1);
   EXPECT_EQ(grm.running_tasks(), 1);
+}
+
+/// The GRM's hint of every node in `cluster`, in LRM order.
+std::vector<protocol::NodeStatus> hints(core::Cluster& cluster) {
+  std::vector<protocol::NodeStatus> out;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const auto hint = cluster.grm().node_view(cluster.lrm(i).node_id());
+    EXPECT_TRUE(hint.has_value());
+    out.push_back(hint.value_or(protocol::NodeStatus{}));
+  }
+  return out;
+}
+
+/// Every node in `hosts` has its `before` running count back in the GRM's
+/// hint, and is shareable again.
+void expect_credited(core::Cluster& cluster,
+                     const std::vector<protocol::NodeStatus>& before,
+                     const std::vector<NodeId>& hosts) {
+  const auto now = hints(cluster);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const NodeId node = cluster.lrm(i).node_id();
+    if (std::find(hosts.begin(), hosts.end(), node) == hosts.end()) continue;
+    EXPECT_EQ(now[i].running_tasks, before[i].running_tasks) << "node " << i;
+    EXPECT_TRUE(now[i].shareable) << "node " << i;
+  }
+}
+
+TEST_F(GrmFixture, BspCompletionCreditsEveryRankNodeAtOnce) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(6, 61));
+  grid.run_for(2 * kMinute);
+  Grm& grm = cluster.grm();
+  const auto before = hints(cluster);
+
+  AppBuilder app("bsp-done");
+  app.bsp(4, 6, 10'000.0, 16 * kKiB, /*ckpt_every=*/0, 0);
+  const auto spec = app.build(cluster.asct().ref());
+  ASSERT_TRUE(grm.handle_submit(spec).accepted);
+  const auto all_running = [&] {
+    return std::all_of(spec.tasks.begin(), spec.tasks.end(), [&](const auto& t) {
+      return grm.task_state(t.id) == TaskState::kRunning;
+    });
+  };
+  ASSERT_TRUE(step_until(grid, 10 * kMinute, all_running, [] {}));
+  std::vector<NodeId> hosts;
+  for (const auto& rank : spec.tasks) hosts.push_back(grm.placement_of(rank.id)->node);
+
+  // The coordinator's completion cancels the residents; at that same
+  // instant their nodes' hints are free again.
+  ASSERT_TRUE(step_until(
+      grid, kHour,
+      [&] { return grm.task_state(spec.tasks[0].id) == TaskState::kCompleted; },
+      [] {}));
+  expect_credited(cluster, before, hosts);
+}
+
+TEST_F(GrmFixture, CancelCreditsTheNodesOfItsRunningTasks) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(4, 62));
+  grid.run_for(2 * kMinute);
+  Grm& grm = cluster.grm();
+  const auto before = hints(cluster);
+
+  AppBuilder app("cancelled");
+  app.kind(protocol::AppKind::kParametric).tasks(3, 6'000'000.0);
+  const auto spec = app.build(cluster.asct().ref());
+  ASSERT_TRUE(grm.handle_submit(spec).accepted);
+  ASSERT_TRUE(step_until(
+      grid, 10 * kMinute, [&] { return grm.running_tasks() == 3; }, [] {}));
+  std::vector<NodeId> hosts;
+  for (const auto& task : spec.tasks) hosts.push_back(grm.placement_of(task.id)->node);
+
+  grm.handle_cancel_app(spec.id);
+  expect_credited(cluster, before, hosts);
+}
+
+TEST_F(GrmFixture, ResyncOfAPendingTaskLeavesTheQueueAndDebitsItsNode) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(3, 63));
+  grid.run_for(2 * kMinute);
+  Grm& grm = cluster.grm();
+
+  // No node matches, so the task waits in the queue.
+  AppBuilder app("unplaceable");
+  app.tasks(1, 60'000.0).constraint("cpu_mips > 1000000");
+  const auto spec = app.build(cluster.asct().ref());
+  ASSERT_TRUE(grm.handle_submit(spec).accepted);
+  grid.run_for(kMinute);
+  const TaskId id = spec.tasks[0].id;
+  ASSERT_EQ(grm.task_state(id), TaskState::kPending);
+  ASSERT_EQ(grm.queue_length(), 1u);
+
+  // An LRM declares it runs the task after all.
+  lrm::Lrm& host = cluster.lrm(1);
+  const protocol::NodeStatus hint = *grm.node_view(host.node_id());
+  protocol::TaskResync resync;
+  resync.node = host.node_id();
+  resync.lrm = host.current_status().lrm;
+  resync.running = {id};
+  grm.handle_task_resync(resync);
+  EXPECT_EQ(grm.task_state(id), TaskState::kRunning);
+  EXPECT_EQ(grm.queue_length(), 0u);
+  const protocol::NodeStatus debited = *grm.node_view(host.node_id());
+  EXPECT_EQ(debited.running_tasks, hint.running_tasks + 1);
+  EXPECT_LT(debited.exportable_cpu, hint.exportable_cpu);
+}
+
+TEST_F(GrmFixture, CompletionFromAnotherNodeCancelsThePlacedCopy) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(3, 64));
+  grid.run_for(2 * kMinute);
+  Grm& grm = cluster.grm();
+
+  AppBuilder app("forged");
+  app.tasks(1, 600'000.0);
+  const auto spec = app.build(cluster.asct().ref());
+  ASSERT_TRUE(grm.handle_submit(spec).accepted);
+  const TaskId id = spec.tasks[0].id;
+  ASSERT_TRUE(step_until(
+      grid, 10 * kMinute,
+      [&] { return grm.task_state(id) == TaskState::kRunning; }, [] {}));
+  const std::size_t b = host_of(cluster, id);
+  const std::size_t a = (b + 1) % cluster.size();
+  ASSERT_EQ(cluster.lrm(b).running_task_count(), 1);
+
+  // Node A reports the task done while the GRM has it running on B.
+  protocol::TaskReport forged;
+  forged.task = id;
+  forged.node = cluster.lrm(a).node_id();
+  forged.outcome = protocol::TaskOutcome::kCompleted;
+  grm.handle_report(forged);
+  EXPECT_EQ(grm.task_state(id), TaskState::kCompleted);
+  grid.run_for(5 * kSecond);
+  EXPECT_EQ(cluster.lrm(b).running_task_count(), 0);
+
+  // Long past the copy's own finish, the app has completed exactly once.
+  grid.run_for(30 * kMinute);
+  EXPECT_EQ(grm.metrics().counter_value("tasks_completed"), 1);
+  EXPECT_EQ(grm.metrics().counter_value("apps_completed"), 1);
 }
 
 /// A greedy tenant holding every node of a four-node cluster with

@@ -2,6 +2,8 @@
 // eviction, checkpointing, and the information update protocol.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lrm/lrm.hpp"
 #include "orb/transport.hpp"
 #include "sim/network.hpp"
@@ -172,6 +174,31 @@ TEST_F(LrmFixture, ReservationRefusedWhenRamExhausted) {
   auto second = lrm->handle_reserve(reserve_request(2, 0.4, 120 * kMiB));
   EXPECT_FALSE(second.granted);  // 240 > 128 MiB exportable (50% cap)
   EXPECT_EQ(second.reason, "insufficient RAM");
+}
+
+TEST_F(LrmFixture, NegativeRamIsRefusedAndLeavesFreeRamIntact) {
+  // A request's RAM comes off the wire. A negative one admitted would make
+  // the committed-RAM sum meaningless, and a huge one would overflow it.
+  const Bytes free_ram = lrm->current_status().free_ram;
+  auto negative = lrm->handle_reserve(reserve_request(1, 0.5, -16 * kMiB));
+  EXPECT_FALSE(negative.granted);
+  EXPECT_EQ(negative.reason, "negative RAM request");
+  auto huge = lrm->handle_reserve(
+      reserve_request(2, 0.5, std::numeric_limits<Bytes>::max()));
+  EXPECT_FALSE(huge.granted);
+  EXPECT_EQ(huge.reason, "insufficient RAM");
+
+  // Execute checks the task's own figure, with or without a reservation.
+  ASSERT_TRUE(lrm->handle_reserve(reserve_request(3)).granted);
+  auto forged = execute_request(3, 1000.0);
+  forged.task.ram_needed = std::numeric_limits<Bytes>::min();
+  EXPECT_FALSE(lrm->handle_execute(forged).accepted);
+  forged.reservation = ReservationId();
+  EXPECT_FALSE(lrm->handle_execute(forged).accepted);
+  EXPECT_EQ(lrm->running_task_count(), 0);
+
+  engine.run_until(engine.now() + kMinute);  // reservation 3's hold ends
+  EXPECT_EQ(lrm->current_status().free_ram, free_ram);
 }
 
 TEST_F(LrmFixture, ReservationGrantClampedByAvailableCpu) {

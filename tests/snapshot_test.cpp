@@ -5,6 +5,7 @@
 // double-execute nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -443,6 +444,125 @@ TEST(SnapshotComponents, EveryCorruptedSectionIsRejectedOrCanonical) {
   cdr::Reader old_version(dedup_image);
   EXPECT_FALSE(
       fresh.load_dedup(orb::Orb::kDedupSnapshotVersion - 1, old_version).is_ok());
+}
+
+// Calls `fn(description, mutant)` once for every single-bit flip of `image`.
+template <class Fn>
+void for_each_bit_flip(const Bytes& image, Fn fn) {
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes mutant = image;
+      mutant[i] ^= static_cast<std::uint8_t>(1U << bit);
+      fn("bit " + std::to_string(bit) + " of byte " + std::to_string(i), mutant);
+    }
+  }
+}
+
+TEST(SnapshotComponents, GrmLoadKeepsTheQueueEqualToThePendingTasks) {
+  // Two nodes and three long tasks: two run, the third waits in the queue.
+  core::Grid grid(312);
+  auto config = core::quiet_cluster(2, 312);
+  config.standby_grm = true;
+  auto& cluster = grid.add_cluster(config);
+  grid.run_for(2 * kMinute);
+  AppBuilder builder("queued");
+  builder.kind(protocol::AppKind::kParametric).tasks(3, 6'000'000.0);
+  const protocol::ApplicationSpec spec = builder.build(cluster.asct().ref());
+  ASSERT_TRUE(cluster.grm().handle_submit(spec).accepted);
+  grid.run_for(kMinute);
+  ASSERT_EQ(cluster.grm().running_tasks(), 2);
+  ASSERT_EQ(cluster.grm().queue_length(), 1u);
+
+  cdr::Writer tw;
+  cluster.grm().trader().save(tw);
+  const Bytes trader_image = tw.take_buffer();
+  cdr::Writer gw;
+  cluster.grm().save(gw);
+  const Bytes grm_image = gw.take_buffer();
+  grm::Grm& standby = *cluster.standby_grm();
+  cdr::Reader tr(trader_image);
+  ASSERT_TRUE(
+      standby.trader().load(services::Trader::kSnapshotVersion, tr).is_ok());
+
+  // A flipped task state can put a task in the queue that is not pending
+  // (kPending -> kNegotiating) or leave a pending one out (kRunning ->
+  // kPending). The scheduler pass trusts the queue, so both are refused,
+  // and whatever loads keeps the queue equal to the pending tasks.
+  int queues_non_pending = 0;
+  int leaves_out_pending = 0;
+  for_each_bit_flip(grm_image, [&](const std::string& what, const Bytes& m) {
+    cdr::Reader r(m);
+    const Status loaded = standby.load(grm::Grm::kSnapshotVersion, r);
+    if (!loaded.is_ok()) {
+      const std::string& why = loaded.message();
+      if (why.find("is queued but not pending") != std::string::npos) {
+        ++queues_non_pending;
+      }
+      if (why.find("is pending but not queued") != std::string::npos) {
+        ++leaves_out_pending;
+      }
+      return;
+    }
+    const auto pending = std::count_if(
+        spec.tasks.begin(), spec.tasks.end(), [&](const auto& task) {
+          return standby.task_state(task.id) == grm::TaskState::kPending;
+        });
+    EXPECT_EQ(standby.queue_length(), static_cast<std::size_t>(pending))
+        << what;
+  });
+  EXPECT_GT(queues_non_pending, 0);
+  EXPECT_GT(leaves_out_pending, 0);
+}
+
+TEST(SnapshotComponents, EveryAcceptedGrmMutantSchedulesWithoutThrowing) {
+  // A one-app, one-task section, saved before any node registered: the
+  // task waits in the queue and the first pass ranks it.
+  const auto make_cluster = [](core::Grid& grid) -> core::Cluster& {
+    auto config = core::quiet_cluster(2, 313);
+    config.standby_grm = true;
+    return grid.add_cluster(config);
+  };
+  Bytes image;
+  {
+    core::Grid grid(313);
+    core::Cluster& cluster = make_cluster(grid);
+    AppBuilder builder("m");
+    builder.tasks(1, 60'000.0);
+    ASSERT_TRUE(
+        cluster.grm().handle_submit(builder.build(cluster.asct().ref())).accepted);
+    ASSERT_EQ(cluster.grm().known_nodes(), 0u);
+    cdr::Writer w;
+    cluster.grm().save(w);
+    image = w.take_buffer();
+  }
+
+  // Each accepted mutant is promoted on a fresh standby whose nodes have
+  // settled idle, which then schedules for two minutes. A task whose app
+  // has no record would throw std::out_of_range from the first pass that
+  // ranks it.
+  int accepted = 0;
+  for_each_bit_flip(image, [&](const std::string& what, const Bytes& m) {
+    core::Grid grid(313);
+    core::Cluster& cluster = make_cluster(grid);
+    grid.run_for(2 * kMinute);
+    grm::Grm& standby = *cluster.standby_grm();
+    cdr::Reader r(m);
+    if (!standby.load(grm::Grm::kSnapshotVersion, r).is_ok()) return;
+    ++accepted;
+    SCOPED_TRACE(what);
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      standby.handle_update_status(cluster.lrm(i).current_status());
+    }
+    // Two minutes, or 20,000 events if sooner: a checkpoint period flipped
+    // to a few microseconds is a cadence the LRM honours, and simulating
+    // all of it would take minutes of host time.
+    const SimTime end = grid.engine().now() + 2 * kMinute;
+    EXPECT_NO_THROW({
+      for (int events = 0; events < 20'000 && grid.engine().step(end); ++events) {
+      }
+    });
+  });
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
