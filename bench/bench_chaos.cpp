@@ -68,9 +68,7 @@ core::ClusterConfig resilient_cluster(int nodes) {
   // Three retransmits spaced 1 s apart all fit inside the 5 s call
   // deadline; at 5% loss a request survives with probability 1 - 0.05^4.
   config.orb.request_retries = 3;
-  config.orb.retransmit_timeout = 1 * kSecond;
-  config.lrm.reliable_updates = true;
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   return config;
 }
 

@@ -96,20 +96,18 @@ struct CellResult {
 core::ClusterConfig cell_config(Mode mode, const Scenario& scenario,
                                 std::uint64_t seed) {
   auto config = core::quiet_cluster(scenario.nodes, seed, 1000.0, "failover");
-  config.standby_grm = true;
-  config.lrm.reliable_updates = true;
-  config.lrm.report_journal_window = 5 * kMinute;
   switch (mode) {
     case Mode::kSnapshot:
       config.lrm.update_period = 10 * kSecond;
-      config.snapshot.enabled = true;
-      config.snapshot.period = 10 * kSecond;
+      config.standby = core::Standby::kSnapshot;
       break;
     case Mode::kHeartbeat10s:
       config.lrm.update_period = 10 * kSecond;
+      config.standby = core::Standby::kHeartbeat;
       break;
     case Mode::kHeartbeat30s:
       config.lrm.update_period = 30 * kSecond;
+      config.standby = core::Standby::kHeartbeat;
       break;
   }
   return config;

@@ -67,9 +67,7 @@ struct RunResult {
 core::ClusterConfig resilient_cluster(int nodes) {
   auto config = core::quiet_cluster(nodes, /*seed=*/77, 1000.0, "obs");
   config.orb.request_retries = 3;
-  config.orb.retransmit_timeout = 1 * kSecond;
-  config.lrm.reliable_updates = true;
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   return config;
 }
 

@@ -106,6 +106,27 @@ std::vector<orb::ObjectRef> BspCoordinator::peer_agents(
   return peers;
 }
 
+std::vector<orb::ObjectRef> BspCoordinator::rank_agents(const App& app) const {
+  std::vector<orb::ObjectRef> agents;
+  for (const grm::Grm::Placement& placement : app.placement) {
+    orb::ObjectRef agent = dp_agent_of_(placement.node);
+    if (!agent.valid() ||
+        std::find(agents.begin(), agents.end(), agent) != agents.end()) {
+      continue;
+    }
+    agents.push_back(std::move(agent));
+  }
+  return agents;
+}
+
+void BspCoordinator::drop_checkpoints(const App& app) {
+  if (repository_ != nullptr) repository_->drop_app(app.spec.id);
+  if (!data_plane_enabled()) return;
+  for (const orb::ObjectRef& agent : rank_agents(app)) {
+    orb::oneway(orb_, agent, "ckpt_drop", protocol::CkptDrop{app.spec.id});
+  }
+}
+
 // ---------------------------------------------------------------------------
 // GRM hooks
 // ---------------------------------------------------------------------------
@@ -444,19 +465,11 @@ void BspCoordinator::commit_checkpoint(App& app) {
   }
   if (data_plane_enabled()) {
     // Tell the provider-side stores too; their GC runs on the same sweep.
-    std::vector<orb::ObjectRef> notified;
     protocol::CkptPrune prune;
     prune.app = app.spec.id;
     prune.keep_from = superstep;
-    for (std::int32_t rank = 0; rank < app.processes(); ++rank) {
-      orb::ObjectRef agent =
-          dp_agent_of_(app.placement[static_cast<std::size_t>(rank)].node);
-      if (!agent.valid() ||
-          std::find(notified.begin(), notified.end(), agent) != notified.end()) {
-        continue;
-      }
+    for (const orb::ObjectRef& agent : rank_agents(app)) {
       orb::oneway(orb_, agent, "ckpt_prune", prune);
-      notified.push_back(std::move(agent));
     }
   }
   ++app.superstep;
@@ -507,7 +520,7 @@ void BspCoordinator::app_cancelled(AppId app_id) {
   auto it = apps_.find(app_id);
   if (it == apps_.end()) return;
   ++it->second.epoch;  // stale every in-flight chunk/transfer
-  if (repository_ != nullptr) repository_->drop_app(app_id);
+  drop_checkpoints(it->second);
   apps_.erase(it);
 }
 
@@ -515,7 +528,7 @@ void BspCoordinator::finish(App& app) {
   if (app.stats.completed) return;
   app.stats.completed = true;
   app.stats.finished_at = engine_.now();
-  if (repository_ != nullptr) repository_->drop_app(app.spec.id);
+  drop_checkpoints(app);
   grm_.complete_bsp_app(app.spec.id);
 }
 

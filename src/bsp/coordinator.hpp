@@ -152,6 +152,12 @@ class BspCoordinator {
   [[nodiscard]] std::vector<orb::ObjectRef> peer_agents(const App& app,
                                                         std::int32_t rank,
                                                         std::size_t limit) const;
+  /// Agents of the nodes hosting the ranks, in rank order, no duplicates:
+  /// the provider stores a commit prunes and a finish or cancel empties.
+  [[nodiscard]] std::vector<orb::ObjectRef> rank_agents(const App& app) const;
+  /// Forget every checkpoint of `app`: the repository's and, with the data
+  /// plane, the rank agents' stores.
+  void drop_checkpoints(const App& app);
 
   sim::Engine& engine_;
   orb::Orb& orb_;

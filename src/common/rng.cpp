@@ -83,13 +83,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
-double Rng::pareto(double alpha, double xm) {
-  assert(alpha > 0.0 && xm > 0.0);
-  double u = next_double();
-  while (u <= 0.0) u = next_double();
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   assert(!weights.empty());
   double total = 0.0;

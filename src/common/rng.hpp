@@ -41,9 +41,6 @@ class Rng {
   /// Normal with the given mean and standard deviation (Box-Muller).
   double normal(double mean, double stddev);
 
-  /// Pareto (heavy-tailed) with shape alpha > 0 and minimum xm > 0.
-  double pareto(double alpha, double xm);
-
   /// Index in [0, weights.size()) drawn proportionally to weights.
   /// Requires a nonempty vector with nonnegative entries, not all zero.
   std::size_t weighted_index(const std::vector<double>& weights);

@@ -1,9 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace integrade {
 
@@ -67,68 +65,6 @@ void Summary::reset() {
   rng_state_ = kReservoirSeed;
   samples_.clear();
   sorted_ = true;
-}
-
-Histogram::Histogram(double lo, double hi, int buckets) {
-  assert(lo > 0.0 && hi > lo && buckets > 0);
-  log_lo_ = std::log(lo);
-  log_hi_ = std::log(hi);
-  inv_width_ = static_cast<double>(buckets) / (log_hi_ - log_lo_);
-  bounds_.resize(static_cast<std::size_t>(buckets) + 1);
-  bounds_.front() = lo;
-  bounds_.back() = hi;
-  for (int i = 1; i < buckets; ++i) {
-    const double frac = static_cast<double>(i) / buckets;
-    bounds_[static_cast<std::size_t>(i)] = std::exp(log_lo_ + frac * (log_hi_ - log_lo_));
-  }
-  counts_.assign(static_cast<std::size_t>(buckets) + 2, 0);
-}
-
-void Histogram::observe(double x) {
-  ++total_;
-  if (x <= 0.0) {
-    ++counts_.front();
-    return;
-  }
-  const double lx = std::log(x);  // single log per sample
-  if (lx < log_lo_) {
-    ++counts_.front();
-    return;
-  }
-  if (lx >= log_hi_) {
-    ++counts_.back();
-    return;
-  }
-  const int inner = static_cast<int>(counts_.size()) - 2;
-  int idx = static_cast<int>((lx - log_lo_) * inv_width_);
-  idx = std::clamp(idx, 0, inner - 1);
-  // Truncation of the scaled log can land an exact-boundary value one bucket
-  // off; settle it against the exact bucket bounds.
-  if (idx + 1 < inner && x >= bounds_[static_cast<std::size_t>(idx) + 1]) {
-    ++idx;
-  } else if (idx > 0 && x < bounds_[static_cast<std::size_t>(idx)]) {
-    --idx;
-  }
-  ++counts_[static_cast<std::size_t>(idx) + 1];
-}
-
-double Histogram::bucket_lower_bound(int i) const {
-  const int inner = static_cast<int>(counts_.size()) - 2;
-  assert(i >= 0 && i < inner);
-  (void)inner;
-  return bounds_[static_cast<std::size_t>(i)];
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  const int inner = static_cast<int>(counts_.size()) - 2;
-  os << "hist(n=" << total_ << ") under=" << counts_.front();
-  for (int i = 0; i < inner; ++i) {
-    if (counts_[static_cast<std::size_t>(i) + 1] == 0) continue;
-    os << " [" << bucket_lower_bound(i) << ")=" << counts_[static_cast<std::size_t>(i) + 1];
-  }
-  os << " over=" << counts_.back();
-  return os.str();
 }
 
 std::int64_t MetricRegistry::counter_value(const std::string& name) const {

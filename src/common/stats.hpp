@@ -5,7 +5,6 @@
 //          reservoir for percentiles: exact below the cap, deterministic
 //          (fixed-seed) reservoir sampling above it, so week-long chaos runs
 //          stay within a fixed byte budget.
-// Histogram: fixed log-spaced buckets for latency-like quantities.
 // MetricRegistry: named metrics, so a component can expose its counters
 //          without the caller knowing its internals.
 #pragma once
@@ -70,27 +69,6 @@ class Summary {
   std::uint64_t rng_state_ = kReservoirSeed;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-class Histogram {
- public:
-  /// Log-spaced buckets covering [lo, hi] with `buckets` divisions.
-  Histogram(double lo, double hi, int buckets);
-
-  void observe(double x);
-  [[nodiscard]] std::int64_t count() const { return total_; }
-  [[nodiscard]] const std::vector<std::int64_t>& bucket_counts() const { return counts_; }
-  [[nodiscard]] double bucket_lower_bound(int i) const;
-
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double log_lo_;
-  double log_hi_;
-  double inv_width_;            // inner / (log_hi_ - log_lo_)
-  std::vector<double> bounds_;  // exact bucket lower bounds, bounds_[inner] = hi
-  std::vector<std::int64_t> counts_;  // [under, b0..bn-1, over]
-  std::int64_t total_ = 0;
 };
 
 class MetricRegistry {

@@ -35,7 +35,15 @@ inline constexpr SimTime kTimeNever = std::numeric_limits<SimTime>::max();
 
 /// Seconds as a double, for reporting only (never for event ordering).
 inline double to_seconds(SimDuration d) { return static_cast<double>(d) / kSecond; }
-inline SimDuration from_seconds(double s) { return static_cast<SimDuration>(s * kSecond); }
+/// Seconds to microseconds, truncated toward zero. A value that does not
+/// fit SimDuration (work or rates from outside input can yield anything)
+/// clamps to kTimeNever, a negative one to -kTimeNever, and NaN to
+/// kTimeNever: the cast itself is defined only in range.
+inline SimDuration from_seconds(double s) {
+  const double us = s * kSecond;
+  if (us > -0x1p63 && us < 0x1p63) return static_cast<SimDuration>(us);
+  return us < 0 ? -kTimeNever : kTimeNever;
+}
 
 // ---------------------------------------------------------------------------
 // Resource quantities.

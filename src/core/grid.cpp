@@ -93,7 +93,7 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
   // re-announcements after a failover (each unknown node's first load makes
   // it pull that node's NodeStatus) — the paper's information update
   // protocol makes that state soft by construction.
-  if (config_.standby_grm) {
+  if (config_.standby != Standby::kNone) {
     const auto standby_addr = grid_.allocate_endpoint(segment_ids_.front());
     standby_orb_ = std::make_unique<orb::Orb>(standby_addr, grid_.transport(),
                                               &grid_.engine(), config_.orb);
@@ -104,52 +104,17 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
     standby_grm_->start(&gupa_, &repository_, &grid_.network());
   }
 
-  // --- Control-plane snapshots (optional; requires the standby) ---
-  // The primary periodically captures Trader/GRM/ORB-dedup sections and
+  // --- Control-plane snapshots (kSnapshot) ---
+  // The primary periodically captures its Trader/GRM/ORB-dedup sections and
   // ships them to a SnapshotStore on the standby's node; the standby
   // installs them dormant and wakes the image only at promotion (first
   // status update or task resync it receives). The GUPA is not a section:
   // primary and standby share the cluster's one GUPA object.
-  if (config_.snapshot.enabled && standby_grm_) {
-    snapshot_store_ = std::make_unique<snapshot::SnapshotStore>(*standby_orb_);
-    grm::Grm* standby = standby_grm_.get();
-    orb::Orb* standby_orb = standby_orb_.get();
-    snapshot_store_->register_loader(
-        "trader", [standby](std::uint32_t version, cdr::Reader& r) {
-          return standby->trader().load(version, r);
-        });
-    snapshot_store_->register_loader(
-        "grm", [standby](std::uint32_t version, cdr::Reader& r) {
-          return standby->load(version, r);
-        });
-    snapshot_store_->register_loader(
-        "orb_dedup", [standby_orb](std::uint32_t version, cdr::Reader& r) {
-          return standby_orb->load_dedup(version, r);
-        });
-
+  if (config_.standby == Standby::kSnapshot) {
+    snapshot_store_ =
+        std::make_unique<snapshot::SnapshotStore>(*standby_orb_, *standby_grm_);
     snapshot_coordinator_ = std::make_unique<snapshot::SnapshotCoordinator>(
-        grid_.engine(), *manager_orb_, config_.snapshot);
-    grm::Grm* primary = grm_.get();
-    orb::Orb* manager_orb = manager_orb_.get();
-    snapshot_coordinator_->add_provider(
-        {"trader", services::Trader::kSnapshotVersion, [primary] {
-           cdr::Writer w;
-           primary->trader().save(w);
-           return w.take_buffer();
-         }});
-    snapshot_coordinator_->add_provider(
-        {"grm", grm::Grm::kSnapshotVersion, [primary] {
-           cdr::Writer w;
-           primary->save(w);
-           return w.take_buffer();
-         }});
-    snapshot_coordinator_->add_provider(
-        {"orb_dedup", orb::Orb::kDedupSnapshotVersion, [manager_orb] {
-           cdr::Writer w;
-           manager_orb->save_dedup(w);
-           return w.take_buffer();
-         }});
-    snapshot_coordinator_->set_target(snapshot_store_->ref());
+        grid_.engine(), *manager_orb_, *grm_, snapshot_store_->ref());
     snapshot_coordinator_->start();
   }
 

@@ -57,6 +57,23 @@ struct NodeConfig {
   int segment = 0;  // index into ClusterConfig::segments
 };
 
+/// What keeps a cluster's control plane alive when its manager node dies
+/// (docs/faults.md has the table).
+enum class Standby {
+  /// No standby manager: LRMs send oneway status updates and keep no
+  /// report journal.
+  kNone,
+  /// A warm-standby GRM on its own node, rebuilt from re-announcements.
+  /// Every LRM sends two-way status updates, fails over to the standby
+  /// after three misses, and journals its task reports for five minutes to
+  /// replay, after a TaskResync, to the manager it adopts.
+  kHeartbeat,
+  /// kHeartbeat plus a full control-plane snapshot (Trader, GRM, ORB dedup
+  /// window) shipped from the primary to the standby every 10 s, so the
+  /// standby starts from the installed image instead of an empty Trader.
+  kSnapshot,
+};
+
 struct ClusterConfig {
   std::string name = "cluster";
   std::vector<sim::SegmentSpec> segments = {sim::SegmentSpec{}};
@@ -66,17 +83,8 @@ struct ClusterConfig {
   /// Reliability options applied to every ORB in the cluster (manager,
   /// user, providers). Defaults preserve historical behaviour.
   orb::OrbOptions orb;
-  /// Run a warm-standby GRM on its own node; every LRM gets it as the
-  /// failover target (requires lrm.reliable_updates to actually fail over).
-  bool standby_grm = false;
-  /// Control-plane snapshots (requires standby_grm): the primary manager
-  /// periodically captures Trader/GRM/ORB-dedup state and ships it — one
-  /// full image per period — to a SnapshotStore on the standby's node. On
-  /// failover the standby starts from the installed image instead of an
-  /// empty Trader, and LRM journal replay (lrm.report_journal_window)
-  /// closes the capture-to-failure gap.
-  /// Disabled by default: no timers, no endpoints, byte-identical runs.
-  snapshot::SnapshotOptions snapshot;
+  /// Standby manager and what failover needs with it (see Standby).
+  Standby standby = Standby::kNone;
   /// Content-addressed checkpoint data plane (see docs/checkpoints.md):
   /// every provider node runs a CkptAgent + chunk store, the repository
   /// grows an embedded chunk store with a wire servant, and BSP/sequential
@@ -107,15 +115,14 @@ class Cluster {
 
   [[nodiscard]] grm::Grm& grm() { return *grm_; }
   [[nodiscard]] const orb::ObjectRef& grm_ref() const { return grm_->ref(); }
-  /// Warm-standby GRM; null unless ClusterConfig::standby_grm was set.
+  /// Warm-standby GRM; null when ClusterConfig::standby is kNone.
   [[nodiscard]] grm::Grm* standby_grm() { return standby_grm_.get(); }
   [[nodiscard]] lupa::Gupa& gupa() { return gupa_; }
   [[nodiscard]] ckpt::CheckpointRepository& repository() { return repository_; }
   [[nodiscard]] bsp::BspCoordinator& coordinator() { return *coordinator_; }
   [[nodiscard]] asct::Asct& asct() { return *asct_; }
   [[nodiscard]] orb::Orb& manager_orb() { return *manager_orb_; }
-  [[nodiscard]] orb::Orb& user_orb() { return *user_orb_; }
-  /// Null unless ClusterConfig::snapshot.enabled (and a standby exists).
+  /// Null unless ClusterConfig::standby is kSnapshot.
   [[nodiscard]] snapshot::SnapshotCoordinator* snapshot_coordinator() {
     return snapshot_coordinator_.get();
   }
@@ -139,9 +146,6 @@ class Cluster {
   }
   [[nodiscard]] orb::NodeAddress manager_address() const {
     return manager_orb_->address();
-  }
-  [[nodiscard]] orb::NodeAddress user_address() const {
-    return user_orb_->address();
   }
   /// Null for dedicated nodes (no owner process).
   [[nodiscard]] node::OwnerWorkload* owner(std::size_t i) {
@@ -186,7 +190,7 @@ class Cluster {
   std::unique_ptr<orb::Orb> standby_orb_;
   std::unique_ptr<grm::Grm> standby_grm_;
 
-  // Control-plane snapshots (optional; requires the standby).
+  // Control-plane snapshots (Standby::kSnapshot only).
   std::unique_ptr<snapshot::SnapshotStore> snapshot_store_;
   std::unique_ptr<snapshot::SnapshotCoordinator> snapshot_coordinator_;
 

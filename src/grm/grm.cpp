@@ -337,6 +337,13 @@ protocol::SubmitReply Grm::handle_submit(const protocol::ApplicationSpec& spec) 
     reply.reason = "application has no tasks";
     return reply;
   }
+  for (const protocol::TaskDescriptor& task : spec.tasks) {
+    if (const char* refusal = protocol::task_refusal(task)) {
+      reply.accepted = false;
+      reply.reason = refusal;
+      return reply;
+    }
+  }
   if (apps_.contains(spec.id)) {
     reply.accepted = false;
     reply.reason = "duplicate application id";
@@ -1172,6 +1179,14 @@ void Grm::maybe_app_done(AppId app_id) {
     notify(app, AppEventKind::kAppCompleted, TaskId(), NodeId(), "");
   }
   metrics_.counter("apps_completed").add();
+  drop_checkpoints(app_id);
+}
+
+void Grm::drop_checkpoints(AppId app_id) {
+  if (checkpoints_ != nullptr) checkpoints_->drop_app(app_id);
+  for (const auto& [node, agent] : ckpt_agents_) {
+    orb::oneway(orb_, agent, "ckpt_drop", protocol::CkptDrop{app_id});
+  }
 }
 
 void Grm::handle_cancel_app(AppId app_id) {
@@ -1197,6 +1212,8 @@ void Grm::handle_cancel_app(AppId app_id) {
   }
   if (it->second.spec.kind == AppKind::kBsp && bsp_cancelled_) {
     bsp_cancelled_(app_id);
+  } else {
+    drop_checkpoints(app_id);
   }
   notify(it->second, AppEventKind::kAppFailed, TaskId(), NodeId(),
          "cancelled by user");
@@ -1339,7 +1356,10 @@ void Grm::handle_remote_submit(const protocol::RemoteSubmit& request) {
                 cluster_.value) != request.visited_clusters.end()) {
     return;  // cycle — drop; origin timeout recovers
   }
-  if (request.spec.tasks.size() != 1) return;
+  if (request.spec.tasks.size() != 1 ||
+      protocol::task_refusal(request.spec.tasks.front()) != nullptr) {
+    return;
+  }
 
   // Can we host it? Probe the trader with the same constraint the local
   // scheduler would use. A second task of an app we already adopted simply
@@ -1503,6 +1523,11 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   for (const TaskRecord& task : image.tasks) {
     if (task.state > TaskState::kFailed) {
       return Status(ErrorCode::kInternal, "grm snapshot has bad task state");
+    }
+    if (const char* refusal = protocol::task_refusal(task.desc)) {
+      return Status(ErrorCode::kInternal, "grm snapshot task " +
+                                              to_string(task.desc.id) + ": " +
+                                              refusal);
     }
   }
   // Cross-section consistency: every node record must reference an offer the

@@ -298,6 +298,10 @@ class Grm {
   void notify(const AppRecord& app, protocol::AppEventKind kind, TaskId task,
               NodeId node, const std::string& detail);
   void maybe_app_done(AppId app_id);
+  /// Forget a finished or cancelled non-BSP app's checkpoints: the
+  /// repository's, and every provider agent's (the BSP coordinator drops
+  /// its own apps').
+  void drop_checkpoints(AppId app_id);
   void push_summary();
   [[nodiscard]] protocol::ClusterSummary build_summary() const;
 

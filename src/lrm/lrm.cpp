@@ -243,11 +243,11 @@ void Lrm::push_update() {
   // Only the dynamic record travels each period; the GRM pulls the full
   // NodeStatus (get_status) once, when a load names a node it does not know.
   const protocol::NodeLoad load = protocol::load_of(current_status());
-  if (!options_.reliable_updates || !standby_grm_.valid()) {
+  if (!standby_grm_.valid()) {
     orb::oneway(orb_, grm_, "update_status", load);
     return;
   }
-  // Reliable mode: a two-way update doubles as a liveness probe of the
+  // With a standby, a two-way update doubles as a liveness probe of the
   // Cluster Manager. After kGrmFailureThreshold consecutive misses the
   // primary is presumed dead and the standby takes its place; the old
   // primary becomes the standby, so a later flip-back works the same way.
@@ -274,7 +274,6 @@ void Lrm::push_update() {
 }
 
 void Lrm::resync_with_grm(const orb::ObjectRef& old_grm) {
-  if (options_.report_journal_window <= 0 || crashed_ || !grm_.valid()) return;
   // Declare the tasks still running here so a snapshot-restored GRM marks
   // them running instead of re-placing them, and route their completion
   // reports to the live manager.
@@ -301,13 +300,13 @@ void Lrm::resync_with_grm(const orb::ObjectRef& old_grm) {
 }
 
 void Lrm::journal_report(const protocol::TaskReport& report) {
-  if (options_.report_journal_window <= 0) return;
+  if (!standby_grm_.valid()) return;
   report_journal_.push_back(JournalEntry{engine_.now(), report});
   prune_journal();
 }
 
 void Lrm::prune_journal() {
-  const SimTime cutoff = engine_.now() - options_.report_journal_window;
+  const SimTime cutoff = engine_.now() - kReportJournalWindow;
   while (!report_journal_.empty() && report_journal_.front().at < cutoff) {
     report_journal_.pop_front();
   }
@@ -491,9 +490,11 @@ protocol::ExecuteReply Lrm::handle_execute(const protocol::ExecuteRequest& req) 
     }
   } span_closer{*this, tr, espan, reply};
 
-  if (req.task.ram_needed < 0) {
+  const char* refusal = req.task.ram_needed < 0 ? "negative RAM request"
+                                                : protocol::task_refusal(req.task);
+  if (refusal != nullptr) {
     reply.accepted = false;
-    reply.reason = "negative RAM request";
+    reply.reason = refusal;
     metrics_.counter("executes_rejected").add();
     return reply;
   }

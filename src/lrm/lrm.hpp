@@ -56,16 +56,6 @@ struct LrmOptions {
   /// Owner's task-admission sandbox (paper §3 security requirement);
   /// tasks exceeding its limits are refused at Execute time.
   security::Sandbox sandbox;
-  /// Two-way status updates: the LRM watches for GRM replies and fails over
-  /// to the standby GRM (set_standby_grm) after three consecutive misses.
-  /// Off by default — oneway updates, no failover.
-  bool reliable_updates = false;
-  /// Keep a sliding-window journal of outgoing TaskReports and replay it to
-  /// a newly adopted GRM (snapshot-restore failover): terminal outcomes the
-  /// dead primary swallowed are re-delivered, and the GRM's duplicate/stale
-  /// report guards make the replay idempotent. 0 (default) = no journal, no
-  /// resync traffic — byte-identical to the historical failover.
-  SimDuration report_journal_window = 0;
 };
 
 class Lrm {
@@ -95,8 +85,16 @@ class Lrm {
   void restart();
   [[nodiscard]] bool crashed() const { return crashed_; }
 
-  /// Warm-standby Cluster Manager to fail over to when reliable_updates
-  /// detects the primary is gone.
+  /// How long an outgoing TaskReport stays in the failover journal.
+  static constexpr SimDuration kReportJournalWindow = 5 * kMinute;
+
+  /// Warm-standby Cluster Manager. With one set, status updates are two-way
+  /// calls that double as a liveness probe: after three consecutive misses
+  /// the LRM fails over to the standby, declares its running tasks there
+  /// (TaskResync) and replays its journal of the last kReportJournalWindow
+  /// of reports, so terminal outcomes the dead primary swallowed are
+  /// re-delivered; the GRM's duplicate/stale report guards make the replay
+  /// idempotent. Without one, updates are oneway and nothing is journaled.
   void set_standby_grm(const orb::ObjectRef& standby) { standby_grm_ = standby; }
 
   /// Attach this node's checkpoint data-plane agent. Sequential checkpoints
@@ -194,8 +192,8 @@ class Lrm {
   void evict_all(protocol::TaskOutcome outcome, const std::string& detail);
   void report(const RunningTask& task, protocol::TaskOutcome outcome,
               const std::string& detail);
-  /// Remember an outgoing report for failover replay (no-op with the
-  /// journal disabled) and drop entries older than the window.
+  /// Remember an outgoing report for failover replay (no-op without a
+  /// standby) and drop entries older than the window.
   void journal_report(const protocol::TaskReport& report);
   void prune_journal();
   /// Post-adoption resync: declare running tasks to the new GRM, rewrite
@@ -239,12 +237,12 @@ class Lrm {
   bool last_shareable_ = false;
   bool started_ = false;
   bool crashed_ = false;
-  int grm_misses_ = 0;  // consecutive unanswered reliable updates
+  int grm_misses_ = 0;  // consecutive unanswered two-way updates
   std::vector<Orphan> orphans_;
 
-  /// Recent outgoing TaskReports (report_journal_window > 0 only), oldest
-  /// first; replayed to a newly adopted GRM so terminal outcomes lost with
-  /// the old primary are re-delivered.
+  /// Recent outgoing TaskReports (with a standby only), oldest first;
+  /// replayed to a newly adopted GRM so terminal outcomes lost with the old
+  /// primary are re-delivered.
   struct JournalEntry {
     SimTime at = 0;
     protocol::TaskReport report;

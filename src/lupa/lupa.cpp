@@ -216,7 +216,9 @@ double mixture_p_idle_through(
   // arrivals out of a flat low-busy night. Mixture-weighted over categories.
   const double baseline =
       mixture_busy_prob(categories, weights, node::slot_of_day(at));
-  const SimTime end = at + horizon;
+  // The curve repeats daily, so a day's window already reaches every slot;
+  // capping there also keeps a horizon near kTimeNever from overflowing.
+  const SimTime end = at + std::min(horizon, kDay);
   double peak = baseline;
   SimTime cursor = (at / node::kSlotDuration + 1) * node::kSlotDuration;
   while (cursor < end) {

@@ -65,10 +65,22 @@ Result<SimDuration> parse_duration(const std::string& text) {
     return Status(ErrorCode::kInvalidArgument, "bad duration '" + text + "'");
   }
   const std::string unit = trim(t.substr(pos));
-  if (unit == "s" || unit == "sec") return from_seconds(value);
-  if (unit == "min" || unit == "m") return from_seconds(value * 60);
-  if (unit == "h" || unit == "hour") return from_seconds(value * 3600);
-  return Status(ErrorCode::kInvalidArgument, "unknown duration unit '" + unit + "'");
+  double unit_seconds = 0;
+  if (unit == "s" || unit == "sec") {
+    unit_seconds = 1;
+  } else if (unit == "min" || unit == "m") {
+    unit_seconds = 60;
+  } else if (unit == "h" || unit == "hour") {
+    unit_seconds = 3600;
+  } else {
+    return Status(ErrorCode::kInvalidArgument, "unknown duration unit '" + unit + "'");
+  }
+  const double seconds = value * unit_seconds;
+  if (!(seconds * kSecond < 0x1p63)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "duration '" + text + "' does not fit in microseconds");
+  }
+  return from_seconds(seconds);
 }
 
 Result<int> parse_day(const std::string& name) {

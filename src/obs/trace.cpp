@@ -86,8 +86,6 @@ void Tracer::enable(std::size_t capacity) {
   log_ = std::make_unique<TraceLog>(capacity);
 }
 
-void Tracer::disable() { log_.reset(); }
-
 Tracer::ActiveSpan Tracer::start(const char* name, TraceContext parent, SimTime now) {
   if (!enabled()) return {};
   ActiveSpan span;

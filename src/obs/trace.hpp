@@ -104,7 +104,6 @@ class Tracer {
   };
 
   void enable(std::size_t capacity = 1 << 16);
-  void disable();
   [[nodiscard]] bool enabled() const { return log_ != nullptr; }
   [[nodiscard]] TraceLog* log() { return log_.get(); }
   [[nodiscard]] const TraceLog* log() const { return log_.get(); }

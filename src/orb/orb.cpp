@@ -8,6 +8,17 @@
 
 namespace integrade::orb {
 
+namespace {
+
+/// Gap between retransmissions of the same request.
+constexpr SimDuration kRetransmitTimeout = 1 * kSecond;
+/// Per-server at-most-once window: the last kDedupWindow (caller,
+/// request-id) pairs. It must exceed the requests one caller can have in
+/// flight between a snapshot capture and a failover (docs/snapshots.md).
+constexpr std::size_t kDedupWindow = 256;
+
+}  // namespace
+
 Status SkeletonBase::dispatch(const std::string& operation, cdr::Reader& args,
                               cdr::Writer& out) {
   auto it = handlers_.find(operation);
@@ -28,7 +39,7 @@ Orb::Orb(NodeAddress self, Transport& transport, sim::Engine* engine,
       transport_(transport),
       engine_(engine),
       options_(options),
-      dedup_(options.dedup_window) {
+      dedup_(kDedupWindow) {
   transport_.bind(self_, [this](NodeAddress src, const std::vector<std::uint8_t>& f) {
     on_frame(src, f);
   });
@@ -119,7 +130,7 @@ void Orb::invoke(const ObjectRef& target, const std::string& operation,
     pending.frame = frame;  // keep a copy for retransmission
     pending.dest = target.host;
     pending.attempts_left = options_.request_retries;
-    pending.retransmit = engine_->schedule_after(options_.retransmit_timeout,
+    pending.retransmit = engine_->schedule_after(kRetransmitTimeout,
                                                  [this, id] { retransmit(id); });
   }
   pending_[id] = std::move(pending);
@@ -186,7 +197,7 @@ void Orb::retransmit(RequestId id) {
   // invalidating `it`/`p` — re-find before rearming.
   it = pending_.find(id);
   if (it == pending_.end() || it->second.attempts_left <= 0) return;
-  it->second.retransmit = engine_->schedule_after(options_.retransmit_timeout,
+  it->second.retransmit = engine_->schedule_after(kRetransmitTimeout,
                                                   [this, id] { retransmit(id); });
 }
 
@@ -197,16 +208,14 @@ void Orb::handle_request(NodeAddress source, const ParsedFrame& frame) {
   // At-most-once: a request we already executed (retransmission or network
   // duplicate) is never re-dispatched — replay the cached reply instead.
   const DedupKey key{source, req.request_id.value};
-  if (options_.dedup_window > 0) {
-    if (auto* cached = dedup_.get(key); cached != nullptr) {
-      metrics_.counter("duplicate_requests").add();
-      if (req.response_expected && !cached->empty()) {
-        auto wire = *cached;
-        metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(wire.size()));
-        transport_.send(self_, source, std::move(wire));
-      }
-      return;
+  if (auto* cached = dedup_.get(key); cached != nullptr) {
+    metrics_.counter("duplicate_requests").add();
+    if (req.response_expected && !cached->empty()) {
+      auto wire = *cached;
+      metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(wire.size()));
+      transport_.send(self_, source, std::move(wire));
     }
+    return;
   }
 
   // Ambient context for the duration of the dispatch: spans the servant
@@ -241,11 +250,11 @@ void Orb::handle_request(NodeAddress source, const ParsedFrame& frame) {
 
   if (!req.response_expected) {
     // Remember the oneway so a duplicate delivery doesn't dispatch twice.
-    if (options_.dedup_window > 0) dedup_.put(key, {});
+    dedup_.put(key, {});
     return;
   }
   auto wire = frame_reply(reply, out.buffer());
-  if (options_.dedup_window > 0) dedup_.put(key, wire);
+  dedup_.put(key, wire);
   metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(wire.size()));
   transport_.send(self_, source, std::move(wire));
 }
@@ -277,7 +286,6 @@ Status Orb::load_dedup(std::uint32_t version, cdr::Reader& r) {
       return Status(ErrorCode::kInternal, "orb_dedup snapshot repeats a key");
     }
   }
-  if (options_.dedup_window == 0) return Status::ok();
   for (DedupEntry& entry : incoming) {
     // A locally-present entry is newer than the snapshot: keep it.
     if (dedup_.contains(entry.key)) continue;

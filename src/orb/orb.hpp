@@ -75,20 +75,15 @@ class SkeletonBase : public Servant {
 
 using InvokeCallback = std::function<void(Result<std::vector<std::uint8_t>>)>;
 
-/// Reliability knobs. The defaults are exactly the historical behaviour:
-/// no retransmission (a lost request waits out its deadline) and a dedup
-/// window that is pure bookkeeping unless the network duplicates frames.
+/// Reliability knobs. The default is exactly the historical behaviour: no
+/// retransmission (a lost request waits out its deadline).
 struct OrbOptions {
-  /// Extra sends of an unanswered request before the deadline fires.
-  /// 0 = never retransmit. Retransmission makes duplicate delivery
-  /// possible, which is why the server side keeps a dedup window.
+  /// Extra sends of an unanswered request before the deadline fires, one
+  /// second apart. 0 = never retransmit. Retransmission makes duplicate
+  /// delivery possible, which is why every server keeps an at-most-once
+  /// window of its last 256 (caller, request-id) pairs, whose replies are
+  /// cached and replayed instead of re-dispatching.
   int request_retries = 0;
-  /// Gap between retransmissions of the same request.
-  SimDuration retransmit_timeout = 1 * kSecond;
-  /// Per-server at-most-once window: the last N (caller, request-id) pairs
-  /// whose replies are cached and replayed instead of re-dispatching.
-  /// 0 disables dedup entirely.
-  std::size_t dedup_window = 256;
 };
 
 class Orb {

@@ -1,6 +1,18 @@
 #include "protocol/messages.hpp"
 
+#include <cmath>
+
 namespace integrade::protocol {
+
+const char* task_refusal(const TaskDescriptor& task) {
+  if (!std::isfinite(task.work) || task.work < 0) {
+    return "task work is negative or not finite";
+  }
+  if (task.checkpoint_period > 0 && task.checkpoint_period < kMinCheckpointPeriod) {
+    return "task checkpoint period is below 1 s";
+  }
+  return nullptr;
+}
 
 NodeLoad load_of(const NodeStatus& s) {
   NodeLoad load;

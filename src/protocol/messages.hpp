@@ -148,6 +148,15 @@ constexpr auto wire_fields(const TaskDescriptor*) {
                      &S::checkpoint_bytes, &S::checkpoint_period);
 }
 
+/// Shortest checkpoint cadence a task may ask for (0 still means off).
+inline constexpr SimDuration kMinCheckpointPeriod = 1 * kSecond;
+
+/// Why a task must be refused, or nullptr if it may be accepted: its work
+/// must be finite and non-negative, and a checkpoint period above 0 must be
+/// at least kMinCheckpointPeriod. Every intake of a descriptor checks it:
+/// GRM submit and remote submit, LRM Execute and the grm snapshot loader.
+[[nodiscard]] const char* task_refusal(const TaskDescriptor& task);
+
 // ---------------------------------------------------------------------------
 // Application submission (ASCT -> GRM)
 // ---------------------------------------------------------------------------

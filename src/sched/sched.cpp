@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "snapshot/state_codecs.hpp"
 
@@ -145,10 +146,19 @@ std::size_t FairQueue::tenant_size(const std::string& tenant) const {
 void FairQueue::account_dispatch(const std::string& tenant, MInstr work) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return;
+  // A task's work comes from outside input, so saturate: the cast of a
+  // double past 2^64 is undefined, and a wrapped pass would put the tenant
+  // at the front of the queue.
+  constexpr std::uint64_t kMaxPass = std::numeric_limits<std::uint64_t>::max();
   const double work_units = work > 0 ? work / kWorkUnitMInstr : 0.0;
-  const auto units = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(work_units));
-  it->second.pass += it->second.stride * units;
+  const std::uint64_t units =
+      work_units < 0x1p64
+          ? std::max<std::uint64_t>(1, static_cast<std::uint64_t>(work_units))
+          : kMaxPass;
+  auto& state = it->second;
+  state.pass = units > (kMaxPass - state.pass) / state.stride
+                   ? kMaxPass
+                   : state.pass + state.stride * units;
 }
 
 std::string FairQueue::tenant_of(TaskId task) const {

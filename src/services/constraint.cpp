@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -74,12 +75,22 @@ Result<std::vector<Token>> tokenize(const std::string& source) {
       }
       tok.kind = TokenKind::kNumber;
       tok.text = source.substr(i, end - i);
-      try {
-        tok.number = std::stod(tok.text);
-      } catch (const std::exception&) {
-        return fail("malformed number '" + tok.text + "'");
-      }
       tok.is_integer = !has_dot && !has_exp;
+      if (tok.is_integer) {
+        // Read exactly, never rounded through a double; a literal outside
+        // int64 is refused.
+        const char* first = tok.text.data();
+        if (std::from_chars(first, first + tok.text.size(), tok.integer).ec !=
+            std::errc()) {
+          return fail("integer literal '" + tok.text + "' out of range");
+        }
+      } else {
+        try {
+          tok.number = std::stod(tok.text);
+        } catch (const std::exception&) {
+          return fail("malformed number '" + tok.text + "'");
+        }
+      }
       i = end;
     } else if (c == '\'') {
       std::size_t end = i + 1;
@@ -290,9 +301,8 @@ class Parser {
     const Token& tok = peek();
     switch (tok.kind) {
       case TokenKind::kNumber: {
-        cdr::Value v = tok.is_integer
-                           ? cdr::Value(static_cast<std::int64_t>(tok.number))
-                           : cdr::Value(tok.number);
+        cdr::Value v =
+            tok.is_integer ? cdr::Value(tok.integer) : cdr::Value(tok.number);
         advance();
         return make_literal(std::move(v));
       }

@@ -32,6 +32,7 @@
 // property-tested in tests/constraint_test.cpp.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,7 +63,8 @@ enum class TokenKind {
 struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;     // raw text for idents/strings
-  double number = 0.0;  // numeric literals
+  double number = 0.0;       // real literals
+  std::int64_t integer = 0;  // integer literals (is_integer)
   bool is_integer = false;
   std::size_t offset = 0;  // for error messages
 };

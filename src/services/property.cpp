@@ -34,10 +34,6 @@ std::optional<bool> PropertySet::get_bool(const std::string& name) const {
   return std::nullopt;
 }
 
-void PropertySet::merge(const PropertySet& other) {
-  for (const auto& [k, v] : other.props_) props_[k] = v;
-}
-
 std::string PropertySet::to_string() const {
   std::ostringstream os;
   os << '{';

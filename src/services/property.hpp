@@ -45,9 +45,6 @@ class PropertySet {
     return props_;
   }
 
-  /// Merge `other` into this set, overwriting duplicates.
-  void merge(const PropertySet& other);
-
   [[nodiscard]] std::string to_string() const;
 
   bool operator==(const PropertySet&) const = default;

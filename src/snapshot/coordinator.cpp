@@ -11,35 +11,43 @@ namespace {
 /// Two-way install call timeout.
 constexpr SimDuration kShipTimeout = 5 * kSecond;
 
+/// The sections every image carries, in capture (and load) order.
+constexpr const char* kTrader = "trader";
+constexpr const char* kGrm = "grm";
+constexpr const char* kOrbDedup = "orb_dedup";
+
 }  // namespace
 
 // --- SnapshotCoordinator ---------------------------------------------------
 
 SnapshotCoordinator::SnapshotCoordinator(sim::Engine& engine, orb::Orb& orb,
-                                         SnapshotOptions options)
-    : engine_(engine), orb_(orb), options_(options) {}
+                                         grm::Grm& primary, orb::ObjectRef store)
+    : engine_(engine), orb_(orb), primary_(primary), store_(std::move(store)) {}
 
 SnapshotCoordinator::~SnapshotCoordinator() { *alive_ = false; }
 
-void SnapshotCoordinator::add_provider(CaptureProvider provider) {
-  providers_.push_back(std::move(provider));
-}
-
 void SnapshotCoordinator::start() {
-  if (!options_.enabled || providers_.empty()) return;
-  timer_.start(engine_, options_.period, [this] { fire(); },
-               /*initial_delay=*/options_.period);
+  timer_.start(engine_, kPeriod, [this] { fire(); },
+               /*initial_delay=*/kPeriod);
 }
 
 void SnapshotCoordinator::stop() { timer_.stop(); }
 
 Envelope SnapshotCoordinator::capture() const {
+  cdr::Writer trader;
+  primary_.trader().save(trader);
+  cdr::Writer state;
+  primary_.save(state);
+  cdr::Writer dedup;
+  orb_.save_dedup(dedup);
+
   Envelope envelope;
   envelope.captured_at = engine_.now();
-  for (const CaptureProvider& provider : providers_) {
-    envelope.sections.push_back(
-        {provider.name, provider.version, provider.capture()});
-  }
+  envelope.sections = {
+      {kTrader, services::Trader::kSnapshotVersion, trader.take_buffer()},
+      {kGrm, grm::Grm::kSnapshotVersion, state.take_buffer()},
+      {kOrbDedup, orb::Orb::kDedupSnapshotVersion, dedup.take_buffer()},
+  };
   return envelope;
 }
 
@@ -89,7 +97,8 @@ class StoreServant final : public orb::SkeletonBase {
 
 }  // namespace
 
-SnapshotStore::SnapshotStore(orb::Orb& orb) : orb_(orb) {
+SnapshotStore::SnapshotStore(orb::Orb& orb, grm::Grm& standby)
+    : orb_(orb), standby_(standby) {
   self_ref_ = orb_.activate(std::make_shared<StoreServant>(*this));
 }
 
@@ -97,17 +106,34 @@ SnapshotStore::~SnapshotStore() {
   if (!orb_.is_shutdown()) orb_.deactivate(self_ref_.key);
 }
 
-void SnapshotStore::register_loader(std::string name, SectionLoader loader) {
-  loaders_[std::move(name)] = std::move(loader);
+Status SnapshotStore::load(const Envelope& envelope) {
+  for (const Section& s : envelope.sections) {
+    if (s.name != kTrader && s.name != kGrm && s.name != kOrbDedup) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "unknown section '" + s.name + "'");
+    }
+  }
+  for (const Section& s : envelope.sections) {
+    cdr::Reader r(s.payload);
+    const Status status = s.name == kTrader ? standby_.trader().load(s.version, r)
+                          : s.name == kGrm  ? standby_.load(s.version, r)
+                                            : orb_.load_dedup(s.version, r);
+    if (!status.is_ok()) {
+      return Status(status.code(),
+                    "section '" + s.name + "': " + status.message());
+    }
+  }
+  return Status::ok();
 }
 
 Status SnapshotStore::install(const std::vector<std::uint8_t>& image) {
   Result<Envelope> decoded = decode(image);
-  const Status status = decoded.is_ok() ? snapshot::apply(decoded.value(), loaders_)
-                                        : decoded.status();
+  const Status status =
+      decoded.is_ok() ? load(decoded.value()) : decoded.status();
   if (!status.is_ok()) {
-    // Loaders validate before mutating, so the failing section's component
-    // is untouched; the next period's full image supersedes this one.
+    // Each load validates before mutating, so the failing section's
+    // component is untouched; the next period's full image supersedes this
+    // one.
     metrics_.counter("installs_rejected").add();
     return status;
   }

@@ -59,23 +59,4 @@ Result<Envelope> decode(const std::vector<std::uint8_t>& bytes) {
   return envelope;
 }
 
-Status apply(const Envelope& envelope,
-             const std::map<std::string, SectionLoader>& loaders) {
-  for (const Section& s : envelope.sections) {
-    if (!loaders.contains(s.name)) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "section '" + s.name + "' has no loader");
-    }
-  }
-  for (const Section& s : envelope.sections) {
-    cdr::Reader r(s.payload);
-    const Status status = loaders.at(s.name)(s.version, r);
-    if (!status.is_ok()) {
-      return Status(status.code(),
-                    "section '" + s.name + "': " + status.message());
-    }
-  }
-  return Status::ok();
-}
-
 }  // namespace integrade::snapshot

@@ -25,8 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -74,16 +72,5 @@ constexpr auto wire_fields(const Envelope*) {
 /// Any failure returns an error without partially-constructed state; callers
 /// fall back to heartbeat reconvergence instead of crashing.
 [[nodiscard]] Result<Envelope> decode(const std::vector<std::uint8_t>& bytes);
-
-/// Per-section loader: receives the section's component version and a reader
-/// positioned over its payload. Loaders must validate fully before mutating
-/// component state (decode-into-scratch, then commit).
-using SectionLoader = std::function<Status(std::uint32_t version, cdr::Reader&)>;
-
-/// Apply an envelope's sections through a loader registry in envelope order.
-/// An envelope naming a section with no registered loader is rejected
-/// before any loader runs. Stops at the first loader error.
-Status apply(const Envelope& envelope,
-             const std::map<std::string, SectionLoader>& loaders);
 
 }  // namespace integrade::snapshot

@@ -236,6 +236,40 @@ TEST(BspDataPlane, RollbackRestoresThroughChunkStores) {
             0);
 }
 
+TEST(BspDataPlane, FinishedAppsLeaveNoCheckpointInAnyStore) {
+  // A finished app's checkpoints can never be restored again: a minute
+  // after it completes, the repository and every provider store are empty.
+  DataPlaneRun run(31);
+  const auto expect_empty_stores = [&](const char* after) {
+    const ckpt::CheckpointRepository& repository = run.cluster->repository();
+    EXPECT_EQ(repository.checkpoint_count(), 0u) << after;
+    EXPECT_EQ(repository.data_plane()->manifest_count(), 0u) << after;
+    EXPECT_EQ(repository.data_plane()->chunk_count(), 0u) << after;
+    for (std::size_t i = 0; i < run.cluster->size(); ++i) {
+      const ckpt::ChunkStore& store = run.cluster->ckpt_agent(i)->store();
+      EXPECT_EQ(store.manifest_count(), 0u) << after << ", node " << i;
+      EXPECT_EQ(store.chunk_count(), 0u) << after << ", node " << i;
+    }
+  };
+
+  const AppId bsp = run.submit(4, 8, 2'000.0, /*every=*/2, kMiB);
+  ASSERT_TRUE(run.grid.run_until_app_done(*run.cluster, bsp,
+                                          run.grid.engine().now() + 8 * kHour));
+  run.grid.run_for(kMinute);
+  expect_empty_stores("a BSP app");
+
+  AppBuilder bag("bag");
+  bag.kind(protocol::AppKind::kParametric)
+      .tasks(8, 150'000.0)
+      .checkpoint_period(30 * kSecond, 256 * kKiB);
+  const AppId parametric = run.cluster->asct().submit(
+      run.cluster->grm_ref(), bag.build(run.cluster->asct().ref()));
+  ASSERT_TRUE(run.grid.run_until_app_done(*run.cluster, parametric,
+                                          run.grid.engine().now() + 8 * kHour));
+  run.grid.run_for(kMinute);
+  expect_empty_stores("a parametric app");
+}
+
 TEST(BspDataPlane, SequentialCheckpointsFlowThroughAgent) {
   DataPlaneRun run(33, 4);
   AppBuilder builder("seq-dp");

@@ -45,13 +45,11 @@ core::ClusterConfig chaos_cluster() {
   for (int i = kNodes / 2; i < kNodes; ++i) {
     config.nodes[static_cast<std::size_t>(i)].segment = 1;
   }
-  // The resilient control plane under test: request retransmission,
-  // reliable updates with a warm-standby GRM.
+  // The resilient control plane under test: request retransmission and a
+  // warm-standby GRM (two-way updates, report journals).
   // Three retransmits spaced 1 s apart all fit inside the 5 s call deadline.
   config.orb.request_retries = 3;
-  config.orb.retransmit_timeout = 1 * kSecond;
-  config.lrm.reliable_updates = true;
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   return config;
 }
 
@@ -196,8 +194,6 @@ TEST(ChaosTest, TracedRunNeverExecutesBeforeReservingOnANode) {
   grid.tracer().enable(1u << 16);
   auto config = core::quiet_cluster(30, /*seed=*/77, 1000.0, "traced");
   config.orb.request_retries = 3;
-  config.orb.retransmit_timeout = 1 * kSecond;
-  config.lrm.reliable_updates = true;
   auto& cluster = grid.add_cluster(config);
 
   sim::FaultInjector faults(grid.engine(), grid.network(),

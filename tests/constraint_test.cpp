@@ -53,6 +53,17 @@ TEST(Lexer, IntegerVsRealLiterals) {
   EXPECT_FALSE(tokens.value()[2].is_integer);
 }
 
+TEST(Lexer, IntegerLiteralsAreExactAndMustFitInt64) {
+  auto tokens = tokenize("9223372036854775807 9007199254740993");
+  ASSERT_TRUE(tokens.is_ok());
+  EXPECT_EQ(tokens.value()[0].integer, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(tokens.value()[1].integer, 9'007'199'254'740'993);  // 2^53 + 1
+  EXPECT_FALSE(tokenize("9223372036854775808").is_ok());
+  const auto huge = Constraint::parse("cpu_mips > 99999999999999999999");
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_NE(huge.status().message().find("out of range"), std::string::npos);
+}
+
 // --- parser ---
 
 TEST(Parser, RejectsMalformedExpressions) {

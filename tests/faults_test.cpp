@@ -256,8 +256,7 @@ TEST(FaultsFailover, ManagerCrashRotatesEveryLrmToStandby) {
   core::Grid grid(131);
   auto config = core::quiet_cluster(6, 131, 1000.0, "failover");
   config.lrm.update_period = 10 * kSecond;
-  config.standby_grm = true;
-  config.lrm.reliable_updates = true;
+  config.standby = core::Standby::kHeartbeat;
   auto& cluster = grid.add_cluster(config);
   FaultInjector faults(grid.engine(), grid.network(), Rng(7));
 
@@ -286,6 +285,66 @@ TEST(FaultsFailover, ManagerCrashRotatesEveryLrmToStandby) {
                                           builder.build(cluster.asct().ref()));
   EXPECT_TRUE(
       grid.run_until_app_done(cluster, app, grid.engine().now() + kHour));
+}
+
+TEST(StandbyModes, EachModeTurnsOnWhatItsTableRowSays) {
+  // docs/faults.md: kNone sends oneway status updates and journals nothing;
+  // kHeartbeat adds the standby, two-way updates that fail over after three
+  // misses, and a journal of reports replayed after a TaskResync; kSnapshot
+  // adds a full capture every 10 s.
+  for (const core::Standby mode : {core::Standby::kNone,
+                                   core::Standby::kHeartbeat,
+                                   core::Standby::kSnapshot}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    core::Grid grid(132);
+    auto config = core::quiet_cluster(4, 132, 1000.0, "modes");
+    config.lrm.update_period = 10 * kSecond;
+    config.standby = mode;
+    auto& cluster = grid.add_cluster(config);
+    FaultInjector faults(grid.engine(), grid.network(), Rng(7));
+    grid.run_for(2 * kMinute);
+
+    asct::AppBuilder builder("modes");
+    builder.kind(protocol::AppKind::kParametric).tasks(4, 10'000.0);
+    const AppId app = cluster.asct().submit(cluster.grm_ref(),
+                                            builder.build(cluster.asct().ref()));
+    ASSERT_TRUE(grid.run_until_app_done(cluster, app,
+                                        grid.engine().now() + 10 * kMinute));
+    // Land 5 s past a capture boundary so the count is exact.
+    const SimDuration period = 10 * kSecond;
+    grid.run_until((grid.engine().now() / period + 1) * period + 5 * kSecond);
+
+    const bool standby = mode != core::Standby::kNone;
+    const bool snapshots = mode == core::Standby::kSnapshot;
+    EXPECT_EQ(cluster.standby_grm() != nullptr, standby);
+    EXPECT_EQ(cluster.snapshot_store() != nullptr, snapshots);
+    ASSERT_EQ(cluster.snapshot_coordinator() != nullptr, snapshots);
+    if (snapshots) {
+      EXPECT_EQ(cluster.snapshot_coordinator()->metrics().counter_value(
+                    "snapshots_shipped"),
+                grid.engine().now() / period);
+    }
+
+    // Only two-way updates notice the dead manager; only a journal has the
+    // four completion reports to replay to the manager adopted instead.
+    faults.crash_endpoint(cluster.manager_address());
+    grid.run_for(2 * kMinute);
+    std::int64_t failovers = 0;
+    std::int64_t resyncs = 0;
+    std::int64_t replayed = 0;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      const MetricRegistry& m = cluster.lrm(i).metrics();
+      failovers += m.counter_value("grm_failovers");
+      resyncs += m.counter_value("task_resyncs_sent");
+      replayed += m.counter_value("journal_reports_replayed");
+      EXPECT_EQ(cluster.lrm(i).grm(),
+                standby ? cluster.standby_grm()->ref() : cluster.grm_ref());
+    }
+    const auto nodes = static_cast<std::int64_t>(cluster.size());
+    EXPECT_EQ(failovers, standby ? nodes : 0);
+    EXPECT_EQ(resyncs, standby ? nodes : 0);
+    EXPECT_EQ(replayed, standby ? 4 : 0);
+  }
 }
 
 TEST(FaultsLifetime, DetachingInjectorRestoresCleanNetwork) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/grid.hpp"
@@ -49,6 +50,57 @@ TEST_F(GrmFixture, StaleOffersSweptAfterTtl) {
   grid.run_for(5 * kMinute);
   EXPECT_EQ(cluster.grm().known_nodes(), 2u);
   EXPECT_GE(cluster.grm().metrics().counter_value("offers_expired"), 1);
+}
+
+// Task descriptors whose work is negative or not finite, or whose
+// checkpoint period is above 0 but below a second.
+std::vector<protocol::TaskDescriptor> refused_descriptors(
+    const protocol::TaskDescriptor& good) {
+  std::vector<protocol::TaskDescriptor> out;
+  for (const MInstr work : {-1.0, std::numeric_limits<MInstr>::quiet_NaN(),
+                            std::numeric_limits<MInstr>::infinity()}) {
+    out.push_back(good);
+    out.back().work = work;
+  }
+  out.push_back(good);
+  out.back().checkpoint_period = kMicrosecond;
+  return out;
+}
+
+TEST_F(GrmFixture, SubmitRefusesBadWorkAndTooShortCheckpointPeriods) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(2, 3));
+  grid.run_for(90 * kSecond);
+  AppBuilder builder("bounds");
+  builder.tasks(2, 1000.0).checkpoint_period(kSecond, 64 * kKiB);
+  const protocol::ApplicationSpec good = builder.build(cluster.asct().ref());
+  for (const auto& bad : refused_descriptors(good.tasks.back())) {
+    protocol::ApplicationSpec spec = good;
+    spec.tasks.back() = bad;
+    const auto reply = cluster.grm().handle_submit(spec);
+    EXPECT_FALSE(reply.accepted) << bad.work << " " << bad.checkpoint_period;
+    EXPECT_NE(reply.reason.find("task "), std::string::npos) << reply.reason;
+    EXPECT_FALSE(cluster.grm().app_known(spec.id));
+  }
+  EXPECT_TRUE(cluster.grm().handle_submit(good).accepted);
+}
+
+TEST_F(GrmFixture, RemoteSubmitRefusesBadWorkAndTooShortCheckpointPeriods) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(2, 3));
+  grid.run_for(90 * kSecond);
+  AppBuilder builder("remote-bounds");
+  builder.tasks(1, 1000.0);
+  protocol::RemoteSubmit request;
+  request.spec = builder.build(cluster.asct().ref());
+  const protocol::TaskDescriptor good = request.spec.tasks.front();
+  for (const auto& bad : refused_descriptors(good)) {
+    request.spec.tasks.front() = bad;
+    cluster.grm().handle_remote_submit(request);
+    EXPECT_FALSE(cluster.grm().app_known(request.spec.id))
+        << bad.work << " " << bad.checkpoint_period;
+  }
+  request.spec.tasks.front() = good;
+  cluster.grm().handle_remote_submit(request);
+  EXPECT_TRUE(cluster.grm().app_known(request.spec.id));  // adopted
 }
 
 TEST_F(GrmFixture, SubmitValidatesExpressions) {

@@ -201,6 +201,39 @@ TEST_F(LrmFixture, NegativeRamIsRefusedAndLeavesFreeRamIntact) {
   EXPECT_EQ(lrm->current_status().free_ram, free_ram);
 }
 
+TEST_F(LrmFixture, ExecuteRefusesBadWorkAndTooShortCheckpointPeriods) {
+  ASSERT_TRUE(lrm->handle_reserve(reserve_request(1)).granted);
+  for (const MInstr work : {-1.0, std::numeric_limits<MInstr>::quiet_NaN(),
+                            std::numeric_limits<MInstr>::infinity()}) {
+    const auto reply = lrm->handle_execute(execute_request(1, work));
+    EXPECT_FALSE(reply.accepted) << work;
+    EXPECT_EQ(reply.reason, "task work is negative or not finite");
+  }
+  // A period of a microsecond would checkpoint every microsecond.
+  auto fast = execute_request(1, 1000.0);
+  fast.task.checkpoint_period = kSecond - 1;
+  const auto reply = lrm->handle_execute(fast);
+  EXPECT_FALSE(reply.accepted);
+  EXPECT_EQ(reply.reason, "task checkpoint period is below 1 s");
+  EXPECT_EQ(lrm->running_task_count(), 0);
+
+  fast.task.checkpoint_period = kSecond;
+  EXPECT_TRUE(lrm->handle_execute(fast).accepted);
+}
+
+TEST_F(LrmFixture, HugeWorkSchedulesItsCompletionOnceNotEveryMicrosecond) {
+  // 1e300 MInstr at 1000 MIPS is an ETA far past SimDuration. It must
+  // clamp to "never", not wrap to a past time that re-fires every tick.
+  ASSERT_TRUE(lrm->handle_reserve(reserve_request(1)).granted);
+  ASSERT_TRUE(lrm->handle_execute(execute_request(1, 1e300)).accepted);
+  const auto fired = engine.events_fired();
+  const SimTime end = engine.now() + 10 * kSecond;
+  for (int i = 0; i < 100'000 && engine.step(end); ++i) {
+  }
+  EXPECT_LT(engine.events_fired() - fired, 100);
+  EXPECT_EQ(lrm->running_task_count(), 1);
+}
+
 TEST_F(LrmFixture, ReservationGrantClampedByAvailableCpu) {
   ASSERT_TRUE(lrm->handle_reserve(reserve_request(1, 0.9)).granted);
   // Second full request still granted but clamped to the remainder.

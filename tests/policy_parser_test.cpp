@@ -52,6 +52,16 @@ TEST(PolicyParser, DurationsInAllUnits) {
   EXPECT_EQ(parse_policy("grace = 1.5min").value().idle_grace, 90 * kSecond);
 }
 
+TEST(PolicyParser, RefusesADurationThatDoesNotFitMicroseconds) {
+  // 1e20 hours is about 3.6e29 us, far past SimDuration's 9.2e18.
+  const auto huge = parse_policy("grace = 100000000000000000000h");
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_NE(huge.status().message().find("does not fit"), std::string::npos);
+  EXPECT_FALSE(parse_policy("grace = 9300000000000s").is_ok());
+  EXPECT_EQ(parse_policy("grace = 9200000000000s").value().idle_grace,
+            9'200'000'000'000 * kSecond);
+}
+
 TEST(PolicyParser, SharingOff) {
   auto policy = parse_policy("sharing = off");
   ASSERT_TRUE(policy.is_ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -170,6 +171,18 @@ TEST(FairQueue, BigTasksChargeProportionallyMore) {
   EXPECT_EQ(queue.pass_of("fast"), 6 * one_unit);
   queue.account_dispatch("fast", 0);      // floor: still charges one unit
   EXPECT_EQ(queue.pass_of("fast"), 7 * one_unit);
+}
+
+TEST(FairQueue, HugeWorkSaturatesThePassInsteadOfWrapping) {
+  // Work is user input: 1e300 MInstr is finite, but its units do not fit
+  // 64 bits, and a wrapped pass would send the tenant to the queue's front.
+  FairQueue queue;
+  queue.configure(economy_options());
+  queue.push(task(1), "fast", 0);
+  queue.account_dispatch("fast", 1e300);
+  EXPECT_EQ(queue.pass_of("fast"), std::numeric_limits<std::uint64_t>::max());
+  queue.account_dispatch("fast", 1000);
+  EXPECT_EQ(queue.pass_of("fast"), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(FairQueue, EdfWithinTenantThenFifo) {

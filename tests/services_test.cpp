@@ -39,19 +39,6 @@ TEST(PropertySetTest, TypedAccessors) {
   EXPECT_TRUE(p.get("missing").is_null());
 }
 
-TEST(PropertySetTest, MergeOverwrites) {
-  PropertySet a;
-  a.set("x", cdr::Value(1));
-  a.set("y", cdr::Value(2));
-  PropertySet b;
-  b.set("y", cdr::Value(20));
-  b.set("z", cdr::Value(30));
-  a.merge(b);
-  EXPECT_EQ(a.get_int("x"), 1);
-  EXPECT_EQ(a.get_int("y"), 20);
-  EXPECT_EQ(a.get_int("z"), 30);
-}
-
 TEST(PropertySetTest, CdrRoundTrip) {
   auto p = props(1200, true);
   p.set("tags", cdr::Value(cdr::ValueList{cdr::Value("a"), cdr::Value("b")}));

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asct/asct.hpp"
@@ -150,7 +153,7 @@ TEST(SnapshotComponents, TraderLoadRejectsGarbageAndKeepsState) {
 TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
   core::Grid grid(302);
   auto config = core::quiet_cluster(8, 302);
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   auto& cluster = grid.add_cluster(config);
   grid.run_for(2 * kMinute);
 
@@ -195,7 +198,7 @@ TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
 TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
   core::Grid grid(303);
   auto config = core::quiet_cluster(4, 303);
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   auto& cluster = grid.add_cluster(config);
   grid.run_for(2 * kMinute);
 
@@ -231,14 +234,14 @@ TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
   }
 }
 
-// Without report journals no TaskResync ever reaches a promoted standby:
-// the first per-node status update is its only promotion signal, and it
-// alone must wake the dormant image. `promote(standby, lrm)` delivers it.
+// A promoted standby may hear a node's status update before any TaskResync
+// reaches it: that first per-node status update alone must wake the
+// dormant image. `promote(standby, lrm)` delivers it.
 template <class Promote>
 void expect_restored_standby_wakes(Promote promote) {
   core::Grid grid(308);
   auto config = core::quiet_cluster(4, 308);
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   auto& cluster = grid.add_cluster(config);
   grid.run_for(2 * kMinute);
 
@@ -380,7 +383,7 @@ void expect_rejected_or_canonical(const char* section, const Bytes& image,
 TEST(SnapshotComponents, EveryCorruptedSectionIsRejectedOrCanonical) {
   core::Grid grid(311);
   auto config = core::quiet_cluster(8, 311);
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   auto& cluster = grid.add_cluster(config);
   grid.run_for(2 * kMinute);
   AppBuilder builder("mutants");
@@ -462,7 +465,7 @@ TEST(SnapshotComponents, GrmLoadKeepsTheQueueEqualToThePendingTasks) {
   // Two nodes and three long tasks: two run, the third waits in the queue.
   core::Grid grid(312);
   auto config = core::quiet_cluster(2, 312);
-  config.standby_grm = true;
+  config.standby = core::Standby::kHeartbeat;
   auto& cluster = grid.add_cluster(config);
   grid.run_for(2 * kMinute);
   AppBuilder builder("queued");
@@ -514,12 +517,60 @@ TEST(SnapshotComponents, GrmLoadKeepsTheQueueEqualToThePendingTasks) {
   EXPECT_GT(leaves_out_pending, 0);
 }
 
+// `image` with every occurrence of `from`'s bytes replaced by `to`'s.
+template <class T>
+Bytes replaced(const Bytes& image, T from, T to) {
+  Bytes out = image;
+  int hits = 0;
+  for (std::size_t i = 0; i + sizeof(T) <= out.size(); ++i) {
+    if (std::memcmp(out.data() + i, &from, sizeof(T)) == 0) {
+      std::memcpy(out.data() + i, &to, sizeof(T));
+      ++hits;
+    }
+  }
+  EXPECT_GT(hits, 0);
+  return out;
+}
+
+TEST(SnapshotComponents, GrmLoadRefusesBadWorkAndTooShortCheckpointPeriods) {
+  core::Grid grid(314);
+  auto config = core::quiet_cluster(2, 314);
+  config.standby = core::Standby::kHeartbeat;
+  auto& cluster = grid.add_cluster(config);
+  AppBuilder builder("bounds");
+  builder.tasks(1, 60'000.0).checkpoint_period(1'234'567, 64 * kKiB);
+  ASSERT_TRUE(
+      cluster.grm().handle_submit(builder.build(cluster.asct().ref())).accepted);
+  cdr::Writer w;
+  cluster.grm().save(w);
+  const Bytes image = w.take_buffer();
+
+  grm::Grm& standby = *cluster.standby_grm();
+  const std::vector<std::pair<Bytes, std::string>> mutants = {
+      {replaced(image, 60'000.0, -1.0), "negative or not finite"},
+      {replaced(image, 60'000.0, std::numeric_limits<double>::quiet_NaN()),
+       "negative or not finite"},
+      {replaced(image, 60'000.0, std::numeric_limits<double>::infinity()),
+       "negative or not finite"},
+      {replaced(image, SimDuration{1'234'567}, SimDuration{12}),
+       "checkpoint period is below 1 s"},
+  };
+  for (const auto& [mutant, why] : mutants) {
+    cdr::Reader r(mutant);
+    const Status loaded = standby.load(grm::Grm::kSnapshotVersion, r);
+    EXPECT_FALSE(loaded.is_ok()) << why;
+    EXPECT_NE(loaded.message().find(why), std::string::npos) << loaded.message();
+  }
+  cdr::Reader r(image);
+  EXPECT_TRUE(standby.load(grm::Grm::kSnapshotVersion, r).is_ok());
+}
+
 TEST(SnapshotComponents, EveryAcceptedGrmMutantSchedulesWithoutThrowing) {
   // A one-app, one-task section, saved before any node registered: the
   // task waits in the queue and the first pass ranks it.
   const auto make_cluster = [](core::Grid& grid) -> core::Cluster& {
     auto config = core::quiet_cluster(2, 313);
-    config.standby_grm = true;
+    config.standby = core::Standby::kHeartbeat;
     return grid.add_cluster(config);
   };
   Bytes image;
@@ -568,9 +619,7 @@ TEST(SnapshotComponents, EveryAcceptedGrmMutantSchedulesWithoutThrowing) {
 TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
   core::Grid grid(305);
   auto config = core::quiet_cluster(6, 305);
-  config.standby_grm = true;
-  config.snapshot.enabled = true;
-  config.snapshot.period = 10 * kSecond;
+  config.standby = core::Standby::kSnapshot;
   auto& cluster = grid.add_cluster(config);
   ASSERT_NE(cluster.snapshot_coordinator(), nullptr);
   ASSERT_NE(cluster.snapshot_store(), nullptr);
@@ -597,9 +646,7 @@ TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
 TEST(SnapshotShipping, StoreRejectsOutOfSequenceAndCorruptImages) {
   core::Grid grid(306);
   auto config = core::quiet_cluster(4, 306);
-  config.standby_grm = true;
-  config.snapshot.enabled = true;
-  config.snapshot.period = 10 * kSecond;
+  config.standby = core::Standby::kSnapshot;
   auto& cluster = grid.add_cluster(config);
   grid.run_for(kMinute);
   snapshot::SnapshotStore& store = *cluster.snapshot_store();
@@ -642,12 +689,8 @@ TEST(SnapshotFailover, RestoredStandbyLosesNoTaskAndDuplicatesNone) {
   core::Grid grid(307);
   grid.network().set_jitter(0.0);
   auto config = core::quiet_cluster(8, 307);
-  config.standby_grm = true;
-  config.lrm.reliable_updates = true;
   config.lrm.update_period = 10 * kSecond;
-  config.lrm.report_journal_window = 5 * kMinute;
-  config.snapshot.enabled = true;
-  config.snapshot.period = 10 * kSecond;
+  config.standby = core::Standby::kSnapshot;
   auto& cluster = grid.add_cluster(config);
   sim::FaultInjector faults(grid.engine(), grid.network(), Rng(7));
 
