@@ -106,23 +106,22 @@ std::vector<orb::ObjectRef> BspCoordinator::peer_agents(
   return peers;
 }
 
-std::vector<orb::ObjectRef> BspCoordinator::rank_agents(const App& app) const {
-  std::vector<orb::ObjectRef> agents;
-  for (const grm::Grm::Placement& placement : app.placement) {
-    orb::ObjectRef agent = dp_agent_of_(placement.node);
-    if (!agent.valid() ||
-        std::find(agents.begin(), agents.end(), agent) != agents.end()) {
-      continue;
-    }
-    agents.push_back(std::move(agent));
+void BspCoordinator::place_rank(App& app, std::int32_t rank,
+                                const grm::Grm::Placement& placement) {
+  app.placement[static_cast<std::size_t>(rank)] = placement;
+  app.rank_up[static_cast<std::size_t>(rank)] = true;
+  if (!data_plane_enabled()) return;
+  orb::ObjectRef agent = dp_agent_of_(placement.node);
+  if (agent.valid() &&
+      std::find(app.agents.begin(), app.agents.end(), agent) == app.agents.end()) {
+    app.agents.push_back(std::move(agent));
   }
-  return agents;
 }
 
 void BspCoordinator::drop_checkpoints(const App& app) {
   if (repository_ != nullptr) repository_->drop_app(app.spec.id);
   if (!data_plane_enabled()) return;
-  for (const orb::ObjectRef& agent : rank_agents(app)) {
+  for (const orb::ObjectRef& agent : app.agents) {
     orb::oneway(orb_, agent, "ckpt_drop", protocol::CkptDrop{app.spec.id});
   }
 }
@@ -149,8 +148,7 @@ void BspCoordinator::app_ready(AppId app_id) {
     const auto* placement =
         grm_.placement_of(app.task(rank).id);
     if (placement == nullptr) return;  // raced an eviction; GRM will re-fire
-    app.placement[static_cast<std::size_t>(rank)] = *placement;
-    app.rank_up[static_cast<std::size_t>(rank)] = true;
+    place_rank(app, rank, *placement);
   }
   resume(app);
 }
@@ -161,8 +159,7 @@ void BspCoordinator::rank_placed(AppId app_id, std::int32_t rank,
   if (it == apps_.end()) return;
   App& app = it->second;
   if (rank < 0 || rank >= app.processes()) return;
-  app.placement[static_cast<std::size_t>(rank)] = placement;
-  app.rank_up[static_cast<std::size_t>(rank)] = true;
+  place_rank(app, rank, placement);
   if (app.phase == Phase::kSuspended && app.all_up()) resume(app);
 }
 
@@ -468,7 +465,7 @@ void BspCoordinator::commit_checkpoint(App& app) {
     protocol::CkptPrune prune;
     prune.app = app.spec.id;
     prune.keep_from = superstep;
-    for (const orb::ObjectRef& agent : rank_agents(app)) {
+    for (const orb::ObjectRef& agent : app.agents) {
       orb::oneway(orb_, agent, "ckpt_prune", prune);
     }
   }

@@ -118,6 +118,11 @@ class BspCoordinator {
     std::set<std::int32_t> awaiting;      // ranks not yet done with phase
     SimTime restore_started_at = 0;       // kRestoring entry time
     AppStats stats;
+    /// With the data plane, the agent of every node that has hosted one of
+    /// the ranks, in the order they first did: the stores a commit prunes
+    /// and a finish or cancel empties. A rank that moves leaves its
+    /// checkpoints behind, so the list only grows.
+    std::vector<orb::ObjectRef> agents;
 
     [[nodiscard]] std::int32_t processes() const {
       return static_cast<std::int32_t>(spec.tasks.size());
@@ -152,11 +157,11 @@ class BspCoordinator {
   [[nodiscard]] std::vector<orb::ObjectRef> peer_agents(const App& app,
                                                         std::int32_t rank,
                                                         std::size_t limit) const;
-  /// Agents of the nodes hosting the ranks, in rank order, no duplicates:
-  /// the provider stores a commit prunes and a finish or cancel empties.
-  [[nodiscard]] std::vector<orb::ObjectRef> rank_agents(const App& app) const;
+  /// Place `rank` on `placement`, and add its node's agent to app.agents.
+  void place_rank(App& app, std::int32_t rank,
+                  const grm::Grm::Placement& placement);
   /// Forget every checkpoint of `app`: the repository's and, with the data
-  /// plane, the rank agents' stores.
+  /// plane, the stores of app.agents.
   void drop_checkpoints(const App& app);
 
   sim::Engine& engine_;

@@ -5,43 +5,12 @@
 
 namespace integrade::cdr {
 
-ByteOrder native_byte_order() {
-  return std::endian::native == std::endian::little ? ByteOrder::kLittleEndian
-                                                    : ByteOrder::kBigEndian;
+void Writer::patch_u32(std::size_t offset, std::uint32_t v) {
+  std::uint8_t bytes[4];
+  std::memcpy(bytes, &v, 4);
+  if (order_ != native_byte_order()) std::reverse(bytes, bytes + 4);
+  std::memcpy(buf_.data() + offset, bytes, 4);
 }
-
-Writer::Writer(ByteOrder order) : order_(order) { buf_.reserve(64); }
-
-void Writer::align(std::size_t alignment) {
-  const std::size_t rem = buf_.size() % alignment;
-  if (rem != 0) buf_.insert(buf_.end(), alignment - rem, 0);
-}
-
-template <class T>
-void Writer::write_scalar(T v) {
-  align(sizeof(T));
-  std::uint8_t bytes[sizeof(T)];
-  std::memcpy(bytes, &v, sizeof(T));
-  const bool swap = order_ != native_byte_order();
-  if (swap) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(bytes[sizeof(T) - 1 - i]);
-    }
-  } else {
-    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
-  }
-}
-
-void Writer::write_bool(bool v) { buf_.push_back(v ? 1 : 0); }
-void Writer::write_u8(std::uint8_t v) { buf_.push_back(v); }
-void Writer::write_i16(std::int16_t v) { write_scalar(v); }
-void Writer::write_u16(std::uint16_t v) { write_scalar(v); }
-void Writer::write_i32(std::int32_t v) { write_scalar(v); }
-void Writer::write_u32(std::uint32_t v) { write_scalar(v); }
-void Writer::write_i64(std::int64_t v) { write_scalar(v); }
-void Writer::write_u64(std::uint64_t v) { write_scalar(v); }
-void Writer::write_f32(float v) { write_scalar(v); }
-void Writer::write_f64(double v) { write_scalar(v); }
 
 void Writer::write_string(const std::string& v) {
   write_u32(static_cast<std::uint32_t>(v.size() + 1));
@@ -142,23 +111,30 @@ std::string Reader::read_string() {
   return s;
 }
 
-void Reader::read_string_into(std::string& out) {
+void Reader::read_string_into(std::string& out) { out.assign(read_string_view()); }
+
+std::string_view Reader::read_string_view() {
   const std::uint32_t len = read_u32();
   if (len == 0 || !ensure(len)) {
     ok_ = false;
-    out.clear();
-    return;
+    return {};
   }
   // len includes the trailing NUL.
-  out.assign(reinterpret_cast<const char*>(data_ + pos_), len - 1);
+  const std::string_view v(reinterpret_cast<const char*>(data_ + pos_), len - 1);
   if (data_[pos_ + len - 1] != 0) ok_ = false;  // malformed: missing NUL
   pos_ += len;
+  return v;
 }
 
 std::vector<std::uint8_t> Reader::read_octets() {
+  const std::span<const std::uint8_t> v = read_octets_view();
+  return {v.begin(), v.end()};
+}
+
+std::span<const std::uint8_t> Reader::read_octets_view() {
   const std::uint32_t len = read_u32();
   if (!ensure(len)) return {};
-  std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + len);
+  const std::span<const std::uint8_t> v(data_ + pos_, len);
   pos_ += len;
   return v;
 }

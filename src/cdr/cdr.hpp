@@ -13,10 +13,14 @@
 // numbers are meaningful proxies for the real protocol cost.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -30,22 +34,32 @@ namespace integrade::cdr {
 enum class ByteOrder : std::uint8_t { kBigEndian = 0, kLittleEndian = 1 };
 
 /// Native byte order of this process.
-ByteOrder native_byte_order();
+constexpr ByteOrder native_byte_order() {
+  return std::endian::native == std::endian::little ? ByteOrder::kLittleEndian
+                                                    : ByteOrder::kBigEndian;
+}
 
 class Writer {
  public:
-  explicit Writer(ByteOrder order = native_byte_order());
+  /// Bytes a fresh writer reserves: enough for most control messages.
+  static constexpr std::size_t kDefaultReserve = 64;
 
-  void write_bool(bool v);
-  void write_u8(std::uint8_t v);
-  void write_i16(std::int16_t v);
-  void write_u16(std::uint16_t v);
-  void write_i32(std::int32_t v);
-  void write_u32(std::uint32_t v);
-  void write_i64(std::int64_t v);
-  void write_u64(std::uint64_t v);
-  void write_f32(float v);
-  void write_f64(double v);
+  explicit Writer(ByteOrder order = native_byte_order(),
+                  std::size_t reserve = kDefaultReserve)
+      : order_(order) {
+    buf_.reserve(reserve);
+  }
+
+  void write_bool(bool v) { buf_.push_back(v ? 1 : 0); }
+  void write_u8(std::uint8_t v) { buf_.push_back(v); }
+  void write_i16(std::int16_t v) { write_scalar(v); }
+  void write_u16(std::uint16_t v) { write_scalar(v); }
+  void write_i32(std::int32_t v) { write_scalar(v); }
+  void write_u32(std::uint32_t v) { write_scalar(v); }
+  void write_i64(std::int64_t v) { write_scalar(v); }
+  void write_u64(std::uint64_t v) { write_scalar(v); }
+  void write_f32(float v) { write_scalar(v); }
+  void write_f64(double v) { write_scalar(v); }
   /// CORBA string: u32 length including terminating NUL, then bytes, then NUL.
   void write_string(const std::string& v);
   /// Raw octet sequence: u32 length then bytes (no NUL).
@@ -56,8 +70,26 @@ class Writer {
     write_u64(id.value);
   }
 
-  /// Pad so the next value of size `alignment` lands on its natural boundary.
-  void align(std::size_t alignment);
+  /// Bytes as they are, with no length and no alignment.
+  void write_raw(const std::uint8_t* data, std::size_t size) {
+    buf_.insert(buf_.end(), data, data + size);
+  }
+
+  /// Pad so the next value of size `alignment` lands on its natural boundary,
+  /// counted from the alignment origin.
+  void align(std::size_t alignment) {
+    const std::size_t rem = (buf_.size() - origin_) % alignment;
+    if (rem != 0) buf_.resize(buf_.size() + alignment - rem);
+  }
+
+  /// Make the current end of the buffer the alignment origin: later values
+  /// pad as if a fresh Writer started here, which is how a Reader over just
+  /// the bytes that follow will read them.
+  void align_from_here() { origin_ = buf_.size(); }
+
+  /// Overwrite the u32 written earlier at `offset`, in this writer's byte
+  /// order (a length known only once what it counts is written).
+  void patch_u32(std::size_t offset, std::uint32_t v);
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take_buffer() { return std::move(buf_); }
@@ -66,9 +98,16 @@ class Writer {
 
  private:
   template <class T>
-  void write_scalar(T v);
+  void write_scalar(T v) {
+    align(sizeof(T));
+    std::uint8_t bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    if (order_ != native_byte_order()) std::reverse(bytes, bytes + sizeof(T));
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+  }
 
   std::vector<std::uint8_t> buf_;
+  std::size_t origin_ = 0;  // alignment counts from here
   ByteOrder order_;
 };
 
@@ -98,7 +137,11 @@ class Reader {
   std::string read_string();
   /// Same, into an existing string (no temporary to move from).
   void read_string_into(std::string& out);
+  /// Same, as a view of the buffer: valid while the buffer lives.
+  std::string_view read_string_view();
   std::vector<std::uint8_t> read_octets();
+  /// Same, as a view of the buffer: valid while the buffer lives.
+  std::span<const std::uint8_t> read_octets_view();
 
   template <class Tag>
   Id<Tag> read_id() {
@@ -111,6 +154,10 @@ class Reader {
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
+  /// The bytes not read yet.
+  [[nodiscard]] std::span<const std::uint8_t> unread() const {
+    return {data_ + pos_, size_ - pos_};
+  }
   /// True when the whole buffer was consumed without error.
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == size_; }
 

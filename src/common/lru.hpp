@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -13,9 +14,11 @@
 namespace integrade {
 
 /// Fixed-capacity LRU map. `get` refreshes recency; inserting at capacity
-/// evicts the least recently used entry. Pointers returned by `get`/`put`
-/// stay valid until the entry is evicted or the cache is cleared — callers
-/// that may trigger another insertion before use should copy the value out.
+/// evicts the least recently used entry and reuses its nodes for the new
+/// one, so a full cache inserts without allocating. Pointers returned by
+/// `get`/`put` stay valid until the entry is evicted or the cache is
+/// cleared — callers that may trigger another insertion before use should
+/// copy the value out.
 template <class Key, class Value, class Hash = std::hash<Key>>
 class LruCache {
  public:
@@ -37,8 +40,17 @@ class LruCache {
       return &it->second->second;
     }
     if (capacity_ > 0 && entries_.size() >= capacity_) {
-      index_.erase(entries_.back().first);
-      entries_.pop_back();
+      // Recycle the evicted entry: its list node moves to the front and its
+      // index node is re-keyed, exactly as an erase and a fresh insert would
+      // leave the order.
+      auto node = index_.extract(entries_.back().first);
+      entries_.splice(entries_.begin(), entries_, std::prev(entries_.end()));
+      entries_.front().first = key;
+      entries_.front().second = std::move(value);
+      node.key() = key;
+      node.mapped() = entries_.begin();
+      index_.insert(std::move(node));
+      return &entries_.front().second;
     }
     entries_.emplace_front(key, std::move(value));
     index_.emplace(key, entries_.begin());

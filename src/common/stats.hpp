@@ -7,6 +7,7 @@
 //          stay within a fixed byte budget.
 // MetricRegistry: named metrics, so a component can expose its counters
 //          without the caller knowing its internals.
+// CounterRef: a registry counter bound on its first bump, for hot paths.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,27 @@ class MetricRegistry {
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Summary> summaries_;
+};
+
+/// One counter of a registry, looked up by name on its first bump and
+/// cached: the registry gains the name exactly when counter(name).add()
+/// would have added it, and later bumps skip the string-keyed lookup. The
+/// registry must outlive the handle and keep its counters (reset() keeps
+/// them).
+class CounterRef {
+ public:
+  CounterRef(MetricRegistry& registry, const char* name)
+      : registry_(&registry), name_(name) {}
+
+  void add(std::int64_t n = 1) {
+    if (counter_ == nullptr) counter_ = &registry_->counter(name_);
+    counter_->add(n);
+  }
+
+ private:
+  MetricRegistry* registry_;
+  const char* name_;
+  Counter* counter_ = nullptr;
 };
 
 }  // namespace integrade

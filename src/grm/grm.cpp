@@ -151,7 +151,7 @@ void Grm::handle_node_load(const protocol::NodeLoad& load) {
   // first load it receives means an LRM failed over to it — wake the
   // dormant snapshot image before applying.
   if (restored_dormant_) recover_in_flight();
-  metrics_.counter("status_updates_received").add();
+  status_updates_received_.add();
   auto it = nodes_.find(load.node);
   if (it == nodes_.end()) {
     // A lost first frame, a node the stale sweep withdrew, or a standby
@@ -169,7 +169,7 @@ void Grm::handle_node_load(const protocol::NodeLoad& load) {
 
 void Grm::handle_update_status(const protocol::NodeStatus& status) {
   if (restored_dormant_) recover_in_flight();
-  metrics_.counter("status_updates_received").add();
+  status_updates_received_.add();
   on_update(status);
   if (status.shareable) kick_scheduler();
 }

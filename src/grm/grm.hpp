@@ -369,6 +369,7 @@ class Grm {
   std::uint64_t next_reservation_ = 1;
 
   MetricRegistry metrics_;
+  CounterRef status_updates_received_{metrics_, "status_updates_received"};
 };
 
 }  // namespace integrade::grm

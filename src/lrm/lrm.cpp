@@ -239,10 +239,11 @@ const protocol::NodeStatus& Lrm::current_status() const {
 
 void Lrm::push_update() {
   if (!grm_.valid() || crashed_) return;
-  metrics_.counter("status_updates_sent").add();
+  status_updates_sent_.add();
   // Only the dynamic record travels each period; the GRM pulls the full
   // NodeStatus (get_status) once, when a load names a node it does not know.
-  const protocol::NodeLoad load = protocol::load_of(current_status());
+  protocol::NodeLoad& load = load_scratch_;
+  protocol::fill_load(current_status(), load);
   if (!standby_grm_.valid()) {
     orb::oneway(orb_, grm_, "update_status", load);
     return;

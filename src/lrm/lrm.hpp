@@ -261,8 +261,11 @@ class Lrm {
   /// on first use, dynamic fields on every call.
   mutable protocol::NodeStatus status_scratch_;
   mutable bool status_scratch_primed_ = false;
+  /// The load push_update() sends, refilled in place every period.
+  protocol::NodeLoad load_scratch_;
 
   MetricRegistry metrics_;
+  CounterRef status_updates_sent_{metrics_, "status_updates_sent"};
 };
 
 }  // namespace integrade::lrm

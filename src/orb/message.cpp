@@ -3,15 +3,13 @@
 namespace integrade::orb {
 namespace {
 
-// Fixed 12-byte protocol header, after which the chosen byte order applies:
-//   u32 magic | u8 version | u8 byte_order | u8 msg_type | u8 reserved |
-//   u32 body_length
-// The magic and length are always big-endian so any receiver can frame.
-void put_u32_be(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v >> 24));
-  buf.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf.push_back(static_cast<std::uint8_t>(v));
+constexpr std::size_t kPreambleBytes = 12;
+
+void put_u32_be(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
 }
 
 std::uint32_t get_u32_be(const std::uint8_t* p) {
@@ -38,18 +36,16 @@ void encode_request_header(cdr::Writer& w, const RequestHeader& h) {
   }
 }
 
-RequestHeader decode_request_header(cdr::Reader& r) {
-  RequestHeader h;
-  h.request_id = r.read_id<RequestTag>();
-  h.object_key = r.read_id<ObjectTag>();
-  h.operation = r.read_string();
+void decode_request_header(cdr::Reader& r, FrameView& f) {
+  f.request_id = r.read_id<RequestTag>();
+  f.object_key = r.read_id<ObjectTag>();
+  f.operation = r.read_string_view();
   const std::uint8_t flags = r.read_u8();
-  h.response_expected = (flags & kFlagResponseExpected) != 0;
+  f.response_expected = (flags & kFlagResponseExpected) != 0;
   if ((flags & kFlagHasTrace) != 0) {
-    h.trace_id = r.read_u64();
-    h.trace_parent = r.read_u64();
+    f.trace_id = r.read_u64();
+    f.trace_parent = r.read_u64();
   }
-  return h;
 }
 
 void encode_reply_header(cdr::Writer& w, const ReplyHeader& h) {
@@ -58,50 +54,79 @@ void encode_reply_header(cdr::Writer& w, const ReplyHeader& h) {
   w.write_string(h.exception_detail);
 }
 
-ReplyHeader decode_reply_header(cdr::Reader& r) {
-  ReplyHeader h;
-  h.request_id = r.read_id<RequestTag>();
-  h.status = static_cast<ReplyStatus>(r.read_u8());
-  h.exception_detail = r.read_string();
-  return h;
-}
-
-std::vector<std::uint8_t> frame(MessageType type, cdr::ByteOrder order,
-                                const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> out;
-  out.reserve(12 + body.size());
-  put_u32_be(out, kProtocolMagic);
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(order));
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // reserved
-  put_u32_be(out, static_cast<std::uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+void decode_reply_header(cdr::Reader& r, FrameView& f) {
+  f.request_id = r.read_id<RequestTag>();
+  f.status = static_cast<ReplyStatus>(r.read_u8());
+  f.exception_detail = r.read_string_view();
 }
 
 }  // namespace
 
+// Fixed 12-byte protocol header (the preamble), after which the chosen byte
+// order applies:
+//   u32 magic | u8 version | u8 byte_order | u8 msg_type | u8 reserved |
+//   u32 body_length
+// The magic and length are always big-endian so any receiver can frame.
+FrameWriter::FrameWriter(MessageType type, cdr::ByteOrder order)
+    : w_(order, kReserve) {
+  std::uint8_t preamble[kPreambleBytes] = {};
+  put_u32_be(preamble, kProtocolMagic);
+  preamble[4] = kProtocolVersion;
+  preamble[5] = static_cast<std::uint8_t>(order);
+  preamble[6] = static_cast<std::uint8_t>(type);
+  // preamble[7] is reserved; the body length is patched by finish().
+  w_.write_raw(preamble, kPreambleBytes);
+  // The body is read by a Reader of its own: it aligns from its start.
+  w_.align_from_here();
+}
+
+FrameWriter::FrameWriter(const RequestHeader& header, cdr::ByteOrder order)
+    : FrameWriter(MessageType::kRequest, order) {
+  encode_request_header(w_, header);
+  begin_payload();
+}
+
+FrameWriter::FrameWriter(const ReplyHeader& header, cdr::ByteOrder order)
+    : FrameWriter(MessageType::kReply, order) {
+  encode_reply_header(w_, header);
+  begin_payload();
+}
+
+void FrameWriter::begin_payload() {
+  // The payload is an octet sequence: a u32 length, then the bytes, which
+  // the receiver decodes with a Reader of their own.
+  w_.write_u32(0);
+  length_at_ = w_.size() - 4;
+  w_.align_from_here();
+}
+
+std::vector<std::uint8_t> FrameWriter::finish() && {
+  w_.patch_u32(length_at_,
+               static_cast<std::uint32_t>(w_.size() - length_at_ - 4));
+  std::vector<std::uint8_t> out = w_.take_buffer();
+  put_u32_be(out.data() + 8,
+             static_cast<std::uint32_t>(out.size() - kPreambleBytes));
+  return out;
+}
+
 std::vector<std::uint8_t> frame_request(const RequestHeader& header,
                                         const std::vector<std::uint8_t>& payload,
                                         cdr::ByteOrder order) {
-  cdr::Writer w(order);
-  encode_request_header(w, header);
-  w.write_octets(payload);
-  return frame(MessageType::kRequest, order, w.buffer());
+  FrameWriter frame(header, order);
+  frame.payload().write_raw(payload.data(), payload.size());
+  return std::move(frame).finish();
 }
 
 std::vector<std::uint8_t> frame_reply(const ReplyHeader& header,
                                       const std::vector<std::uint8_t>& payload,
                                       cdr::ByteOrder order) {
-  cdr::Writer w(order);
-  encode_reply_header(w, header);
-  w.write_octets(payload);
-  return frame(MessageType::kReply, order, w.buffer());
+  FrameWriter frame(header, order);
+  frame.payload().write_raw(payload.data(), payload.size());
+  return std::move(frame).finish();
 }
 
-Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 12) {
+Result<FrameView> view_frame(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kPreambleBytes) {
     return Status(ErrorCode::kInternal, "frame shorter than protocol header");
   }
   if (get_u32_be(bytes.data()) != kProtocolMagic) {
@@ -116,26 +141,49 @@ Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes) {
   if (bytes[7] != 0) {
     return Status(ErrorCode::kInternal, "non-zero reserved header byte");
   }
-  ParsedFrame out;
+  FrameView out;
   out.byte_order = static_cast<cdr::ByteOrder>(bytes[5]);
   out.type = static_cast<MessageType>(bytes[6]);
   const std::uint32_t body_len = get_u32_be(bytes.data() + 8);
-  if (bytes.size() != 12u + body_len) {
+  if (bytes.size() != kPreambleBytes + body_len) {
     return Status(ErrorCode::kInternal, "frame length mismatch");
   }
-  cdr::Reader r(bytes.data() + 12, body_len, out.byte_order);
+  cdr::Reader r(bytes.data() + kPreambleBytes, body_len, out.byte_order);
   switch (out.type) {
     case MessageType::kRequest:
-      out.request = decode_request_header(r);
+      decode_request_header(r, out);
       break;
     case MessageType::kReply:
-      out.reply = decode_reply_header(r);
+      decode_reply_header(r, out);
       break;
     default:
       return Status(ErrorCode::kInternal, "unknown message type");
   }
-  out.payload = r.read_octets();
+  out.payload = r.read_octets_view();
   if (!r.exhausted()) return Status(ErrorCode::kInternal, "malformed message body");
+  return out;
+}
+
+Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes) {
+  auto view = view_frame(bytes);
+  if (!view.is_ok()) return view.status();
+  const FrameView& f = view.value();
+  ParsedFrame out;
+  out.type = f.type;
+  out.byte_order = f.byte_order;
+  if (f.type == MessageType::kRequest) {
+    out.request.request_id = f.request_id;
+    out.request.object_key = f.object_key;
+    out.request.operation = f.operation;
+    out.request.response_expected = f.response_expected;
+    out.request.trace_id = f.trace_id;
+    out.request.trace_parent = f.trace_parent;
+  } else {
+    out.reply.request_id = f.request_id;
+    out.reply.status = f.status;
+    out.reply.exception_detail = f.exception_detail;
+  }
+  out.payload.assign(f.payload.begin(), f.payload.end());
   return out;
 }
 

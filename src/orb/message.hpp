@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdr/cdr.hpp"
@@ -54,11 +56,29 @@ struct ReplyHeader {
   std::string exception_detail;  // empty unless status != kNoException
 };
 
-/// A fully framed message ready for the transport.
-struct Frame {
-  MessageType type = MessageType::kRequest;
-  cdr::ByteOrder byte_order = cdr::native_byte_order();
-  std::vector<std::uint8_t> header_and_body;  // encoded headers + payload
+/// Writes one frame into one buffer: the preamble and the header first,
+/// then the payload, which the caller writes through payload() and which
+/// aligns from its own start, as encode_message would write it alone.
+/// finish() patches the payload's length and the preamble's body length.
+class FrameWriter {
+ public:
+  /// Bytes reserved up front: a heartbeat's frame fits.
+  static constexpr std::size_t kReserve = 256;
+
+  explicit FrameWriter(const RequestHeader& header,
+                       cdr::ByteOrder order = cdr::native_byte_order());
+  explicit FrameWriter(const ReplyHeader& header,
+                       cdr::ByteOrder order = cdr::native_byte_order());
+
+  [[nodiscard]] cdr::Writer& payload() { return w_; }
+  [[nodiscard]] std::vector<std::uint8_t> finish() &&;
+
+ private:
+  FrameWriter(MessageType type, cdr::ByteOrder order);
+  void begin_payload();
+
+  cdr::Writer w_;
+  std::size_t length_at_ = 0;  // offset of the payload's u32 length
 };
 
 /// Serialize a request frame: protocol header + request header + payload.
@@ -70,6 +90,33 @@ std::vector<std::uint8_t> frame_reply(const ReplyHeader& header,
                                       const std::vector<std::uint8_t>& payload,
                                       cdr::ByteOrder order = cdr::native_byte_order());
 
+/// A parsed frame that borrows the received bytes: the operation, the
+/// exception detail and the payload are views, valid while those bytes
+/// live. The ORB dispatches from it without copying.
+struct FrameView {
+  MessageType type = MessageType::kRequest;
+  cdr::ByteOrder byte_order = cdr::native_byte_order();
+  RequestId request_id;
+  // kRequest only.
+  ObjectId object_key;
+  std::string_view operation;
+  bool response_expected = true;
+  std::uint64_t trace_id = 0;
+  std::uint64_t trace_parent = 0;
+  // kReply only.
+  ReplyStatus status = ReplyStatus::kNoException;
+  std::string_view exception_detail;
+  std::span<const std::uint8_t> payload;
+
+  [[nodiscard]] cdr::Reader payload_reader() const {
+    return cdr::Reader(payload.data(), payload.size(), byte_order);
+  }
+};
+
+/// Parse a wire frame. Rejects bad magic, version, byte-order flag or
+/// reserved byte, truncation, and body bytes after the payload.
+Result<FrameView> view_frame(std::span<const std::uint8_t> bytes);
+
 struct ParsedFrame {
   MessageType type;
   cdr::ByteOrder byte_order;
@@ -78,8 +125,7 @@ struct ParsedFrame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Parse a wire frame. Rejects bad magic, version, byte-order flag or
-/// reserved byte, truncation, and body bytes after the payload.
+/// view_frame, with the views copied out.
 Result<ParsedFrame> parse_frame(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace integrade::orb

@@ -1,6 +1,8 @@
 #include "orb/orb.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -19,18 +21,20 @@ constexpr std::size_t kDedupWindow = 256;
 
 }  // namespace
 
-Status SkeletonBase::dispatch(const std::string& operation, cdr::Reader& args,
+Status SkeletonBase::dispatch(std::string_view operation, cdr::Reader& args,
                               cdr::Writer& out) {
-  auto it = handlers_.find(operation);
-  if (it == handlers_.end()) {
-    return Status(ErrorCode::kNotFound, "no such operation: " + operation);
+  for (auto& [name, handler] : ops_) {
+    if (name == operation) return handler(args, out);
   }
-  return it->second(args, out);
+  return Status(ErrorCode::kNotFound,
+                "no such operation: " + std::string(operation));
 }
 
 void SkeletonBase::register_raw(const std::string& operation, RawHandler handler) {
-  assert(!handlers_.contains(operation) && "duplicate operation");
-  handlers_[operation] = std::move(handler);
+  assert(std::none_of(ops_.begin(), ops_.end(),
+                      [&](const auto& op) { return op.first == operation; }) &&
+         "duplicate operation");
+  ops_.emplace_back(operation, std::move(handler));
 }
 
 Orb::Orb(NodeAddress self, Transport& transport, sim::Engine* engine,
@@ -91,9 +95,29 @@ ObjectRef Orb::activate(std::shared_ptr<Servant> servant, ObjectId reuse_key) {
 
 void Orb::deactivate(ObjectId key) { servants_.erase(key); }
 
-void Orb::invoke(const ObjectRef& target, const std::string& operation,
-                 std::vector<std::uint8_t> args, InvokeCallback callback,
-                 SimDuration timeout) {
+RequestHeader Orb::next_request(const ObjectRef& target,
+                               const std::string& operation,
+                               bool response_expected) {
+  RequestHeader header;
+  header.request_id = RequestId(next_request_id_++);
+  header.object_key = target.key;
+  header.operation = operation;
+  header.response_expected = response_expected;
+  if (ambient_.valid()) {
+    header.trace_id = ambient_.trace_id;
+    header.trace_parent = ambient_.span_id;
+  }
+  return header;
+}
+
+void Orb::send_frame(NodeAddress to, std::vector<std::uint8_t> frame) {
+  bytes_sent_.add(static_cast<std::int64_t>(frame.size()));
+  transport_.send(self_, to, std::move(frame));
+}
+
+void Orb::send_request(const ObjectRef& target, const std::string& operation,
+                       Payload args, ReplyCallback callback,
+                       SimDuration timeout) {
   assert(callback);
   if (shutdown_) {
     callback(Status(ErrorCode::kUnavailable, "ORB shut down"));
@@ -103,40 +127,31 @@ void Orb::invoke(const ObjectRef& target, const std::string& operation,
     callback(Status(ErrorCode::kInvalidArgument, "nil object reference"));
     return;
   }
-  metrics_.counter("requests_sent").add();
-
-  RequestHeader header;
-  header.request_id = RequestId(next_request_id_++);
-  header.object_key = target.key;
-  header.operation = operation;
-  header.response_expected = true;
-  if (ambient_.valid()) {
-    header.trace_id = ambient_.trace_id;
-    header.trace_parent = ambient_.span_id;
-  }
+  requests_sent_.add();
+  const RequestHeader header = next_request(target, operation, true);
+  const RequestId id = header.request_id;
 
   Pending pending;
   pending.callback = std::move(callback);
   if (engine_ != nullptr) {
-    pending.timeout = engine_->schedule_after(timeout, [this, id = header.request_id] {
+    pending.timeout = engine_->schedule_after(timeout, [this, id] {
       metrics_.counter("requests_timed_out").add();
       complete(id, Status(ErrorCode::kDeadlineExceeded, "request timed out"));
     });
   }
-  const RequestId id = header.request_id;
 
-  auto frame = frame_request(header, args);
+  FrameWriter frame(header);
+  args.write(frame.payload());
+  std::vector<std::uint8_t> wire = std::move(frame).finish();
   if (engine_ != nullptr && options_.request_retries > 0) {
-    pending.frame = frame;  // keep a copy for retransmission
+    pending.frame = wire;  // keep a copy for retransmission
     pending.dest = target.host;
     pending.attempts_left = options_.request_retries;
     pending.retransmit = engine_->schedule_after(kRetransmitTimeout,
                                                  [this, id] { retransmit(id); });
   }
   pending_[id] = std::move(pending);
-
-  metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(frame.size()));
-  transport_.send(self_, target.host, std::move(frame));
+  send_frame(target.host, std::move(wire));
 
   // Synchronous transports (unit tests) deliver the reply during send(); if
   // there is no engine to enforce a deadline and the request is still open,
@@ -147,27 +162,35 @@ void Orb::invoke(const ObjectRef& target, const std::string& operation,
 }
 
 void Orb::send_oneway(const ObjectRef& target, const std::string& operation,
-                      std::vector<std::uint8_t> args) {
+                      Payload args) {
   if (shutdown_ || !target.valid()) return;
-  RequestHeader header;
-  header.request_id = RequestId(next_request_id_++);
-  header.object_key = target.key;
-  header.operation = operation;
-  header.response_expected = false;
-  if (ambient_.valid()) {
-    header.trace_id = ambient_.trace_id;
-    header.trace_parent = ambient_.span_id;
-  }
-  auto frame = frame_request(header, args);
-  metrics_.counter("oneways_sent").add();
-  metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(frame.size()));
-  transport_.send(self_, target.host, std::move(frame));
+  FrameWriter frame(next_request(target, operation, false));
+  args.write(frame.payload());
+  oneways_sent_.add();
+  send_frame(target.host, std::move(frame).finish());
+}
+
+void Orb::invoke(const ObjectRef& target, const std::string& operation,
+                 std::vector<std::uint8_t> args, InvokeCallback callback,
+                 SimDuration timeout) {
+  assert(callback);
+  send_request(
+      target, operation, Payload::encoded(args),
+      [callback = std::move(callback)](Result<cdr::Reader> reply) {
+        if (!reply.is_ok()) {
+          callback(reply.status());
+          return;
+        }
+        const std::span<const std::uint8_t> results = reply.value().unread();
+        callback(std::vector<std::uint8_t>(results.begin(), results.end()));
+      },
+      timeout);
 }
 
 void Orb::on_frame(NodeAddress source, const std::vector<std::uint8_t>& bytes) {
   if (shutdown_) return;
-  metrics_.counter("bytes_received").add(static_cast<std::int64_t>(bytes.size()));
-  auto parsed = parse_frame(bytes);
+  bytes_received_.add(static_cast<std::int64_t>(bytes.size()));
+  auto parsed = view_frame(bytes);
   if (!parsed.is_ok()) {
     metrics_.counter("malformed_frames").add();
     log_warn("orb", "dropping malformed frame: " + parsed.status().to_string());
@@ -190,9 +213,7 @@ void Orb::retransmit(RequestId id) {
   if (p.attempts_left <= 0) return;  // budget spent; the deadline decides
   --p.attempts_left;
   metrics_.counter("requests_retransmitted").add();
-  auto copy = p.frame;
-  metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(copy.size()));
-  transport_.send(self_, p.dest, std::move(copy));
+  send_frame(p.dest, p.frame);
   // The transport may deliver synchronously and complete the request,
   // invalidating `it`/`p` — re-find before rearming.
   it = pending_.find(id);
@@ -201,20 +222,15 @@ void Orb::retransmit(RequestId id) {
                                                   [this, id] { retransmit(id); });
 }
 
-void Orb::handle_request(NodeAddress source, const ParsedFrame& frame) {
-  metrics_.counter("requests_received").add();
-  const RequestHeader& req = frame.request;
+void Orb::handle_request(NodeAddress source, const FrameView& req) {
+  requests_received_.add();
 
   // At-most-once: a request we already executed (retransmission or network
   // duplicate) is never re-dispatched — replay the cached reply instead.
   const DedupKey key{source, req.request_id.value};
   if (auto* cached = dedup_.get(key); cached != nullptr) {
     metrics_.counter("duplicate_requests").add();
-    if (req.response_expected && !cached->empty()) {
-      auto wire = *cached;
-      metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(wire.size()));
-      transport_.send(self_, source, std::move(wire));
-    }
+    if (req.response_expected && !cached->empty()) send_frame(source, *cached);
     return;
   }
 
@@ -228,35 +244,45 @@ void Orb::handle_request(NodeAddress source, const ParsedFrame& frame) {
   } ambient_guard{*this, ambient_};
   ambient_ = obs::TraceContext{req.trace_id, req.trace_parent};
 
-  ReplyHeader reply;
-  reply.request_id = req.request_id;
-  cdr::Writer out;
-
   auto servant = servants_.find(req.object_key);
-  if (servant == servants_.end()) {
-    reply.status = ReplyStatus::kObjectNotExist;
-    reply.exception_detail = "no object with key " + to_string(req.object_key);
-  } else {
-    cdr::Reader args(frame.payload, frame.byte_order);
-    const Status status = servant->second->dispatch(req.operation, args, out);
-    if (!status.is_ok()) {
-      reply.status = status.code() == ErrorCode::kNotFound
-                         ? ReplyStatus::kBadOperation
-                         : ReplyStatus::kSystemException;
-      reply.exception_detail = status.to_string();
-      out = cdr::Writer();  // discard partial results
-    }
-  }
-
+  cdr::Reader args = req.payload_reader();
   if (!req.response_expected) {
+    if (servant != servants_.end()) {
+      // Nothing reads a oneway's results: a writer that reserves nothing
+      // leaves an empty result unallocated.
+      cdr::Writer discarded(cdr::native_byte_order(), 0);
+      (void)servant->second->dispatch(req.operation, args, discarded);
+    }
     // Remember the oneway so a duplicate delivery doesn't dispatch twice.
     dedup_.put(key, {});
     return;
   }
-  auto wire = frame_reply(reply, out.buffer());
+
+  // The results go straight into the reply frame.
+  ReplyHeader reply;
+  reply.request_id = req.request_id;
+  std::vector<std::uint8_t> wire;
+  if (servant == servants_.end()) {
+    reply.status = ReplyStatus::kObjectNotExist;
+    reply.exception_detail = "no object with key " + to_string(req.object_key);
+    wire = FrameWriter(reply).finish();
+  } else {
+    FrameWriter frame(reply);
+    const Status status =
+        servant->second->dispatch(req.operation, args, frame.payload());
+    if (status.is_ok()) {
+      wire = std::move(frame).finish();
+    } else {
+      // A fresh frame drops the partial results.
+      reply.status = status.code() == ErrorCode::kNotFound
+                         ? ReplyStatus::kBadOperation
+                         : ReplyStatus::kSystemException;
+      reply.exception_detail = status.to_string();
+      wire = FrameWriter(reply).finish();
+    }
+  }
   dedup_.put(key, wire);
-  metrics_.counter("bytes_sent").add(static_cast<std::int64_t>(wire.size()));
-  transport_.send(self_, source, std::move(wire));
+  send_frame(source, std::move(wire));
 }
 
 void Orb::save_dedup(cdr::Writer& w) const {
@@ -294,26 +320,27 @@ Status Orb::load_dedup(std::uint32_t version, cdr::Reader& r) {
   return Status::ok();
 }
 
-void Orb::handle_reply(const ParsedFrame& frame) {
-  const ReplyHeader& rep = frame.reply;
+void Orb::handle_reply(const FrameView& rep) {
   switch (rep.status) {
     case ReplyStatus::kNoException:
-      complete(rep.request_id, frame.payload);
+      complete(rep.request_id, rep.payload_reader());
       break;
     case ReplyStatus::kObjectNotExist:
-      complete(rep.request_id, Status(ErrorCode::kNotFound, rep.exception_detail));
+      complete(rep.request_id,
+               Status(ErrorCode::kNotFound, std::string(rep.exception_detail)));
       break;
     case ReplyStatus::kBadOperation:
-      complete(rep.request_id,
-               Status(ErrorCode::kInvalidArgument, rep.exception_detail));
+      complete(rep.request_id, Status(ErrorCode::kInvalidArgument,
+                                      std::string(rep.exception_detail)));
       break;
     case ReplyStatus::kSystemException:
-      complete(rep.request_id, Status(ErrorCode::kInternal, rep.exception_detail));
+      complete(rep.request_id,
+               Status(ErrorCode::kInternal, std::string(rep.exception_detail)));
       break;
   }
 }
 
-void Orb::complete(RequestId id, Result<std::vector<std::uint8_t>> result) {
+void Orb::complete(RequestId id, Result<cdr::Reader> result) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;  // late reply after timeout: discard
   Pending pending = std::move(it->second);

@@ -13,7 +13,9 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cdr/cdr.hpp"
@@ -35,7 +37,7 @@ class Servant {
  public:
   virtual ~Servant() = default;
   [[nodiscard]] virtual const char* type_id() const = 0;
-  virtual Status dispatch(const std::string& operation, cdr::Reader& args,
+  virtual Status dispatch(std::string_view operation, cdr::Reader& args,
                           cdr::Writer& out) = 0;
 };
 
@@ -43,7 +45,7 @@ class Servant {
 /// servants register typed lambdas instead of writing a dispatch switch.
 class SkeletonBase : public Servant {
  public:
-  Status dispatch(const std::string& operation, cdr::Reader& args,
+  Status dispatch(std::string_view operation, cdr::Reader& args,
                   cdr::Writer& out) final;
 
  protected:
@@ -70,10 +72,50 @@ class SkeletonBase : public Servant {
   }
 
  private:
-  std::unordered_map<std::string, RawHandler> handlers_;
+  /// The operation table, built by register_raw. A servant has a handful
+  /// of operations, so a dispatch scans it.
+  std::vector<std::pair<std::string, RawHandler>> ops_;
 };
 
 using InvokeCallback = std::function<void(Result<std::vector<std::uint8_t>>)>;
+
+/// How a request ends, as the ORB reports it: a reader over the results in
+/// the reply frame (valid during the call only), or the failure.
+using ReplyCallback = std::function<void(Result<cdr::Reader>)>;
+
+/// A request's arguments, written straight into its frame by the ORB: a
+/// value and how to encode it, so the ORB's send paths need no templates.
+/// It borrows the value, which must outlive the send call.
+class Payload {
+ public:
+  /// `value`, encoded by its Codec.
+  template <class T>
+  static Payload of(const T& value) {
+    return Payload(
+        [](cdr::Writer& w, const void* v) {
+          cdr::Codec<T>::encode(w, *static_cast<const T*>(v));
+        },
+        &value);
+  }
+  /// Arguments encoded already: their bytes, as they are.
+  static Payload encoded(const std::vector<std::uint8_t>& bytes) {
+    return Payload(
+        [](cdr::Writer& w, const void* v) {
+          const auto& b = *static_cast<const std::vector<std::uint8_t>*>(v);
+          w.write_raw(b.data(), b.size());
+        },
+        &bytes);
+  }
+
+  void write(cdr::Writer& w) const { write_(w, value_); }
+
+ private:
+  using WriteFn = void (*)(cdr::Writer&, const void*);
+  Payload(WriteFn write, const void* value) : write_(write), value_(value) {}
+
+  WriteFn write_;
+  const void* value_;
+};
 
 /// Reliability knobs. The default is exactly the historical behaviour: no
 /// retransmission (a lost request waits out its deadline).
@@ -107,16 +149,22 @@ class Orb {
   ObjectRef activate(std::shared_ptr<Servant> servant, ObjectId reuse_key);
   void deactivate(ObjectId key);
 
-  /// Invoke `operation` on a remote object. `args` is the CDR-encoded
-  /// argument payload; on success the callback receives the CDR-encoded
-  /// result payload.
-  void invoke(const ObjectRef& target, const std::string& operation,
-              std::vector<std::uint8_t> args, InvokeCallback callback,
-              SimDuration timeout = 5 * kSecond);
+  /// Invoke `operation` on a remote object. `args` is written into the
+  /// request frame; the callback reads the results from the reply frame.
+  /// Replies, timeouts and transport losses resolve it exactly once.
+  void send_request(const ObjectRef& target, const std::string& operation,
+                    Payload args, ReplyCallback callback,
+                    SimDuration timeout = 5 * kSecond);
 
   /// One-way (no reply expected, no delivery guarantee).
   void send_oneway(const ObjectRef& target, const std::string& operation,
-                   std::vector<std::uint8_t> args);
+                   Payload args);
+
+  /// send_request with arguments encoded already; on success the callback
+  /// receives a copy of the CDR-encoded result payload.
+  void invoke(const ObjectRef& target, const std::string& operation,
+              std::vector<std::uint8_t> args, InvokeCallback callback,
+              SimDuration timeout = 5 * kSecond);
 
   /// Fail all pending requests and stop receiving. Idempotent. (The
   /// destructor stops receiving too, but drops pending requests unfired.)
@@ -153,14 +201,19 @@ class Orb {
   void set_current_trace(obs::TraceContext ctx) { ambient_ = ctx; }
 
  private:
+  /// The header of the next request to `target`, with the ambient trace.
+  RequestHeader next_request(const ObjectRef& target,
+                             const std::string& operation,
+                             bool response_expected);
+  void send_frame(NodeAddress to, std::vector<std::uint8_t> frame);
   void on_frame(NodeAddress source, const std::vector<std::uint8_t>& bytes);
-  void handle_request(NodeAddress source, const ParsedFrame& frame);
-  void handle_reply(const ParsedFrame& frame);
-  void complete(RequestId id, Result<std::vector<std::uint8_t>> result);
+  void handle_request(NodeAddress source, const FrameView& request);
+  void handle_reply(const FrameView& reply);
+  void complete(RequestId id, Result<cdr::Reader> result);
   void retransmit(RequestId id);
 
   struct Pending {
-    InvokeCallback callback;
+    ReplyCallback callback;
     sim::EventHandle timeout;
     // Retransmission state (populated only when request_retries > 0).
     sim::EventHandle retransmit;
@@ -214,6 +267,12 @@ class Orb {
   /// vector marks a deduped request with no response (oneway).
   LruCache<DedupKey, std::vector<std::uint8_t>, DedupKeyHash> dedup_;
   MetricRegistry metrics_;
+  // Counters bumped on every frame.
+  CounterRef requests_sent_{metrics_, "requests_sent"};
+  CounterRef oneways_sent_{metrics_, "oneways_sent"};
+  CounterRef bytes_sent_{metrics_, "bytes_sent"};
+  CounterRef bytes_received_{metrics_, "bytes_received"};
+  CounterRef requests_received_{metrics_, "requests_received"};
   obs::Tracer* tracer_ = nullptr;
   obs::TraceContext ambient_;
 };
@@ -250,14 +309,21 @@ template <class Req, class Rep>
 void call(Orb& orb, const ObjectRef& target, const std::string& operation,
           const Req& request, std::function<void(Result<Rep>)> callback,
           SimDuration timeout = 5 * kSecond) {
-  orb.invoke(
-      target, operation, cdr::encode_message(request),
-      [callback = std::move(callback)](Result<std::vector<std::uint8_t>> raw) {
-        if (!raw.is_ok()) {
-          callback(raw.status());
+  orb.send_request(
+      target, operation, Payload::of(request),
+      [callback = std::move(callback)](Result<cdr::Reader> reply) {
+        if (!reply.is_ok()) {
+          callback(reply.status());
           return;
         }
-        callback(cdr::decode_message<Rep>(raw.value()));
+        // Exactly one canonical encoding of a Rep, as decode_message takes.
+        cdr::Reader& r = reply.value();
+        Rep rep = cdr::Codec<Rep>::decode(r);
+        if (!r.exhausted()) {
+          callback(Status(ErrorCode::kInternal, "malformed CDR message"));
+          return;
+        }
+        callback(std::move(rep));
       },
       timeout);
 }
@@ -265,7 +331,7 @@ void call(Orb& orb, const ObjectRef& target, const std::string& operation,
 template <class Req>
 void oneway(Orb& orb, const ObjectRef& target, const std::string& operation,
             const Req& request) {
-  orb.send_oneway(target, operation, cdr::encode_message(request));
+  orb.send_oneway(target, operation, Payload::of(request));
 }
 
 /// Critical control messages (task reports, application events): plain

@@ -51,6 +51,8 @@ class DirectTransport final : public Transport {
   std::unordered_map<NodeAddress, bool> blackholes_;
 };
 
+/// Each frame rides in its network delivery event; the handlers are a table
+/// indexed by endpoint id, like the network's own.
 class SimNetworkTransport final : public Transport {
  public:
   explicit SimNetworkTransport(sim::Network& network) : network_(network) {}
@@ -63,8 +65,11 @@ class SimNetworkTransport final : public Transport {
   [[nodiscard]] sim::Network& network() { return network_; }
 
  private:
+  void deliver(NodeAddress from, NodeAddress to,
+               const std::vector<std::uint8_t>& frame);
+
   sim::Network& network_;
-  std::unordered_map<NodeAddress, FrameHandler> handlers_;
+  std::vector<FrameHandler> handlers_;  // by endpoint id; empty if unbound
 };
 
 }  // namespace integrade::orb

@@ -16,6 +16,11 @@ const char* task_refusal(const TaskDescriptor& task) {
 
 NodeLoad load_of(const NodeStatus& s) {
   NodeLoad load;
+  fill_load(s, load);
+  return load;
+}
+
+void fill_load(const NodeStatus& s, NodeLoad& load) {
   load.node = s.node;
   load.lrm = s.lrm;
   load.owner_cpu = s.owner_cpu;
@@ -26,7 +31,6 @@ NodeLoad load_of(const NodeStatus& s) {
   load.shareable = s.shareable;
   load.running_tasks = s.running_tasks;
   load.timestamp = s.timestamp;
-  return load;
 }
 
 void apply_load(const NodeLoad& load, NodeStatus& s) {

@@ -100,6 +100,8 @@ constexpr auto wire_fields(const NodeLoad*) {
 
 /// `status`'s NodeLoad: its identity, endpoint and dynamic fields.
 NodeLoad load_of(const NodeStatus& status);
+/// The same, written over `load`, whose strings keep their buffers.
+void fill_load(const NodeStatus& status, NodeLoad& load);
 /// Overwrite `status`'s endpoint and dynamic fields with `load`'s.
 void apply_load(const NodeLoad& load, NodeStatus& status);
 

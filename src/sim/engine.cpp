@@ -18,17 +18,16 @@ bool EventHandle::active() const {
 }
 
 // ---------------------------------------------------------------------------
-// Cancellation slab
+// Slot slab
 // ---------------------------------------------------------------------------
 
 std::uint32_t Engine::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot].cancelled = false;
     return slot;
   }
-  slots_.push_back(Slot{});
+  slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -59,14 +58,15 @@ bool Engine::slot_active(std::uint32_t slot, std::uint32_t generation) const {
 void Engine::compact() {
   std::size_t out = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (slots_[heap_[i].slot].cancelled) {
-      release_slot(heap_[i].slot);
+    const std::uint32_t slot = heap_[i].slot;
+    if (slots_[slot].cancelled) {
+      slots_[slot].fn.reset();
+      release_slot(slot);
       continue;
     }
-    if (out != i) heap_[out] = std::move(heap_[i]);
-    ++out;
+    heap_[out++] = heap_[i];
   }
-  heap_.erase(heap_.begin() + static_cast<std::ptrdiff_t>(out), heap_.end());
+  heap_.resize(out);
   cancelled_pending_ = 0;
   // Floyd heapify: O(n), and pop order is governed solely by the total
   // (when, seq) order, so the rebuild cannot perturb replay determinism.
@@ -74,55 +74,56 @@ void Engine::compact() {
 }
 
 // ---------------------------------------------------------------------------
-// Binary heap (min on (when, seq); events are moved, never copied)
+// Binary heap of keys (min on (when, seq)); sifts move a hole
 // ---------------------------------------------------------------------------
 
 void Engine::sift_up(std::size_t i) {
+  const Key moving = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!earlier(moving, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = moving;
 }
 
 void Engine::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
+  const Key moving = heap_[i];
   while (true) {
     const std::size_t left = 2 * i + 1;
     if (left >= n) break;
     const std::size_t right = left + 1;
     std::size_t least = left;
     if (right < n && earlier(heap_[right], heap_[left])) least = right;
-    if (!earlier(heap_[least], heap_[i])) break;
-    std::swap(heap_[i], heap_[least]);
+    if (!earlier(heap_[least], moving)) break;
+    heap_[i] = heap_[least];
     i = least;
   }
+  heap_[i] = moving;
 }
 
 void Engine::pop_root() {
-  if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    sift_down(0);
-  } else {
-    heap_.pop_back();
-  }
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
 }
 
 // ---------------------------------------------------------------------------
 // Scheduling and dispatch
 // ---------------------------------------------------------------------------
 
-EventHandle Engine::schedule_at(SimTime when, std::function<void()> fn) {
+EventHandle Engine::schedule_at(SimTime when, EventFn fn) {
   assert(when >= now_ && "cannot schedule in the past");
   const std::uint32_t slot = acquire_slot();
-  heap_.emplace_back(when, next_seq_++, slot, std::move(fn));
+  slots_[slot].fn = std::move(fn);
+  heap_.push_back(Key{when, next_seq_++, slot});
   sift_up(heap_.size() - 1);
   return EventHandle(this, slot, slots_[slot].generation);
 }
 
-EventHandle Engine::schedule_after(SimDuration delay, std::function<void()> fn) {
+EventHandle Engine::schedule_after(SimDuration delay, EventFn fn) {
   assert(delay >= 0);
   // Saturating add: a delay near the SimDuration max must clamp to
   // kTimeNever, not wrap.
@@ -133,9 +134,13 @@ EventHandle Engine::schedule_after(SimDuration delay, std::function<void()> fn) 
 
 bool Engine::step(SimTime deadline) {
   while (!heap_.empty()) {
-    Event& top = heap_.front();
-    if (slots_[top.slot].cancelled) {
+    const Key top = heap_.front();
+    Slot& slot = slots_[top.slot];
+    if (slot.cancelled) {
       --cancelled_pending_;
+      // Retire the event before its closure dies: a destructor then sees a
+      // consistent engine.
+      EventFn dead = std::move(slot.fn);
       release_slot(top.slot);
       pop_root();
       continue;
@@ -145,7 +150,7 @@ bool Engine::step(SimTime deadline) {
     ++fired_;
     // Move the closure out and retire the event *before* running it: the
     // callback may schedule, cancel, or compact freely.
-    std::function<void()> fn = std::move(top.fn);
+    EventFn fn = std::move(slot.fn);
     release_slot(top.slot);
     pop_root();
     fn();

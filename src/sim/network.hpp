@@ -9,12 +9,17 @@
 //
 // Delivery time = path latency + message_bytes / path_bandwidth (+ jitter).
 // Per-endpoint and per-segment byte counters feed the E2 overhead bench.
+//
+// Endpoint ids are small dense integers (Grid::allocate_endpoint hands them
+// out in sequence), so the endpoint -> segment table is a vector indexed by
+// id, and each message is one engine event carrying the caller's closure,
+// both endpoints and the arrival check.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -50,9 +55,11 @@ class Network {
   SegmentId add_segment(SegmentSpec spec);
 
   /// Attach an endpoint to a segment. Endpoint ids are caller-chosen (the
-  /// ORB uses node ids) and must be unique.
+  /// ORB uses node ids), must be unique, and index a table: keep them small.
   void attach(EndpointId endpoint, SegmentId segment);
-  [[nodiscard]] bool attached(EndpointId endpoint) const;
+  [[nodiscard]] bool attached(EndpointId endpoint) const {
+    return endpoint < segment_of_.size() && segment_of_[endpoint] != kDetached;
+  }
   [[nodiscard]] SegmentId segment_of(EndpointId endpoint) const;
   [[nodiscard]] const SegmentSpec& segment(SegmentId id) const;
 
@@ -64,11 +71,26 @@ class Network {
   [[nodiscard]] SimDuration path_latency(EndpointId a, EndpointId b) const;
 
   /// Deliver `bytes` from `src` to `dst`, invoking `on_delivered` at the
-  /// simulated arrival time. If either side detaches (or its endpoint is
-  /// crashed by the FaultInjector) before arrival the message is silently
-  /// dropped (datagram semantics; the ORB layers timeouts on top).
-  void send(EndpointId src, EndpointId dst, Bytes bytes,
-            std::function<void()> on_delivered);
+  /// simulated arrival time, as `on_delivered(src, dst)` when it takes the
+  /// endpoints and as `on_delivered()` otherwise. If either side detaches (or
+  /// its endpoint is crashed by the FaultInjector) before arrival the message
+  /// is silently dropped (datagram semantics; the ORB layers timeouts on
+  /// top). A duplicated message delivers a copy of `on_delivered`.
+  template <class F>
+  void send(EndpointId src, EndpointId dst, Bytes bytes, F&& on_delivered) {
+    const Route route = plan(src, dst, bytes);
+    if (route.copies == 0) return;
+    auto deliver = [this, src, dst, fn = std::forward<F>(on_delivered)]() mutable {
+      if (!arrives(src, dst)) return;
+      if constexpr (std::is_invocable_v<decltype(fn)&, EndpointId, EndpointId>) {
+        fn(src, dst);
+      } else {
+        fn();
+      }
+    };
+    if (route.copies > 1) engine_.schedule_at(route.arrival, deliver);
+    engine_.schedule_at(route.arrival, std::move(deliver));
+  }
 
   /// Install (or clear, with nullptr) a fault injector consulted on every
   /// send. Normally managed by the FaultInjector's own ctor/dtor.
@@ -83,12 +105,26 @@ class Network {
   [[nodiscard]] std::int64_t backbone_bytes() const { return backbone_bytes_; }
 
  private:
+  static constexpr SegmentId kDetached = -1;
+
+  /// A message's arrival time and copies (0: dropped).
+  struct Route {
+    SimTime arrival = 0;
+    int copies = 0;
+  };
+  /// Route one message sent now and bill its bytes.
+  Route plan(EndpointId src, EndpointId dst, Bytes bytes);
+  /// Both ends still attached and up: the message is delivered.
+  [[nodiscard]] bool arrives(EndpointId src, EndpointId dst) const;
+  [[nodiscard]] BytesPerSec bandwidth_between(SegmentId a, SegmentId b) const;
+  [[nodiscard]] SimDuration latency_between(SegmentId a, SegmentId b) const;
+
   Engine& engine_;
   Rng rng_;
   FaultInjector* faults_ = nullptr;
   double jitter_ = 0.05;
   std::vector<SegmentSpec> segments_;
-  std::unordered_map<EndpointId, SegmentId> endpoint_segment_;
+  std::vector<SegmentId> segment_of_;  // by endpoint id; kDetached if none
   NetworkStats stats_;
   std::int64_t backbone_bytes_ = 0;
   std::vector<std::int64_t> segment_bytes_;  // one entry per segment

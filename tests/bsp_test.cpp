@@ -201,11 +201,23 @@ TEST(BspDataPlane, DedupCutsCheckpointTraffic) {
   EXPECT_GT(repo_store->bytes_reclaimed(), 0);
 }
 
-TEST(BspDataPlane, RollbackRestoresThroughChunkStores) {
-  DataPlaneRun run(32, 6);
-  const AppId app = run.submit(4, 30, 20'000.0, /*every=*/5, kMiB);
-  run.grid.run_for(6 * kMinute);
+/// The repository and every provider store hold no checkpoint.
+void expect_no_checkpoint_stored(core::Cluster& cluster, const char* after) {
+  const ckpt::CheckpointRepository& repository = cluster.repository();
+  EXPECT_EQ(repository.checkpoint_count(), 0u) << after;
+  EXPECT_EQ(repository.data_plane()->manifest_count(), 0u) << after;
+  EXPECT_EQ(repository.data_plane()->chunk_count(), 0u) << after;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const ckpt::ChunkStore& store = cluster.ckpt_agent(i)->store();
+    EXPECT_EQ(store.manifest_count(), 0u) << after << ", node " << i;
+    EXPECT_EQ(store.chunk_count(), 0u) << after << ", node " << i;
+  }
+}
 
+/// Six minutes into the run, an owner returns for a minute to the first
+/// node running a task: the BSP rank there rolls back and moves.
+void owner_returns_to_a_rank(DataPlaneRun& run) {
+  run.grid.run_for(6 * kMinute);
   int victim = -1;
   for (std::size_t i = 0; i < run.cluster->size(); ++i) {
     if (run.cluster->lrm(i).running_task_count() > 0) {
@@ -221,6 +233,12 @@ TEST(BspDataPlane, RollbackRestoresThroughChunkStores) {
   run.grid.run_for(kMinute);
   run.cluster->machine(static_cast<std::size_t>(victim))
       .set_owner_load(node::OwnerLoad{});
+}
+
+TEST(BspDataPlane, RollbackRestoresThroughChunkStores) {
+  DataPlaneRun run(32, 6);
+  const AppId app = run.submit(4, 30, 20'000.0, /*every=*/5, kMiB);
+  ASSERT_NO_FATAL_FAILURE(owner_returns_to_a_rank(run));
 
   ASSERT_TRUE(run.grid.run_until_app_done(*run.cluster, app,
                                           run.grid.engine().now() + 12 * kHour));
@@ -241,15 +259,7 @@ TEST(BspDataPlane, FinishedAppsLeaveNoCheckpointInAnyStore) {
   // after it completes, the repository and every provider store are empty.
   DataPlaneRun run(31);
   const auto expect_empty_stores = [&](const char* after) {
-    const ckpt::CheckpointRepository& repository = run.cluster->repository();
-    EXPECT_EQ(repository.checkpoint_count(), 0u) << after;
-    EXPECT_EQ(repository.data_plane()->manifest_count(), 0u) << after;
-    EXPECT_EQ(repository.data_plane()->chunk_count(), 0u) << after;
-    for (std::size_t i = 0; i < run.cluster->size(); ++i) {
-      const ckpt::ChunkStore& store = run.cluster->ckpt_agent(i)->store();
-      EXPECT_EQ(store.manifest_count(), 0u) << after << ", node " << i;
-      EXPECT_EQ(store.chunk_count(), 0u) << after << ", node " << i;
-    }
+    expect_no_checkpoint_stored(*run.cluster, after);
   };
 
   const AppId bsp = run.submit(4, 8, 2'000.0, /*every=*/2, kMiB);
@@ -268,6 +278,21 @@ TEST(BspDataPlane, FinishedAppsLeaveNoCheckpointInAnyStore) {
                                           run.grid.engine().now() + 8 * kHour));
   run.grid.run_for(kMinute);
   expect_empty_stores("a parametric app");
+}
+
+TEST(BspDataPlane, NodesARankLeftKeepNoCheckpoint) {
+  // The rank that moves leaves that app's checkpoints in its old node's
+  // store. Commit prunes and the finish-time drop still reach it, so a
+  // minute after the app finishes every store is empty.
+  DataPlaneRun run(32, 6);
+  const AppId app = run.submit(4, 30, 20'000.0, /*every=*/5, kMiB);
+  ASSERT_NO_FATAL_FAILURE(owner_returns_to_a_rank(run));
+
+  ASSERT_TRUE(run.grid.run_until_app_done(*run.cluster, app,
+                                          run.grid.engine().now() + 12 * kHour));
+  ASSERT_GE(run.cluster->coordinator().stats(app)->rollbacks, 1);
+  run.grid.run_for(kMinute);
+  expect_no_checkpoint_stored(*run.cluster, "a BSP app with a rollback");
 }
 
 TEST(BspDataPlane, SequentialCheckpointsFlowThroughAgent) {

@@ -1,12 +1,18 @@
 // Foundation types: ids, Result/Status, metrics, logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <list>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
+#include "common/lru.hpp"
 #include "common/result.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -174,6 +180,55 @@ TEST(MetricRegistryTest, NamedMetricsAndReset) {
   registry.reset();
   EXPECT_EQ(registry.counter_value("a"), 0);
   EXPECT_EQ(registry.summaries().at("b").count(), 0);
+}
+
+TEST(MetricRegistryTest, CounterRefAddsTheNameOnItsFirstBump) {
+  MetricRegistry registry;
+  CounterRef frames(registry, "frames_received_total");
+  EXPECT_TRUE(registry.counters().empty()) << "an unbumped ref adds no key";
+  frames.add();
+  frames.add(4);
+  EXPECT_EQ(registry.counter_value("frames_received_total"), 5);
+  registry.reset();  // keeps the counter the ref points at
+  frames.add();
+  EXPECT_EQ(registry.counter_value("frames_received_total"), 1);
+  EXPECT_EQ(registry.counters().size(), 1u);
+}
+
+// A full LruCache recycles the evicted entry's nodes for the new one. Its
+// recency order must stay that of the plain erase-and-insert model.
+TEST(LruCacheTest, RecyclingKeepsTheRecencyOrderOfFreshInserts) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const auto capacity = static_cast<std::size_t>(rng.uniform_int(1, 16));
+    LruCache<int, int> cache(capacity);
+    std::list<std::pair<int, int>> model;  // front = most recent
+    const auto find = [&](int key) {
+      return std::find_if(model.begin(), model.end(),
+                          [key](const auto& e) { return e.first == key; });
+    };
+    for (int op = 0; op < 2000; ++op) {
+      const int key = static_cast<int>(rng.uniform_int(0, 40));
+      if (rng.bernoulli(0.4)) {
+        const int* got = cache.get(key);
+        const auto it = find(key);
+        ASSERT_EQ(got != nullptr, it != model.end());
+        if (it != model.end()) {
+          EXPECT_EQ(*got, it->second);
+          model.splice(model.begin(), model, it);
+        }
+      } else {
+        cache.put(key, op);
+        if (const auto it = find(key); it != model.end()) model.erase(it);
+        if (model.size() >= capacity) model.pop_back();
+        model.emplace_front(key, op);
+      }
+      ASSERT_TRUE(std::equal(cache.entries().begin(), cache.entries().end(),
+                             model.begin(), model.end()))
+          << "seed " << seed << ", op " << op;
+      for (const auto& [k, v] : model) ASSERT_TRUE(cache.contains(k));
+    }
+  }
 }
 
 TEST(LogTest, SinkAndThreshold) {

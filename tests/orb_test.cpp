@@ -1,6 +1,12 @@
 // ORB: framing, dispatch, request/reply semantics, timeouts, failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <typeinfo>
+
+#include "ckpt/repository.hpp"
+#include "common/rng.hpp"
 #include "orb/message.hpp"
 #include "orb/orb.hpp"
 #include "orb/transport.hpp"
@@ -109,6 +115,96 @@ TEST(FrameTest, RejectsTrailingBodyBytesAndHeaderFlags) {
   ASSERT_TRUE(parse_frame(big).is_ok());
   big[5] = 2;
   EXPECT_FALSE(parse_frame(big).is_ok());
+}
+
+// The one-buffer frame of a request equals the frame of its separately
+// encoded arguments. Operation names of 1 to 8 bytes, with and without a
+// trace slot, start the arguments at every offset modulo 8, so an argument
+// aligned from anywhere but its own start would show.
+template <class Req>
+void expect_one_buffer_frames(const Req& request) {
+  for (auto order : {cdr::ByteOrder::kLittleEndian, cdr::ByteOrder::kBigEndian}) {
+    for (std::size_t op_len = 1; op_len <= 8; ++op_len) {
+      for (bool traced : {false, true}) {
+        RequestHeader header;
+        header.request_id = RequestId(3 + op_len);
+        header.object_key = ObjectId(11);
+        header.operation = std::string(op_len, 'o');
+        header.response_expected = traced;
+        header.trace_id = traced ? 0xabcdef : 0;
+        header.trace_parent = traced ? 77 : 0;
+        FrameWriter frame(header, order);
+        cdr::Codec<Req>::encode(frame.payload(), request);
+        EXPECT_EQ(std::move(frame).finish(),
+                  frame_request(header, cdr::encode_message(request, order), order))
+            << typeid(Req).name() << ", operation of " << op_len << " bytes"
+            << (traced ? ", traced" : "");
+      }
+    }
+  }
+}
+
+TEST(FrameTest, OneBufferFramesEqualFramedEncodedArguments) {
+  protocol::NodeLoad load;
+  load.node = NodeId(5);
+  load.lrm.host = 9;
+  load.lrm.key = ObjectId(2);
+  load.lrm.type_id = "IDL:integrade/Lrm:1.0";
+  load.owner_cpu = 0.25;
+  load.free_ram = 3 * kMiB;
+  load.shareable = true;
+  load.running_tasks = 2;
+  load.timestamp = 123456;
+  protocol::TaskReport report;
+  report.task = TaskId(4);
+  report.work_done = 1.5e6;
+  report.detail = "done";
+  protocol::CkptChunkPut put;
+  put.app = AppId(8);
+  put.chunks.resize(2);
+  put.chunks[0].payload = {1, 2, 3};
+  put.chunks[1].raw_size = 7;
+  put.chunks[1].payload = {4, 5, 6, 7, 8};
+  protocol::ApplicationSpec spec;
+  spec.name = "bag";
+  spec.tasks.resize(2);
+  spec.notify = load.lrm;
+
+  // Every message the middleware sends through orb::oneway or orb::call.
+  expect_one_buffer_frames(cdr::Empty{});
+  expect_one_buffer_frames(protocol::NodeLoad{});
+  expect_one_buffer_frames(load);
+  expect_one_buffer_frames(protocol::ApplicationSpec{});
+  expect_one_buffer_frames(spec);
+  expect_one_buffer_frames(protocol::AppEvent{});
+  expect_one_buffer_frames(protocol::BspComputeRequest{});
+  expect_one_buffer_frames(protocol::BspChunkDone{});
+  expect_one_buffer_frames(protocol::CancelTask{});
+  expect_one_buffer_frames(protocol::CancelApp{});
+  expect_one_buffer_frames(protocol::ClusterSummary{});
+  expect_one_buffer_frames(protocol::RemoteSubmit{});
+  expect_one_buffer_frames(protocol::RemoteAdopted{});
+  expect_one_buffer_frames(protocol::ReservationRequest{});
+  expect_one_buffer_frames(protocol::ExecuteRequest{});
+  expect_one_buffer_frames(protocol::TaskReport{});
+  expect_one_buffer_frames(report);
+  expect_one_buffer_frames(protocol::PreemptRequest{});
+  expect_one_buffer_frames(protocol::TaskResync{});
+  expect_one_buffer_frames(protocol::SnapshotInstall{});
+  expect_one_buffer_frames(protocol::CkptManifestOffer{});
+  expect_one_buffer_frames(protocol::CkptChunkPut{});
+  expect_one_buffer_frames(put);
+  expect_one_buffer_frames(protocol::CkptManifestInstall{});
+  expect_one_buffer_frames(protocol::CkptChunkGet{});
+  expect_one_buffer_frames(protocol::CkptManifestQuery{});
+  expect_one_buffer_frames(protocol::CkptPrune{});
+  expect_one_buffer_frames(protocol::CkptDrop{});
+  expect_one_buffer_frames(protocol::CkptSaveRequest{});
+  expect_one_buffer_frames(protocol::CkptSaveDone{});
+  expect_one_buffer_frames(protocol::CkptRestoreRequest{});
+  expect_one_buffer_frames(protocol::CkptRestoreDone{});
+  expect_one_buffer_frames(protocol::UsagePatternUpload{});
+  expect_one_buffer_frames(ckpt::Checkpoint{});
 }
 
 class OrbPairFixture : public ::testing::Test {
@@ -521,6 +617,77 @@ class RecordingTransport final : public Transport {
  private:
   std::unordered_map<NodeAddress, FrameHandler> handlers_;
 };
+
+TEST(OrbDedup, OnewayAndCallFramesEqualFramedEncodedArguments) {
+  RecordingTransport transport;
+  Orb client(1, transport, nullptr);
+  Orb server(2, transport, nullptr);
+  const ObjectRef ref = server.activate(std::make_shared<CountingServant>());
+  protocol::TaskReport report;
+  report.task = TaskId(4);
+  report.detail = "odd";
+
+  oneway(client, ref, "count", report);
+  call<protocol::TaskReport, cdr::Empty>(client, ref, "count", report,
+                                         [](Result<cdr::Empty>) {});
+  const auto sent = transport.frames_to(2);
+  ASSERT_EQ(sent.size(), 2u);
+  for (const auto& request : sent) {
+    auto parsed = parse_frame(request.frame);
+    ASSERT_TRUE(parsed.is_ok());
+    EXPECT_EQ(request.frame,
+              frame_request(parsed.value().request, cdr::encode_message(report)));
+  }
+}
+
+TEST(OrbDedup, SavedWindowIsTheRecencyOrderOfFreshInserts) {
+  // Past 256 entries the window recycles evicted entries; its snapshot must
+  // still list them least-recent first, as an erase-and-insert window would.
+  RecordingTransport transport;
+  Orb server(2, transport, nullptr);
+  auto counting = std::make_shared<CountingServant>();
+  const ObjectRef ref = server.activate(counting);
+  std::list<std::pair<std::pair<NodeAddress, std::uint64_t>,
+                      std::vector<std::uint8_t>>>
+      model;  // front = most recent
+  Rng rng(5);
+  for (int i = 0; i < 1500; ++i) {
+    const NodeAddress source = static_cast<NodeAddress>(rng.uniform_int(1, 3));
+    const auto id = static_cast<std::uint64_t>(rng.uniform_int(1, 400));
+    RequestHeader header;
+    header.request_id = RequestId(id);
+    header.object_key = ref.key;
+    header.operation = "count";
+    header.response_expected = rng.bernoulli(0.5);
+    const std::size_t replies_before = transport.frames_to(source).size();
+    transport.send(source, 2, frame_request(header, {}));
+
+    const auto key = std::make_pair(source, id);
+    auto it = std::find_if(model.begin(), model.end(),
+                           [&](const auto& e) { return e.first == key; });
+    if (it != model.end()) {
+      model.splice(model.begin(), model, it);  // a duplicate refreshes
+      continue;
+    }
+    if (model.size() >= 256) model.pop_back();
+    const auto replies = transport.frames_to(source);
+    const bool replied =
+        header.response_expected && replies.size() > replies_before;
+    model.emplace_front(key, replied ? replies.back().frame
+                                     : std::vector<std::uint8_t>{});
+  }
+
+  cdr::Writer expected;
+  expected.write_u32(static_cast<std::uint32_t>(model.size()));
+  for (auto it = model.rbegin(); it != model.rend(); ++it) {
+    expected.write_u64(it->first.first);
+    expected.write_u64(it->first.second);
+    expected.write_octets(it->second);
+  }
+  cdr::Writer saved;
+  server.save_dedup(saved);
+  EXPECT_EQ(saved.buffer(), expected.buffer());
+}
 
 TEST(OrbDedup, ReplayedOnewayNeverEmitsAReplyFrame) {
   // Contract under test: the dedup window caches an *empty* wire for oneway

@@ -1,7 +1,11 @@
 // Discrete-event engine and network model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
@@ -172,6 +176,156 @@ TEST(EngineTest, CancelledEventsPastDeadlineStillDrain) {
   // the queue artificially non-empty forever.
   engine.run();
   EXPECT_TRUE(engine.empty());
+}
+
+// A closure of `kBytes` that counts the live copies of itself and its
+// calls, and records where it ran: inside its EventFn or on the heap.
+template <std::size_t kBytes>
+struct Tracked {
+  int* live;
+  int* calls;
+  const void** ran_at;
+  std::array<unsigned char, kBytes - 3 * sizeof(void*)> pad{};
+
+  Tracked(int* l, int* c, const void** at) : live(l), calls(c), ran_at(at) {
+    ++*live;
+  }
+  Tracked(const Tracked& o) : live(o.live), calls(o.calls), ran_at(o.ran_at) {
+    ++*live;
+  }
+  Tracked(Tracked&& o) noexcept : live(o.live), calls(o.calls), ran_at(o.ran_at) {
+    ++*live;
+  }
+  ~Tracked() { --*live; }
+  void operator()() {
+    ++*calls;
+    *ran_at = this;
+  }
+};
+
+bool ran_inside(const EventFn& fn, const void* at) {
+  const auto* begin = reinterpret_cast<const unsigned char*>(&fn);
+  const auto* p = static_cast<const unsigned char*>(at);
+  return p >= begin && p < begin + sizeof(EventFn);
+}
+
+TEST(EventFnTest, SmallClosuresLiveInlineAndLargeOnesOnTheHeap) {
+  int live = 0;
+  int calls = 0;
+  const void* at = nullptr;
+  {
+    EventFn small = Tracked<EventFn::kInlineBytes>(&live, &calls, &at);
+    small();
+    EXPECT_TRUE(ran_inside(small, at));
+    EventFn moved = std::move(small);
+    EXPECT_FALSE(small);
+    moved();
+    EXPECT_TRUE(ran_inside(moved, at));
+
+    EventFn large = Tracked<EventFn::kInlineBytes + 8>(&live, &calls, &at);
+    large();
+    const void* heap_at = at;
+    EXPECT_FALSE(ran_inside(large, heap_at));
+    EventFn moved_large = std::move(large);
+    moved_large();
+    EXPECT_EQ(at, heap_at) << "moving a heap closure must not move the closure";
+    EXPECT_EQ(live, 2);
+  }
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(live, 0);
+}
+
+// Every closure is destroyed exactly once, however its event ends: fired,
+// cancelled and then popped, compacted away, or left in the queue when the
+// engine dies. A double destruction drives `live` below zero; a leak
+// leaves it above.
+template <std::size_t kBytes>
+void expect_each_closure_destroyed_once() {
+  int live = 0;
+  int calls = 0;
+  const void* at = nullptr;
+  {
+    Engine engine;
+    engine.schedule_at(1, Tracked<kBytes>(&live, &calls, &at));  // fires
+    EventHandle popped = engine.schedule_at(2, Tracked<kBytes>(&live, &calls, &at));
+    popped.cancel();  // cancelled, then popped at the top of the heap
+    engine.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 0);
+
+    std::vector<EventHandle> handles;
+    for (int i = 0; i < 100; ++i) {
+      handles.push_back(
+          engine.schedule_at(10 + i, Tracked<kBytes>(&live, &calls, &at)));
+    }
+    for (int i = 0; i < 80; ++i) handles[static_cast<std::size_t>(i)].cancel();
+    // The first 51 cancellations compacted the heap; the rest pop.
+    EXPECT_EQ(engine.pending(), 49u);
+    EXPECT_EQ(live, 49);
+    engine.run();
+    EXPECT_EQ(calls, 21);
+    EXPECT_EQ(live, 0);
+
+    engine.schedule_at(200, Tracked<kBytes>(&live, &calls, &at));  // never fires
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(calls, 21);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(EventFnTest, InlineClosuresAreDestroyedExactlyOnce) {
+  expect_each_closure_destroyed_once<EventFn::kInlineBytes>();
+}
+
+TEST(EventFnTest, HeapClosuresAreDestroyedExactlyOnce) {
+  expect_each_closure_destroyed_once<EventFn::kInlineBytes + 8>();
+}
+
+// Random schedules, cancellations (enough to compact) and events that
+// schedule more fire in exactly (when, seq) order: the order of a sorted
+// reference of every event that was not cancelled.
+TEST(EngineOrderTest, RandomRunsFireInWhenSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Engine engine;
+    struct Scheduled {
+      SimTime when;
+      int seq;
+      EventHandle handle;
+      bool cancelled = false;
+    };
+    std::vector<Scheduled> scheduled;
+    std::vector<std::pair<SimTime, int>> fired;
+    std::function<void(SimTime)> schedule = [&](SimTime when) {
+      const int seq = static_cast<int>(scheduled.size());
+      const bool spawns = rng.bernoulli(0.2);
+      EventHandle handle = engine.schedule_at(when, [&, when, seq, spawns] {
+        fired.emplace_back(when, seq);
+        if (spawns) schedule(engine.now() + rng.uniform_int(0, 50));
+      });
+      scheduled.push_back({when, seq, handle});
+    };
+    for (int round = 0; round < 5; ++round) {
+      const SimTime base = engine.now();
+      for (int i = 0; i < 300; ++i) schedule(base + rng.uniform_int(0, 1000));
+      for (int i = 0; i < 250; ++i) {
+        Scheduled& victim = scheduled[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(scheduled.size()) - 1))];
+        if (!victim.handle.active()) continue;
+        victim.handle.cancel();
+        victim.cancelled = true;
+      }
+      engine.run_until(base + 500);
+    }
+    engine.run();
+
+    std::vector<std::pair<SimTime, int>> expected;
+    for (const Scheduled& s : scheduled) {
+      if (!s.cancelled) expected.emplace_back(s.when, s.seq);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(fired, expected) << "seed " << seed;
+  }
 }
 
 TEST(PeriodicTimerTest, FiresAtPeriodUntilStopped) {
