@@ -3,10 +3,11 @@
 // PR 2's warm-standby GRM rebuilds cluster state from scratch out of
 // heartbeats after a failover, which at large node counts means the new
 // manager schedules nothing until re-announcements trickle in. The snapshot
-// subsystem ships the primary's Trader/GRM/ORB-dedup state to the standby
-// ahead of time (one full image per period), so at promotion the standby
-// already holds the whole cluster and only the capture-to-failure gap is
-// replayed from the LRM report journals.
+// subsystem ships the primary's GRM and ORB-dedup state to the standby
+// ahead of time (one full image per period; the standby rebuilds its Trader
+// from the GRM's node records), so at promotion the standby already holds
+// the whole cluster and only the capture-to-failure gap is replayed from
+// the LRM report journals.
 //
 // Three cells run the same workload on the same seed and crash the primary
 // manager mid-application. Every LRM probes the manager with its own

@@ -123,8 +123,7 @@ SizeResult run_size(std::size_t n) {
   auto t0 = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
     ids.push_back(trader.export_offer(protocol::kNodeServiceType, lrm_ref(i),
-                                      protocol::to_properties(statuses[i]),
-                                      0));
+                                      protocol::to_properties(statuses[i])));
   }
   out.export_per_sec = static_cast<double>(n) / seconds_since(t0);
 
@@ -133,8 +132,7 @@ SizeResult run_size(std::size_t n) {
   t0 = Clock::now();
   for (std::size_t round = 0; round < heartbeat_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      (void)trader.modify(ids[i], protocol::to_properties(statuses[i]),
-                          static_cast<SimTime>(round));
+      (void)trader.modify(ids[i], protocol::to_properties(statuses[i]));
     }
   }
   out.heartbeat_rebuild_per_sec =
@@ -142,12 +140,9 @@ SizeResult run_size(std::size_t n) {
   t0 = Clock::now();
   for (std::size_t round = 0; round < heartbeat_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      (void)trader.refresh(
-          ids[i],
-          [&](services::PropertySet& props) {
-            protocol::update_properties(statuses[i], props);
-          },
-          static_cast<SimTime>(round));
+      (void)trader.refresh(ids[i], [&](services::PropertySet& props) {
+        protocol::update_properties(statuses[i], props);
+      });
     }
   }
   out.heartbeat_refresh_per_sec =

@@ -208,14 +208,6 @@ void CkptAgent::abort_inflight() {
   lines_.clear();
 }
 
-ImageModelParams CkptAgent::model_params(Bytes image_bytes) const {
-  ImageModelParams params;
-  params.image_bytes = image_bytes;
-  params.dirty_permille = options_.dirty_permille;
-  params.dirty_run_pages = options_.dirty_run_pages;
-  return params;
-}
-
 protocol::CkptManifest CkptAgent::build_manifest(AppId app, std::int32_t rank,
                                                  std::int64_t model_step,
                                                  std::int64_t version,
@@ -229,7 +221,7 @@ protocol::CkptManifest CkptAgent::build_manifest(AppId app, std::int32_t rank,
   manifest.chunk_size = options_.chunking.chunk_size;
   manifest.image_bytes = static_cast<std::uint64_t>(image_bytes);
 
-  const ImageModelParams params = model_params(image_bytes);
+  const ImageModelParams params{.image_bytes = image_bytes};
   const ImageModel model(app, rank, params);
   auto store_raw = [this](const std::vector<std::uint8_t>& raw) {
     const ChunkHash hash = security::Sha256::hash(raw);

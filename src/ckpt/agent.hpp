@@ -44,10 +44,6 @@ struct DataPlaneOptions {
   bool dedup = true;
   /// Peer stores each checkpoint replicates to (besides the repository).
   int replicate_k = 2;
-  /// Synthetic image model (see chunk.hpp); pages keep the model's default
-  /// size.
-  std::uint32_t dirty_permille = 50;
-  std::uint32_t dirty_run_pages = 64;
 };
 
 /// Servant exposing a ChunkStore over the wire: offer/put/install/get plus
@@ -132,7 +128,6 @@ class CkptAgent {
   struct SaveOp;
   struct RestoreOp;
 
-  [[nodiscard]] ImageModelParams model_params(Bytes image_bytes) const;
   /// Build + locally install the manifest for (app, rank) at image state
   /// `model_step`, storing any new chunks. Returns the installed manifest.
   protocol::CkptManifest build_manifest(AppId app, std::int32_t rank,

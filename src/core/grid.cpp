@@ -105,11 +105,12 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
   }
 
   // --- Control-plane snapshots (kSnapshot) ---
-  // The primary periodically captures its Trader/GRM/ORB-dedup sections and
+  // The primary periodically captures its GRM and ORB-dedup sections and
   // ships them to a SnapshotStore on the standby's node; the standby
-  // installs them dormant and wakes the image only at promotion (first
-  // status update or task resync it receives). The GUPA is not a section:
-  // primary and standby share the cluster's one GUPA object.
+  // installs them dormant (rebuilding its Trader from the GRM's node
+  // records) and wakes the image only at promotion (first status update or
+  // task resync it receives). The GUPA is not a section: primary and
+  // standby share the cluster's one GUPA object.
   if (config_.standby == Standby::kSnapshot) {
     snapshot_store_ =
         std::make_unique<snapshot::SnapshotStore>(*standby_orb_, *standby_grm_);

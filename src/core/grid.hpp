@@ -68,9 +68,10 @@ enum class Standby {
   /// after three misses, and journals its task reports for five minutes to
   /// replay, after a TaskResync, to the manager it adopts.
   kHeartbeat,
-  /// kHeartbeat plus a full control-plane snapshot (Trader, GRM, ORB dedup
-  /// window) shipped from the primary to the standby every 10 s, so the
-  /// standby starts from the installed image instead of an empty Trader.
+  /// kHeartbeat plus a full control-plane snapshot (the GRM, whose node
+  /// records rebuild the Trader, and the ORB dedup window) shipped from the
+  /// primary to the standby every 10 s, so the standby starts from the
+  /// installed image instead of an empty Trader.
   kSnapshot,
 };
 

@@ -196,12 +196,9 @@ void Grm::pull_status(const protocol::NodeLoad& load) {
 }
 
 void Grm::refresh_load(const NodeRecord& record) {
-  (void)trader_.refresh(
-      record.offer,
-      [&record](services::PropertySet& props) {
-        protocol::update_load_properties(record.status, props);
-      },
-      engine_.now());
+  (void)trader_.refresh(record.offer, [&record](services::PropertySet& props) {
+    protocol::update_load_properties(record.status, props);
+  });
 }
 
 void Grm::handle_task_resync(const protocol::TaskResync& resync) {
@@ -231,8 +228,7 @@ void Grm::on_update(const protocol::NodeStatus& status) {
   if (it == nodes_.end()) {
     NodeRecord record;
     record.offer = trader_.export_offer(protocol::kNodeServiceType, status.lrm,
-                                        protocol::to_properties(status),
-                                        engine_.now());
+                                        protocol::to_properties(status));
     record.status = status;
     record.last_update = engine_.now();
     nodes_.emplace(status.node, std::move(record));
@@ -243,12 +239,10 @@ void Grm::on_update(const protocol::NodeStatus& status) {
   it->second.last_update = engine_.now();
   // Refresh the existing offer in place: every LRM heartbeat lands here, so
   // rebuilding the property set from scratch each period is pure churn.
-  (void)trader_.refresh(
-      it->second.offer,
-      [&status](services::PropertySet& props) {
-        protocol::update_properties(status, props);
-      },
-      engine_.now());
+  (void)trader_.refresh(it->second.offer,
+                        [&status](services::PropertySet& props) {
+                          protocol::update_properties(status, props);
+                        });
 }
 
 void Grm::sweep_stale_offers() {
@@ -378,13 +372,6 @@ protocol::SubmitReply Grm::handle_submit(const protocol::ApplicationSpec& spec) 
             quota.max_queued) {
       reply.accepted = false;
       reply.reason = "tenant queue quota exceeded";
-      metrics_.counter("sched_admission_rejected").add();
-      return reply;
-    }
-    if (sched_.max_total_queued > 0 &&
-        static_cast<int>(queue_.size()) + incoming > sched_.max_total_queued) {
-      reply.accepted = false;
-      reply.reason = "grid queue full";
       metrics_.counter("sched_admission_rejected").add();
       return reply;
     }
@@ -607,8 +594,7 @@ std::string Grm::build_constraint(const TaskRecord& task) const {
   return expr;
 }
 
-std::vector<const services::ServiceOffer*> Grm::candidates_for(
-    const TaskRecord& task) {
+std::vector<const Grm::NodeRecord*> Grm::candidates_for(const TaskRecord& task) {
   const AppRecord& app = apps_.at(task.app);
 
   const std::string& pref_src = app.spec.requirements.preference.empty()
@@ -648,22 +634,29 @@ std::vector<const services::ServiceOffer*> Grm::candidates_for(
                    : "query error");
   }
   if (!query.is_ok()) return {};  // validated at submit; belt and braces
-  auto offers = std::move(query).value();
+  // Each offer names its node, whose record holds the status the offer's
+  // properties were written from (offers and records are one-to-one).
+  std::vector<const NodeRecord*> candidates;
+  candidates.reserve(query.value().size());
+  for (const services::ServiceOffer* offer : query.value()) {
+    const auto node = NodeId(static_cast<std::uint64_t>(
+        offer->properties.get_int(protocol::kPropNodeId).value_or(-1)));
+    candidates.push_back(&nodes_.at(node));
+  }
 
-  if (options_.use_forecast && gupa_ != nullptr && !offers.empty()) {
+  if (options_.use_forecast && gupa_ != nullptr && !candidates.empty()) {
     // Re-rank by the probability the node stays idle long enough. The
     // forecast is quantized into coarse bins so the trader preference still
     // breaks ties among comparable candidates.
     struct Scored {
-      const services::ServiceOffer* offer;
+      const NodeRecord* record;
       int bin;
       std::size_t pos;
     };
     std::vector<Scored> scored;
-    scored.reserve(offers.size());
-    for (std::size_t i = 0; i < offers.size(); ++i) {
-      const auto* offer = offers[i];
-      const auto status = protocol::from_properties(offer->properties);
+    scored.reserve(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const protocol::NodeStatus& status = candidates[i]->status;
       double p = 0.5;  // unknown node: neutral prior
       if (status.dedicated) {
         p = 1.0;
@@ -679,43 +672,40 @@ std::vector<const services::ServiceOffer*> Grm::candidates_for(
         if (forecast.known) p = forecast.p_idle_through;
         metrics_.counter("forecast_queries").add();
       }
-      scored.push_back({offer, static_cast<int>(p * 10.0), i});
+      scored.push_back({candidates[i], static_cast<int>(p * 10.0), i});
     }
     std::stable_sort(scored.begin(), scored.end(),
                      [](const Scored& a, const Scored& b) {
                        if (a.bin != b.bin) return a.bin > b.bin;
                        return a.pos < b.pos;
                      });
-    std::vector<const services::ServiceOffer*> ranked;
-    ranked.reserve(scored.size());
-    for (const auto& s : scored) ranked.push_back(s.offer);
-    offers = std::move(ranked);
+    for (std::size_t i = 0; i < scored.size(); ++i) {
+      candidates[i] = scored[i].record;
+    }
   }
 
   // Deprioritize nodes another wave is already negotiating with: without
   // this, every concurrent wave snapshots the same ranking and stampedes
   // the top candidate, manufacturing refusals the protocol then has to
   // grind through.
-  std::stable_sort(offers.begin(), offers.end(),
-                   [this](const services::ServiceOffer* a,
-                          const services::ServiceOffer* b) {
-                     auto load = [this](const services::ServiceOffer* o) {
-                       const auto node = NodeId(static_cast<std::uint64_t>(
-                           o->properties.get_int(protocol::kPropNodeId)
-                               .value_or(-1)));
-                       auto it = inflight_.find(node);
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [this](const NodeRecord* a, const NodeRecord* b) {
+                     auto load = [this](const NodeRecord* r) {
+                       auto it = inflight_.find(r->status.node);
                        return it == inflight_.end() ? 0 : it->second;
                      };
                      return load(a) < load(b);
                    });
 
-  if (offers.size() > kMaxCandidatesPerWave) offers.resize(kMaxCandidatesPerWave);
-  return offers;
+  if (candidates.size() > kMaxCandidatesPerWave) {
+    candidates.resize(kMaxCandidatesPerWave);
+  }
+  return candidates;
 }
 
 void Grm::begin_wave(TaskRecord& task) {
-  auto offers = candidates_for(task);
-  if (offers.empty()) {
+  const std::vector<const NodeRecord*> candidates = candidates_for(task);
+  if (candidates.empty()) {
     if (sched_.preemption && maybe_preempt(task)) {
       // A victim is checkpointing out without counting as a fruitless
       // wave: its eviction report credits the freed node and kicks the
@@ -736,10 +726,9 @@ void Grm::begin_wave(TaskRecord& task) {
 
   auto wave = std::make_shared<Wave>();
   wave->task = task.desc.id;
-  wave->candidates.reserve(offers.size());
-  for (const auto* offer : offers) {
-    const auto status = protocol::from_properties(offer->properties);
-    wave->candidates.push_back(Placement{status.node, offer->provider});
+  wave->candidates.reserve(candidates.size());
+  for (const NodeRecord* record : candidates) {
+    wave->candidates.push_back(Placement{record->status.node, record->status.lrm});
   }
   transition(task, TaskState::kNegotiating);
   continue_wave(wave);
@@ -1463,7 +1452,7 @@ void Grm::handle_remote_adopted(const protocol::RemoteAdopted& ack) {
 struct Grm::Image {
   std::uint64_t next_reservation = 1;
   Rng::State rng;
-  std::vector<NodeRecord> nodes;  // node-ascending
+  std::vector<NodeRecord> nodes;  // in the order their offers were exported
   std::vector<AppRecord> apps;    // app-ascending
   std::vector<TaskRecord> tasks;  // task-ascending
   sched::QueueImage queue;
@@ -1480,12 +1469,13 @@ void Grm::save(cdr::Writer& w) const {
   Image image;
   image.next_reservation = next_reservation_;
   image.rng = rng_.state();
-  // nodes_ is hash-keyed; sort for deterministic bytes.
+  // nodes_ is hash-keyed. Export order is the Trader's own order, so a
+  // load that re-exports in this order ranks and breaks ties as this GRM.
   image.nodes.reserve(nodes_.size());
   for (const auto& [_, record] : nodes_) image.nodes.push_back(record);
   std::sort(image.nodes.begin(), image.nodes.end(),
             [](const NodeRecord& a, const NodeRecord& b) {
-              return a.status.node < b.status.node;
+              return a.offer < b.offer;
             });
   for (const auto& [_, app] : apps_) image.apps.push_back(app);
   for (const auto& [_, task] : tasks_) image.tasks.push_back(task);
@@ -1507,9 +1497,7 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   Image image = cdr::Codec<Image>::decode(r);
   if (!r.exhausted()) return Status(ErrorCode::kInternal, "malformed grm snapshot");
   using snapshot::strictly_ascending;
-  if (!strictly_ascending(image.nodes,
-                          [](const NodeRecord& n) { return n.status.node; }) ||
-      !strictly_ascending(image.apps,
+  if (!strictly_ascending(image.apps,
                           [](const AppRecord& a) { return a.spec.id; }) ||
       !strictly_ascending(image.tasks,
                           [](const TaskRecord& t) { return t.desc.id; }) ||
@@ -1530,24 +1518,25 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
                                               refusal);
     }
   }
-  // Cross-section consistency: every node record must reference an offer the
-  // (already loaded) Trader actually holds, or scheduling would chase
-  // dangling offer ids forever.
-  for (const NodeRecord& record : image.nodes) {
-    if (trader_.lookup(record.offer) == nullptr) {
-      return Status(ErrorCode::kInternal,
-                    "grm snapshot node " + to_string(record.status.node) +
-                        " references unknown trader offer");
-    }
-  }
   sched::FairQueue queue;
   queue.configure(sched_);
   if (Status status = queue.load(image.queue); !status.is_ok()) return status;
 
+  // Records arrive in export order, so re-exporting them in that order
+  // gives the offers the primary's relative order: every query ranks,
+  // breaks ties and shuffles as it did there.
   std::unordered_map<NodeId, NodeRecord> nodes;
+  services::Trader trader;
   for (NodeRecord& record : image.nodes) {
     const NodeId id = record.status.node;
-    nodes.emplace(id, std::move(record));
+    auto [it, fresh] = nodes.emplace(id, std::move(record));
+    if (!fresh) {
+      return Status(ErrorCode::kInternal,
+                    "grm snapshot repeats node " + to_string(id));
+    }
+    it->second.offer = trader.export_offer(
+        protocol::kNodeServiceType, it->second.status.lrm,
+        protocol::to_properties(it->second.status));
   }
   std::map<AppId, AppRecord> apps;
   for (AppRecord& app : image.apps) {
@@ -1587,6 +1576,7 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   next_reservation_ = image.next_reservation;
   rng_.set_state(image.rng);
   nodes_ = std::move(nodes);
+  trader_ = std::move(trader);
   apps_ = std::move(apps);
   tasks_ = std::move(tasks);
   queue_ = std::move(queue);

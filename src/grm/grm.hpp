@@ -1,17 +1,20 @@
 // GRM — Global Resource Manager (paper §4).
 //
 // One per cluster, running on the Cluster Manager node. Receives a periodic
-// NodeLoad (the node's dynamic state) from every LRM and stores it as a
-// service offer in a Trading service ("the GRM uses the Trader to store the
-// information it receives from the LRMs", §5). A load from a node the GRM
-// does not know — first contact, a node the stale sweep withdrew, a standby
-// promoted without a snapshot — makes it pull the node's full NodeStatus
-// once (the LRM's get_status) and register the offer; every later load
-// rewrites only the offer's dynamic properties. Application submissions are
-// matched against those offers with the Trader constraint language; the
-// resulting candidate list is only a *hint* — the GRM then negotiates
-// directly with each LRM (Reserve -> Execute), moving to the next candidate
-// on refusal, exactly as §4 describes.
+// NodeLoad (the node's dynamic state) from every LRM, keeps it in the node's
+// record, and stores it as a service offer in a Trading service ("the GRM
+// uses the Trader to store the information it receives from the LRMs", §5).
+// The records are the one copy of node state: the Trader is the query index
+// written from them, so a snapshot carries the records and a load rebuilds
+// the Trader. A load from a node the GRM does not know — first contact, a
+// node the stale sweep withdrew, a standby promoted without a snapshot —
+// makes it pull the node's full NodeStatus once (the LRM's get_status) and
+// register the offer; every later load rewrites only the offer's dynamic
+// properties. Application submissions are matched against those offers
+// with the Trader constraint language; the resulting candidate list is only
+// a *hint* — the GRM then negotiates directly with each LRM (Reserve ->
+// Execute), moving to the next candidate on refusal, exactly as §4
+// describes.
 //
 // Scheduling refinements the paper calls for:
 //   * usage-pattern forecasts from the GUPA re-rank candidates by the
@@ -159,21 +162,23 @@ class Grm {
 
   // ---- control-plane snapshots (see docs/snapshots.md) ----
   /// Snapshot format version of the "grm" section (the Image in grm.cpp).
-  static constexpr std::uint32_t kSnapshotVersion = 6;
-  /// Serialize scheduler state: node records, apps, tasks, the pending
-  /// queue, child summaries, reservation counter, and the RNG stream.
-  /// Engine-coupled transients (armed timers, active negotiation waves and
-  /// their in-flight counts, trace spans) are intentionally excluded; a
-  /// loaded GRM re-derives them. The Trader is its own snapshot section.
+  static constexpr std::uint32_t kSnapshotVersion = 7;
+  /// Serialize scheduler state: node records in the order their offers
+  /// were exported, apps, tasks, the pending queue, child summaries,
+  /// reservation counter, and the RNG stream. Engine-coupled transients
+  /// (armed timers, active negotiation waves and their in-flight counts,
+  /// trace spans) and the Trader, which is derived from the node records,
+  /// are intentionally excluded.
   void save(cdr::Writer& w) const;
   /// Replace scheduler state from a snapshot section of exactly
   /// kSnapshotVersion. Accepts only bytes save() could have written: the
-  /// whole payload, keyed records in strictly ascending key order, task
-  /// states in range, every task's app on record, and a queue that holds
-  /// exactly the kPending tasks, once each. Decode-into-scratch:
-  /// on any error the GRM is untouched. Requires the Trader section to have
-  /// been loaded first (node records must reference live offers). The
-  /// loaded state is dormant until recover_in_flight().
+  /// whole payload, no node twice, other keyed records in strictly
+  /// ascending key order, task states in range, every task's app on
+  /// record, and a queue that holds exactly the kPending tasks, once each.
+  /// Exports each node record's offer into a fresh Trader in record order,
+  /// so queries rank, break ties and shuffle as on the primary.
+  /// Decode-into-scratch: on any error the GRM and its Trader are
+  /// untouched. The loaded state is dormant until recover_in_flight().
   Status load(std::uint32_t version, cdr::Reader& r);
   /// After a failover load: tasks the snapshot froze mid-negotiation have
   /// no surviving wave callbacks on this GRM — return them to the pending
@@ -189,13 +194,15 @@ class Grm {
   // Snapshot records: each field list names the persisted members in
   // section order; members off the list are transients a load re-derives.
   struct NodeRecord {
-    services::OfferId offer;
     protocol::NodeStatus status;
     SimTime last_update = 0;
+    /// The node's Trader offer, whose properties are always
+    /// to_properties(status). Not persisted: a load exports a new one.
+    services::OfferId offer;
 
     friend constexpr auto wire_fields(const NodeRecord*) {
       using S = NodeRecord;
-      return cdr::fields(&S::status, &S::offer, &S::last_update);
+      return cdr::fields(&S::status, &S::last_update);
     }
   };
 
@@ -305,7 +312,9 @@ class Grm {
   void push_summary();
   [[nodiscard]] protocol::ClusterSummary build_summary() const;
 
-  [[nodiscard]] std::vector<const services::ServiceOffer*> candidates_for(
+  /// The records of the nodes a negotiation wave for `task` tries, best
+  /// first.
+  [[nodiscard]] std::vector<const NodeRecord*> candidates_for(
       const TaskRecord& task);
   [[nodiscard]] std::string build_constraint(const TaskRecord& task) const;
   [[nodiscard]] bool plan_topology(AppRecord& app,

@@ -13,7 +13,6 @@ namespace integrade::sched {
 // ---------------------------------------------------------------------------
 
 void TenantRegistry::configure(const SchedOptions& options) {
-  options_ = options;
   specs_.clear();
   for (const TenantSpec& spec : options.tenants) {
     specs_[spec.name] = spec;
@@ -23,12 +22,7 @@ void TenantRegistry::configure(const SchedOptions& options) {
 TenantSpec TenantRegistry::spec(const std::string& tenant) const {
   auto it = specs_.find(tenant);
   if (it != specs_.end()) return it->second;
-  TenantSpec fallback;
-  fallback.name = tenant;
-  fallback.weight = options_.default_weight;
-  fallback.max_running = options_.default_max_running;
-  fallback.max_queued = options_.default_max_queued;
-  return fallback;
+  return TenantSpec{.name = tenant};
 }
 
 double TenantRegistry::weight(const std::string& tenant) const {

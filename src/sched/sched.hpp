@@ -7,15 +7,15 @@
 // InteGrade's existing GRM/ASCT/NCC split rather than a separate broker:
 //
 //  * `TenantRegistry` — named tenants with weights and quotas (max tasks
-//    running / queued). Unknown tenants fall back to configurable defaults,
-//    so the economy works without pre-registration.
+//    running / queued). An unknown tenant gets weight 1 and no quotas, so
+//    the economy works without pre-registration.
 //  * `FairQueue` — a weighted stride scheduler over per-tenant sub-queues.
 //    Each tenant carries a pass value advanced by stride = kStrideScale /
 //    weight per unit of dispatched work; the tenant with the lowest pass
 //    dispatches next, so long-run CPU share converges to the weight ratio.
 //    Within a tenant, earliest-deadline-first (bids), then FIFO.
-//  * Admission control — per-tenant and global queue-depth caps applied at
-//    submit time, refusing work the grid cannot credibly serve.
+//  * Admission control — per-tenant queue-depth quotas applied at submit
+//    time, refusing work the grid cannot credibly serve.
 //
 // Determinism: every container is ordered (std::map keyed by tenant name or
 // task id), ties break on names then sequence numbers, and nothing here
@@ -59,12 +59,8 @@ struct SchedOptions {
   /// deadline and bid, and the admission quotas apply. Off: every task
   /// queues under one anonymous tenant with no deadline (FIFO dispatch).
   bool enabled = false;
+  /// Tenants not listed get weight 1 and no quotas.
   std::vector<TenantSpec> tenants;
-  double default_weight = 1.0;
-  int default_max_running = 0;
-  int default_max_queued = 0;
-  /// Global queue-depth cap across all tenants; 0 = unlimited.
-  int max_total_queued = 0;
   /// Preempt an over-share tenant's running task (checkpoint-migrate, not
   /// kill) when an under-share tenant's task finds no free candidates.
   bool preemption = false;
@@ -98,7 +94,6 @@ class TenantRegistry {
                                       const std::string& also_active = "") const;
 
  private:
-  SchedOptions options_;
   std::map<std::string, TenantSpec> specs_;
 };
 

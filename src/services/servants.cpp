@@ -28,15 +28,12 @@ NamingServant::NamingServant(NamingService& naming) {
       });
 }
 
-TraderServant::TraderServant(Trader& trader, sim::Engine* clock, Rng rng)
-    : rng_(rng) {
-  auto now = [clock] { return clock != nullptr ? clock->now() : 0; };
-
+TraderServant::TraderServant(Trader& trader, Rng rng) : rng_(rng) {
   register_op<OfferExport, OfferIdReply>(
       "export_offer",
-      [&trader, now](const OfferExport& request) -> Result<OfferIdReply> {
+      [&trader](const OfferExport& request) -> Result<OfferIdReply> {
         return OfferIdReply{trader.export_offer(
-            request.service_type, request.provider, request.properties, now())};
+            request.service_type, request.provider, request.properties)};
       });
   register_op<OfferIdReply, BoolReply>(
       "withdraw", [&trader](const OfferIdReply& request) -> Result<BoolReply> {
@@ -44,10 +41,8 @@ TraderServant::TraderServant(Trader& trader, sim::Engine* clock, Rng rng)
         return BoolReply{status.is_ok(), status.message()};
       });
   register_op<OfferExport, BoolReply>(
-      "modify",
-      [&trader, now](const OfferExport& request) -> Result<BoolReply> {
-        const Status status =
-            trader.modify(request.id, request.properties, now());
+      "modify", [&trader](const OfferExport& request) -> Result<BoolReply> {
+        const Status status = trader.modify(request.id, request.properties);
         return BoolReply{status.is_ok(), status.message()};
       });
   register_op<OfferQuery, OfferQueryReply>(

@@ -20,7 +20,6 @@
 #include "orb/orb.hpp"
 #include "services/naming.hpp"
 #include "services/trader.hpp"
-#include "sim/engine.hpp"
 
 namespace integrade::services {
 
@@ -131,8 +130,7 @@ class NamingServant final : public orb::SkeletonBase {
 
 class TraderServant final : public orb::SkeletonBase {
  public:
-  /// `clock` supplies offer timestamps (may be null: timestamps stay 0).
-  TraderServant(Trader& trader, sim::Engine* clock, Rng rng);
+  TraderServant(Trader& trader, Rng rng);
   [[nodiscard]] const char* type_id() const override {
     return "IDL:integrade/CosTrading:1.0";
   }

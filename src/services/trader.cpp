@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "snapshot/state_codecs.hpp"
-
 namespace integrade::services {
 
 namespace {
@@ -52,15 +50,13 @@ void Trader::unindex_offer(const ServiceOffer& offer) {
 
 OfferId Trader::export_offer(const std::string& service_type,
                              const orb::ObjectRef& provider,
-                             PropertySet properties, SimTime now) {
+                             PropertySet properties) {
   const OfferId id(next_id_++);
   ServiceOffer offer;
   offer.id = id;
   offer.service_type = service_type;
   offer.provider = provider;
   offer.properties = std::move(properties);
-  offer.exported_at = now;
-  offer.modified_at = now;
   auto [it, inserted] = offers_.emplace(id, std::move(offer));
   (void)inserted;
   index_offer(it->second);
@@ -77,14 +73,12 @@ Status Trader::withdraw(OfferId id) {
   return Status::ok();
 }
 
-Status Trader::modify(OfferId id, PropertySet properties, SimTime now) {
+Status Trader::modify(OfferId id, PropertySet properties) {
   auto it = offers_.find(id);
   if (it == offers_.end()) {
     return Status(ErrorCode::kNotFound, "no offer " + to_string(id));
   }
   it->second.properties = std::move(properties);
-  it->second.modified_at = now;
-  ++it->second.refreshes;
   return Status::ok();
 }
 
@@ -199,50 +193,6 @@ std::vector<const ServiceOffer*> Trader::offers_of_type(
   auto it = by_type_.find(service_type);
   if (it == by_type_.end()) return {};
   return it->second;
-}
-
-void Trader::save(cdr::Writer& w) const {
-  Image image;
-  image.next_id = next_id_;
-  image.offers.reserve(offers_.size());
-  for (const auto& [_, offer] : offers_) image.offers.push_back(offer);
-  cdr::Codec<Image>::encode(w, image);
-}
-
-Status Trader::load(std::uint32_t version, cdr::Reader& r) {
-  if (version != kSnapshotVersion) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "trader snapshot version " + std::to_string(version) +
-                      " unsupported");
-  }
-  Image image = cdr::Codec<Image>::decode(r);
-  if (!r.exhausted()) {
-    return Status(ErrorCode::kInternal, "malformed trader snapshot");
-  }
-  if (!snapshot::strictly_ascending(
-          image.offers, [](const ServiceOffer& o) { return o.id; })) {
-    return Status(ErrorCode::kInternal,
-                  "trader snapshot offers not in strictly ascending id order");
-  }
-  if (!image.offers.empty() && image.offers.back().id.value >= image.next_id) {
-    return Status(ErrorCode::kInternal,
-                  "trader snapshot id counter behind offer " +
-                      to_string(image.offers.back().id));
-  }
-  std::map<OfferId, ServiceOffer> offers;
-  for (ServiceOffer& offer : image.offers) {
-    const OfferId id = offer.id;
-    offers.emplace_hint(offers.end(), id, std::move(offer));
-  }
-
-  offers_ = std::move(offers);
-  next_id_ = image.next_id;
-  by_type_.clear();
-  by_provider_.clear();
-  for (const auto& [_, offer] : offers_) index_offer(offer);
-  constraint_cache_.clear();
-  preference_cache_.clear();
-  return check_invariants();
 }
 
 Status Trader::check_invariants() const {

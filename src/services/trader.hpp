@@ -42,43 +42,31 @@ struct ServiceOffer {
   std::string service_type;
   orb::ObjectRef provider;
   PropertySet properties;
-  SimTime exported_at = 0;
-  SimTime modified_at = 0;
-  /// Property refreshes since export (modify/refresh calls).
-  std::int64_t refreshes = 0;
 };
-constexpr auto wire_fields(const ServiceOffer*) {
-  using S = ServiceOffer;
-  return cdr::fields(&S::id, &S::service_type, &S::provider, &S::properties,
-                     &S::exported_at, &S::modified_at, &S::refreshes);
-}
 
 class Trader {
  public:
   /// Register an offer; returns its id for later modify/withdraw.
   OfferId export_offer(const std::string& service_type,
-                       const orb::ObjectRef& provider, PropertySet properties,
-                       SimTime now = 0);
+                       const orb::ObjectRef& provider, PropertySet properties);
 
   Status withdraw(OfferId id);
 
   /// Replace the offer's property set (the common case: a full status
   /// refresh from an LRM).
-  Status modify(OfferId id, PropertySet properties, SimTime now = 0);
+  Status modify(OfferId id, PropertySet properties);
 
   /// In-place property refresh: apply `fn` to the offer's existing property
   /// set instead of building a replacement. The Information Update Protocol
   /// uses this so a heartbeat reuses the offer's map nodes and key strings
   /// rather than reallocating the whole set every period.
   template <class Fn>
-  Status refresh(OfferId id, Fn&& fn, SimTime now = 0) {
+  Status refresh(OfferId id, Fn&& fn) {
     auto it = offers_.find(id);
     if (it == offers_.end()) {
       return Status(ErrorCode::kNotFound, "no offer " + to_string(id));
     }
     fn(it->second.properties);
-    it->second.modified_at = now;
-    ++it->second.refreshes;
     return Status::ok();
   }
 
@@ -141,35 +129,7 @@ class Trader {
   /// first violation found.
   [[nodiscard]] Status check_invariants() const;
 
-  /// Control-plane snapshot format version for the "trader" section: the
-  /// id counter, then every offer (all ServiceOffer fields) in id order.
-  static constexpr std::uint32_t kSnapshotVersion = 2;
-
-  /// Serialize offers + the id counter. The secondary indexes are derived
-  /// state rebuilt on load, and the compiled-expression caches are
-  /// non-observable memos cleared on load — neither is serialized, so
-  /// save→load→save is byte-identical by construction.
-  void save(cdr::Writer& w) const;
-
-  /// Replace the trader's state from a snapshot section of exactly
-  /// kSnapshotVersion. Accepts only bytes save() could have written (whole
-  /// payload, offers in strictly ascending id order, every id below the
-  /// counter). Decodes into scratch and validates before committing: on any
-  /// error the trader is left untouched. On success both indexes are
-  /// rebuilt and verified.
-  Status load(std::uint32_t version, cdr::Reader& r);
-
  private:
-  /// The "trader" section.
-  struct Image {
-    std::uint64_t next_id = 1;
-    std::vector<ServiceOffer> offers;  // id-ascending
-
-    friend constexpr auto wire_fields(const Image*) {
-      return cdr::fields(&Image::next_id, &Image::offers);
-    }
-  };
-
   struct ProviderKey {
     std::string service_type;
     orb::ObjectRef provider;

@@ -12,7 +12,6 @@ namespace {
 constexpr SimDuration kShipTimeout = 5 * kSecond;
 
 /// The sections every image carries, in capture (and load) order.
-constexpr const char* kTrader = "trader";
 constexpr const char* kGrm = "grm";
 constexpr const char* kOrbDedup = "orb_dedup";
 
@@ -34,8 +33,6 @@ void SnapshotCoordinator::start() {
 void SnapshotCoordinator::stop() { timer_.stop(); }
 
 Envelope SnapshotCoordinator::capture() const {
-  cdr::Writer trader;
-  primary_.trader().save(trader);
   cdr::Writer state;
   primary_.save(state);
   cdr::Writer dedup;
@@ -44,7 +41,6 @@ Envelope SnapshotCoordinator::capture() const {
   Envelope envelope;
   envelope.captured_at = engine_.now();
   envelope.sections = {
-      {kTrader, services::Trader::kSnapshotVersion, trader.take_buffer()},
       {kGrm, grm::Grm::kSnapshotVersion, state.take_buffer()},
       {kOrbDedup, orb::Orb::kDedupSnapshotVersion, dedup.take_buffer()},
   };
@@ -108,16 +104,15 @@ SnapshotStore::~SnapshotStore() {
 
 Status SnapshotStore::load(const Envelope& envelope) {
   for (const Section& s : envelope.sections) {
-    if (s.name != kTrader && s.name != kGrm && s.name != kOrbDedup) {
+    if (s.name != kGrm && s.name != kOrbDedup) {
       return Status(ErrorCode::kInvalidArgument,
                     "unknown section '" + s.name + "'");
     }
   }
   for (const Section& s : envelope.sections) {
     cdr::Reader r(s.payload);
-    const Status status = s.name == kTrader ? standby_.trader().load(s.version, r)
-                          : s.name == kGrm  ? standby_.load(s.version, r)
-                                            : orb_.load_dedup(s.version, r);
+    const Status status = s.name == kGrm ? standby_.load(s.version, r)
+                                         : orb_.load_dedup(s.version, r);
     if (!status.is_ok()) {
       return Status(status.code(),
                     "section '" + s.name + "': " + status.message());

@@ -1,17 +1,17 @@
 // Snapshot coordinator (primary side) and snapshot store (standby side).
 //
-// The coordinator captures the primary manager's three sections — its
-// Trader ("trader"), its GRM ("grm") and its ORB's at-most-once window
-// ("orb_dedup"), in that order — every kPeriod, frames them in a
-// snapshot::Envelope, and ships the image to the standby's SnapshotStore
-// over the ORB ("install"). Every period ships one full image: a standby
-// that missed one (timeout, rejection) holds the whole control plane again
-// after the next period.
+// The coordinator captures the primary manager's two sections — its GRM
+// ("grm", whose node records the standby rebuilds its Trader from) and its
+// ORB's at-most-once window ("orb_dedup"), in that order — every kPeriod,
+// frames them in a snapshot::Envelope, and ships the image to the standby's
+// SnapshotStore over the ORB ("install"). Every period ships one full
+// image: a standby that missed one (timeout, rejection) holds the whole
+// control plane again after the next period.
 //
 // The store validates (checksum, version) before loading anything, refuses
 // an image that names any other section whole, and loads the sections into
-// the standby GRM, its Trader and its ORB in envelope order (the GRM
-// validates its node records against the Trader loaded before it).
+// the standby GRM and its ORB in envelope order. A refused `grm` section
+// loads nothing.
 //
 // Both exist only in a cluster whose standby mode is kSnapshot.
 #pragma once
@@ -36,7 +36,7 @@ class SnapshotCoordinator {
   static constexpr SimDuration kPeriod = 10 * kSecond;
 
   /// `orb` is the primary manager's ORB: `primary` serves on it, and its
-  /// dedup window is the third section. Images ship to `store`.
+  /// dedup window is the second section. Images ship to `store`.
   SnapshotCoordinator(sim::Engine& engine, orb::Orb& orb, grm::Grm& primary,
                       orb::ObjectRef store);
   ~SnapshotCoordinator();
@@ -47,8 +47,8 @@ class SnapshotCoordinator {
   void start();
   void stop();
 
-  /// Capture the three sections now without shipping (warm-start file
-  /// save, tests).
+  /// Capture both sections now without shipping (warm-start file save,
+  /// tests).
   [[nodiscard]] Envelope capture() const;
 
   /// Capture-and-ship one image now (the timer body; public for tests).

@@ -30,18 +30,15 @@ SchedOptions economy_options() {
 
 TEST(TenantRegistry, FallsBackToDefaultsForUnknownTenants) {
   SchedOptions options;
-  options.default_weight = 2.0;
-  options.default_max_running = 3;
-  options.default_max_queued = 7;
   options.tenants = {{"vip", 5.0, 1, 2}};
   TenantRegistry registry;
   registry.configure(options);
 
   EXPECT_DOUBLE_EQ(registry.spec("vip").weight, 5.0);
   EXPECT_EQ(registry.spec("vip").max_queued, 2);
-  EXPECT_DOUBLE_EQ(registry.spec("stranger").weight, 2.0);
-  EXPECT_EQ(registry.spec("stranger").max_running, 3);
-  EXPECT_EQ(registry.spec("stranger").max_queued, 7);
+  EXPECT_DOUBLE_EQ(registry.spec("stranger").weight, 1.0);
+  EXPECT_EQ(registry.spec("stranger").max_running, 0);
+  EXPECT_EQ(registry.spec("stranger").max_queued, 0);
 }
 
 TEST(TenantRegistry, ClampsDegenerateWeights) {

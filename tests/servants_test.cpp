@@ -28,7 +28,7 @@ class ServantsFixture : public ::testing::Test {
       : client(1, transport, nullptr), server(2, transport, nullptr) {
     naming_ref = server.activate(std::make_shared<NamingServant>(naming));
     trader_ref = server.activate(
-        std::make_shared<TraderServant>(trader, nullptr, Rng(1)));
+        std::make_shared<TraderServant>(trader, Rng(1)));
   }
 
   orb::ObjectRef some_ref(std::uint64_t key) {

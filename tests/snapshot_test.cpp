@@ -68,86 +68,21 @@ TEST(SnapshotEnvelope, EveryTruncationIsRejected) {
   }
 }
 
-TEST(SnapshotComponents, TraderRoundTripIsByteIdenticalAndQueriesMatch) {
-  core::Grid grid(301);
-  auto& cluster = grid.add_cluster(core::quiet_cluster(10, 301));
-  grid.run_for(2 * kMinute);  // every node exported an offer
-  services::Trader& trader = cluster.grm().trader();
-  ASSERT_GE(trader.offer_count(), 10u);
+using Bytes = std::vector<std::uint8_t>;
 
-  cdr::Writer w1;
-  trader.save(w1);
-  const auto bytes1 = w1.take_buffer();
-
-  services::Trader restored;
-  cdr::Reader r(bytes1.data(), bytes1.size());
-  ASSERT_TRUE(
-      restored.load(services::Trader::kSnapshotVersion, r).is_ok());
-  EXPECT_TRUE(restored.check_invariants().is_ok());
-
-  cdr::Writer w2;
-  restored.save(w2);
-  EXPECT_EQ(w2.buffer(), bytes1);
-
-  // The rebuilt indexes must answer exactly like the original.
-  const auto q1 = trader.query(protocol::kNodeServiceType, "cpu_mips >= 0",
-                               "max exportable_mips");
-  const auto q2 = restored.query(protocol::kNodeServiceType, "cpu_mips >= 0",
-                                 "max exportable_mips");
-  ASSERT_TRUE(q1.is_ok());
-  ASSERT_TRUE(q2.is_ok());
-  ASSERT_EQ(q1.value().size(), q2.value().size());
-  for (std::size_t i = 0; i < q1.value().size(); ++i) {
-    EXPECT_EQ(q1.value()[i]->id, q2.value()[i]->id);
-    EXPECT_EQ(q1.value()[i]->provider, q2.value()[i]->provider);
+// `image` with every occurrence of `from`'s bytes replaced by `to`'s.
+template <class T>
+Bytes replaced(const Bytes& image, T from, T to) {
+  Bytes out = image;
+  int hits = 0;
+  for (std::size_t i = 0; i + sizeof(T) <= out.size(); ++i) {
+    if (std::memcmp(out.data() + i, &from, sizeof(T)) == 0) {
+      std::memcpy(out.data() + i, &to, sizeof(T));
+      ++hits;
+    }
   }
-}
-
-TEST(SnapshotComponents, TraderRefreshCounterSurvivesSnapshot) {
-  services::Trader trader;
-  services::PropertySet props;
-  props.set("cpu_mips", 1000.0);
-  const auto id = trader.export_offer("node", orb::ObjectRef{}, props);
-  ASSERT_TRUE(trader.modify(id, props, 10 * kSecond).is_ok());
-  ASSERT_TRUE(trader
-                  .refresh(id, [](services::PropertySet& p) {
-                    p.set("cpu_mips", 900.0);
-                  }, 20 * kSecond)
-                  .is_ok());
-  EXPECT_EQ(trader.lookup(id)->refreshes, 2);
-
-  cdr::Writer w;
-  trader.save(w);
-  const auto bytes = w.take_buffer();
-  services::Trader restored;
-  cdr::Reader r(bytes.data(), bytes.size());
-  ASSERT_TRUE(restored.load(services::Trader::kSnapshotVersion, r).is_ok());
-  EXPECT_EQ(restored.lookup(id)->refreshes, 2);
-}
-
-TEST(SnapshotComponents, TraderLoadRejectsGarbageAndKeepsState) {
-  services::Trader trader;
-  services::PropertySet props;
-  props.set("cpu_mips", 1000.0);
-  trader.export_offer("node", orb::ObjectRef{}, props);
-  const std::vector<std::uint8_t> garbage{9, 9, 9};
-  cdr::Reader r(garbage.data(), garbage.size());
-  EXPECT_FALSE(
-      trader.load(services::Trader::kSnapshotVersion, r).is_ok());
-  EXPECT_EQ(trader.offer_count(), 1u);  // untouched on failure
-  EXPECT_TRUE(trader.check_invariants().is_ok());
-
-  // A loader accepts exactly its current version: well-formed bytes under
-  // any other version number are refused.
-  services::Trader empty;
-  cdr::Writer w;
-  empty.save(w);
-  for (const std::uint32_t version : {services::Trader::kSnapshotVersion - 1,
-                                      services::Trader::kSnapshotVersion + 1}) {
-    cdr::Reader other(w.buffer());
-    EXPECT_FALSE(trader.load(version, other).is_ok()) << "version " << version;
-    EXPECT_EQ(trader.offer_count(), 1u);
-  }
+  EXPECT_GT(hits, 0);
+  return out;
 }
 
 TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
@@ -164,27 +99,17 @@ TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
   grid.run_for(30 * kSecond);
   ASSERT_GT(cluster.grm().running_tasks(), 0);
 
-  cdr::Writer tw;
-  cluster.grm().trader().save(tw);
-  const auto trader_bytes = tw.take_buffer();
   cdr::Writer gw;
   cluster.grm().save(gw);
   const auto grm_bytes = gw.take_buffer();
 
-  // Load into the (empty) standby: trader first — the GRM section validates
-  // its node records against the live offer table.
+  // Load into the (empty) standby: the grm section alone carries the nodes,
+  // and the standby rebuilds its Trader from them.
   grm::Grm& standby = *cluster.standby_grm();
-  cdr::Reader tr(trader_bytes.data(), trader_bytes.size());
-  ASSERT_TRUE(standby.trader()
-                  .load(services::Trader::kSnapshotVersion, tr)
-                  .is_ok());
   cdr::Reader gr(grm_bytes.data(), grm_bytes.size());
   const Status loaded = standby.load(grm::Grm::kSnapshotVersion, gr);
   ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
 
-  cdr::Writer tw2;
-  standby.trader().save(tw2);
-  EXPECT_EQ(tw2.buffer(), trader_bytes);
   cdr::Writer gw2;
   standby.save(gw2);
   EXPECT_EQ(gw2.buffer(), grm_bytes);
@@ -193,6 +118,49 @@ TEST(SnapshotComponents, GrmRoundTripIsByteIdenticalWithTasksInFlight) {
   EXPECT_EQ(standby.known_nodes(), cluster.grm().known_nodes());
   EXPECT_EQ(standby.pending_tasks(), cluster.grm().pending_tasks());
   EXPECT_EQ(standby.running_tasks(), cluster.grm().running_tasks());
+
+  // The rebuilt Trader holds one offer per node record, written from it.
+  services::Trader& primary_trader = cluster.grm().trader();
+  services::Trader& standby_trader = standby.trader();
+  EXPECT_TRUE(standby_trader.check_invariants().is_ok());
+  const auto offers = standby_trader.offers_of_type(protocol::kNodeServiceType);
+  ASSERT_EQ(offers.size(), standby.known_nodes());
+  ASSERT_EQ(standby_trader.offer_count(), offers.size());
+  std::vector<std::int64_t> offered;
+  for (const services::ServiceOffer* offer : offers) {
+    offered.push_back(offer->properties.get_int(protocol::kPropNodeId).value());
+    const auto record = standby.node_view(NodeId(
+        static_cast<std::uint64_t>(offered.back())));
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(offer->provider, record->lrm);
+    EXPECT_EQ(offer->properties, protocol::to_properties(*record));
+  }
+  std::sort(offered.begin(), offered.end());
+  EXPECT_EQ(std::adjacent_find(offered.begin(), offered.end()), offered.end());
+
+  // Every query answers with the primary's providers in the primary's
+  // order: ranking, ties and the random shuffle (same seed on both sides).
+  for (const char* preference :
+       {"first", "max exportable_mips", "min cpu_mips", "random"}) {
+    Rng primary_rng(77);
+    Rng standby_rng(77);
+    const auto q1 = primary_trader.query(protocol::kNodeServiceType,
+                                         "cpu_mips >= 0", preference, 0,
+                                         &primary_rng);
+    const auto q2 = standby_trader.query(protocol::kNodeServiceType,
+                                         "cpu_mips >= 0", preference, 0,
+                                         &standby_rng);
+    ASSERT_TRUE(q1.is_ok());
+    ASSERT_TRUE(q2.is_ok());
+    ASSERT_EQ(q1.value().size(), cluster.grm().known_nodes()) << preference;
+    ASSERT_EQ(q2.value().size(), q1.value().size()) << preference;
+    for (std::size_t i = 0; i < q1.value().size(); ++i) {
+      EXPECT_EQ(q2.value()[i]->provider, q1.value()[i]->provider)
+          << preference << " #" << i;
+      EXPECT_EQ(q2.value()[i]->properties, q1.value()[i]->properties)
+          << preference << " #" << i;
+    }
+  }
 }
 
 TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
@@ -202,19 +170,11 @@ TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
   auto& cluster = grid.add_cluster(config);
   grid.run_for(2 * kMinute);
 
-  cdr::Writer tw;
-  cluster.grm().trader().save(tw);
-  const auto trader_bytes = tw.take_buffer();
   cdr::Writer gw;
   cluster.grm().save(gw);
   const auto grm_bytes = gw.take_buffer();
 
   grm::Grm& standby = *cluster.standby_grm();
-  cdr::Reader tr(trader_bytes.data(), trader_bytes.size());
-  ASSERT_TRUE(standby.trader()
-                  .load(services::Trader::kSnapshotVersion, tr)
-                  .is_ok());
-
   for (const std::uint32_t version :
        {grm::Grm::kSnapshotVersion - 1, grm::Grm::kSnapshotVersion + 1, 99U}) {
     cdr::Reader wrong(grm_bytes.data(), grm_bytes.size());
@@ -232,6 +192,19 @@ TEST(SnapshotComponents, GrmLoadRejectsTruncatedAndWrongVersion) {
     EXPECT_EQ(standby.known_nodes(), 0u);
     EXPECT_EQ(standby.pending_tasks(), 0);
   }
+
+  // A node recorded twice would leave one of its two offers without a
+  // record: refused, and nothing is exported.
+  const Bytes repeated =
+      replaced(grm_bytes, cluster.lrm(1).current_status().node.value,
+               cluster.lrm(0).current_status().node.value);
+  cdr::Reader twice(repeated);
+  const Status loaded = standby.load(grm::Grm::kSnapshotVersion, twice);
+  EXPECT_FALSE(loaded.is_ok());
+  EXPECT_NE(loaded.message().find("repeats node"), std::string::npos)
+      << loaded.message();
+  EXPECT_EQ(standby.known_nodes(), 0u);
+  EXPECT_EQ(standby.trader().offer_count(), 0u);
 }
 
 // A promoted standby may hear a node's status update before any TaskResync
@@ -257,18 +230,11 @@ void expect_restored_standby_wakes(Promote promote) {
   }
   ASSERT_EQ(cluster.grm().task_state(task), grm::TaskState::kNegotiating);
 
-  cdr::Writer tw;
-  cluster.grm().trader().save(tw);
-  const auto trader_bytes = tw.take_buffer();
   cdr::Writer gw;
   cluster.grm().save(gw);
   const auto grm_bytes = gw.take_buffer();
 
   grm::Grm& standby = *cluster.standby_grm();
-  cdr::Reader tr(trader_bytes.data(), trader_bytes.size());
-  ASSERT_TRUE(standby.trader()
-                  .load(services::Trader::kSnapshotVersion, tr)
-                  .is_ok());
   cdr::Reader gr(grm_bytes.data(), grm_bytes.size());
   ASSERT_TRUE(standby.load(grm::Grm::kSnapshotVersion, gr).is_ok());
   EXPECT_EQ(standby.task_state(task), grm::TaskState::kNegotiating);  // dormant
@@ -329,8 +295,6 @@ TEST(SnapshotComponents, OrbDedupWindowRoundTrips) {
   untouched.manager_orb().save_dedup(w3);
   EXPECT_EQ(w3.buffer().size(), sizeof(std::uint32_t));  // still empty
 }
-
-using Bytes = std::vector<std::uint8_t>;
 
 // Every corruption the mutation test applies to a section: one bit flipped
 // at each byte offset (cycling through the bit positions), each
@@ -398,29 +362,12 @@ TEST(SnapshotComponents, EveryCorruptedSectionIsRejectedOrCanonical) {
     save(w);
     return w.take_buffer();
   };
-  const Bytes trader_image =
-      saved([&](cdr::Writer& w) { cluster.grm().trader().save(w); });
   const Bytes grm_image = saved([&](cdr::Writer& w) { cluster.grm().save(w); });
   const Bytes dedup_image =
       saved([&](cdr::Writer& w) { cluster.manager_orb().save_dedup(w); });
   ASSERT_GT(dedup_image.size(), sizeof(std::uint32_t));
 
-  services::Trader trader;
-  expect_rejected_or_canonical("trader", trader_image, [&](const Bytes& m) {
-    Probe probe;
-    probe.before = saved([&](cdr::Writer& w) { trader.save(w); });
-    cdr::Reader r(m);
-    probe.loaded = trader.load(services::Trader::kSnapshotVersion, r);
-    probe.after = saved([&](cdr::Writer& w) { trader.save(w); });
-    return probe;
-  });
-
-  // The GRM validates its node records against the Trader section, so the
-  // standby gets the intact one first.
   grm::Grm& standby = *cluster.standby_grm();
-  cdr::Reader tr(trader_image);
-  ASSERT_TRUE(
-      standby.trader().load(services::Trader::kSnapshotVersion, tr).is_ok());
   expect_rejected_or_canonical("grm", grm_image, [&](const Bytes& m) {
     Probe probe;
     probe.before = saved([&](cdr::Writer& w) { standby.save(w); });
@@ -476,16 +423,10 @@ TEST(SnapshotComponents, GrmLoadKeepsTheQueueEqualToThePendingTasks) {
   ASSERT_EQ(cluster.grm().running_tasks(), 2);
   ASSERT_EQ(cluster.grm().queue_length(), 1u);
 
-  cdr::Writer tw;
-  cluster.grm().trader().save(tw);
-  const Bytes trader_image = tw.take_buffer();
   cdr::Writer gw;
   cluster.grm().save(gw);
   const Bytes grm_image = gw.take_buffer();
   grm::Grm& standby = *cluster.standby_grm();
-  cdr::Reader tr(trader_image);
-  ASSERT_TRUE(
-      standby.trader().load(services::Trader::kSnapshotVersion, tr).is_ok());
 
   // A flipped task state can put a task in the queue that is not pending
   // (kPending -> kNegotiating) or leave a pending one out (kRunning ->
@@ -515,21 +456,6 @@ TEST(SnapshotComponents, GrmLoadKeepsTheQueueEqualToThePendingTasks) {
   });
   EXPECT_GT(queues_non_pending, 0);
   EXPECT_GT(leaves_out_pending, 0);
-}
-
-// `image` with every occurrence of `from`'s bytes replaced by `to`'s.
-template <class T>
-Bytes replaced(const Bytes& image, T from, T to) {
-  Bytes out = image;
-  int hits = 0;
-  for (std::size_t i = 0; i + sizeof(T) <= out.size(); ++i) {
-    if (std::memcmp(out.data() + i, &from, sizeof(T)) == 0) {
-      std::memcpy(out.data() + i, &to, sizeof(T));
-      ++hits;
-    }
-  }
-  EXPECT_GT(hits, 0);
-  return out;
 }
 
 TEST(SnapshotComponents, GrmLoadRefusesBadWorkAndTooShortCheckpointPeriods) {
@@ -625,8 +551,8 @@ TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
   ASSERT_NE(cluster.snapshot_store(), nullptr);
 
   grid.run_for(5 * kMinute);
-  // Every period ships one full image — trader, grm and orb_dedup — and
-  // the store installs every one of them whole.
+  // Every period ships one full image — grm and orb_dedup — and the store
+  // installs every one of them whole.
   snapshot::SnapshotStore& store = *cluster.snapshot_store();
   EXPECT_TRUE(store.has_image());
   const auto shipped =
@@ -635,7 +561,7 @@ TEST(SnapshotShipping, CoordinatorShipsFullThenDeltasToStore) {
   EXPECT_GE(shipped, 29);
   EXPECT_GE(installed, shipped - 1);  // the last one may still be in flight
   EXPECT_EQ(store.metrics().counter_value("installs_rejected"), 0);
-  EXPECT_EQ(store.metrics().counter_value("sections_applied"), 3 * installed);
+  EXPECT_EQ(store.metrics().counter_value("sections_applied"), 2 * installed);
   EXPECT_EQ(cluster.snapshot_coordinator()->metrics().counter_value(
                 "snapshot_ship_failures"),
             0);
@@ -648,24 +574,28 @@ TEST(SnapshotShipping, StoreRejectsOutOfSequenceAndCorruptImages) {
   auto config = core::quiet_cluster(4, 306);
   config.standby = core::Standby::kSnapshot;
   auto& cluster = grid.add_cluster(config);
+  cdr::Writer no_nodes;  // a valid grm section saved before any node joined
+  cluster.grm().save(no_nodes);
+  const Bytes empty_grm = no_nodes.take_buffer();
   grid.run_for(kMinute);
   snapshot::SnapshotStore& store = *cluster.snapshot_store();
   ASSERT_TRUE(store.has_image());
 
   // An image naming a section no loader is registered for is refused whole,
-  // not skipped: not even its valid (empty) trader section is applied.
-  snapshot::Envelope unknown;
-  unknown.captured_at = grid.engine().now();
-  cdr::Writer empty_trader;
-  services::Trader().save(empty_trader);
-  unknown.sections.push_back({"trader", services::Trader::kSnapshotVersion,
-                              empty_trader.take_buffer()});
-  unknown.sections.push_back({"gupa", 1, {0, 0, 0, 0}});
-  const services::Trader& standby_trader = cluster.standby_grm()->trader();
-  const std::size_t offers = standby_trader.offer_count();
-  ASSERT_GT(offers, 0u);
-  EXPECT_FALSE(store.install(snapshot::encode(unknown)).is_ok());
-  EXPECT_EQ(standby_trader.offer_count(), offers);
+  // not skipped: not even its valid (empty) grm section is applied. The
+  // Trader has no section of its own, so an image naming one is refused.
+  const grm::Grm& standby = *cluster.standby_grm();
+  const std::size_t nodes = standby.known_nodes();
+  ASSERT_GT(nodes, 0u);
+  for (const char* name : {"trader", "gupa"}) {
+    snapshot::Envelope unknown;
+    unknown.captured_at = grid.engine().now();
+    unknown.sections.push_back({"grm", grm::Grm::kSnapshotVersion, empty_grm});
+    unknown.sections.push_back({name, 2, {0, 0, 0, 0}});
+    EXPECT_FALSE(store.install(snapshot::encode(unknown)).is_ok()) << name;
+    EXPECT_EQ(standby.known_nodes(), nodes) << name;
+    EXPECT_EQ(cluster.standby_grm()->trader().offer_count(), nodes) << name;
+  }
 
   // A corrupted full image is refused by the checksum before any loader
   // runs, and the store (and the standby behind it) keeps working: the next
@@ -681,6 +611,33 @@ TEST(SnapshotShipping, StoreRejectsOutOfSequenceAndCorruptImages) {
   const auto ok_before = store.metrics().counter_value("installs_ok");
   grid.run_for(kMinute);
   EXPECT_GT(store.metrics().counter_value("installs_ok"), ok_before);
+}
+
+TEST(SnapshotShipping, RefusedGrmSectionLeavesTheStandbyWhole) {
+  // With the coordinator stopped the standby installs nothing by itself;
+  // the one image it sees carries a grm section it must refuse.
+  core::Grid grid(5);
+  auto config = core::quiet_cluster(8, 5);
+  config.standby = core::Standby::kSnapshot;
+  auto& cluster = grid.add_cluster(config);
+  cluster.snapshot_coordinator()->stop();
+  grid.run_for(kMinute);
+  ASSERT_EQ(cluster.grm().known_nodes(), 8u);
+
+  snapshot::Envelope envelope = cluster.snapshot_coordinator()->capture();
+  auto grm_section = std::find_if(
+      envelope.sections.begin(), envelope.sections.end(),
+      [](const snapshot::Section& s) { return s.name == "grm"; });
+  ASSERT_NE(grm_section, envelope.sections.end());
+  grm_section->version = 999;
+
+  snapshot::SnapshotStore& store = *cluster.snapshot_store();
+  EXPECT_FALSE(store.install(snapshot::encode(envelope)).is_ok());
+  EXPECT_EQ(store.metrics().counter_value("installs_rejected"), 1);
+  EXPECT_FALSE(store.has_image());
+  grm::Grm& standby = *cluster.standby_grm();
+  EXPECT_EQ(standby.trader().offer_count(), 0u);
+  EXPECT_EQ(standby.known_nodes(), 0u);
 }
 
 TEST(SnapshotFailover, RestoredStandbyLosesNoTaskAndDuplicatesNone) {

@@ -47,9 +47,8 @@ std::vector<OfferId> populate(Trader& trader, std::size_t n, Rng& rng) {
   std::vector<OfferId> ids;
   ids.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    ids.push_back(trader.export_offer(type_of(i), provider_ref(i),
-                                      random_props(rng),
-                                      static_cast<SimTime>(i)));
+    ids.push_back(
+        trader.export_offer(type_of(i), provider_ref(i), random_props(rng)));
   }
   return ids;
 }
@@ -159,26 +158,21 @@ TEST(TraderIndexTest, WithdrawModifyExportInterleavingsKeepIndexesConsistent) {
     const double dice = rng.next_double();
     if (dice < 0.35 || live.empty()) {
       live.push_back(trader.export_offer(type_of(next), provider_ref(next),
-                                         random_props(rng),
-                                         static_cast<SimTime>(step)));
+                                         random_props(rng)));
       ++next;
     } else if (dice < 0.65) {
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      EXPECT_TRUE(trader
-                      .modify(live[pick], random_props(rng),
-                              static_cast<SimTime>(step))
-                      .is_ok());
+      EXPECT_TRUE(trader.modify(live[pick], random_props(rng)).is_ok());
     } else if (dice < 0.8) {
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
       EXPECT_TRUE(trader
-                      .refresh(
-                          live[pick],
-                          [&](PropertySet& p) {
-                            p.set("cpu_mips", cdr::Value(rng.uniform(1, 999)));
-                          },
-                          static_cast<SimTime>(step))
+                      .refresh(live[pick],
+                               [&](PropertySet& p) {
+                                 p.set("cpu_mips",
+                                       cdr::Value(rng.uniform(1, 999)));
+                               })
                       .is_ok());
     } else {
       const std::size_t pick = static_cast<std::size_t>(
@@ -211,9 +205,9 @@ TEST(TraderIndexTest, FindByProviderUsesIndexAndSurvivesWithdraw) {
   props.set("x", cdr::Value(std::int64_t{1}));
   // Same provider exports twice under one type: lookup returns the earliest,
   // and withdrawing it falls back to the next one — the linear-scan contract.
-  const OfferId first = trader.export_offer("t", provider_ref(1), props, 0);
-  const OfferId second = trader.export_offer("t", provider_ref(1), props, 1);
-  const OfferId other_type = trader.export_offer("u", provider_ref(1), props, 2);
+  const OfferId first = trader.export_offer("t", provider_ref(1), props);
+  const OfferId second = trader.export_offer("t", provider_ref(1), props);
+  const OfferId other_type = trader.export_offer("u", provider_ref(1), props);
 
   const ServiceOffer* found = trader.find_by_provider("t", provider_ref(1));
   ASSERT_NE(found, nullptr);
