@@ -112,7 +112,9 @@ Grm::Grm(sim::Engine& engine, orb::Orb& orb, ClusterId cluster, Rng rng,
       orb_(orb),
       cluster_(cluster),
       rng_(rng),
-      options_(options) {}
+      options_(options) {
+  trader_.declare_type(protocol::kNodeServiceType, protocol::kNodeSchema);
+}
 
 Grm::~Grm() { stop(); }
 
@@ -196,8 +198,8 @@ void Grm::pull_status(const protocol::NodeLoad& load) {
 }
 
 void Grm::refresh_load(const NodeRecord& record) {
-  (void)trader_.refresh(record.offer, [&record](services::PropertySet& props) {
-    protocol::update_load_properties(record.status, props);
+  (void)trader_.write_slots(record.offer, [&record](services::SlotWriter& slots) {
+    protocol::write_load_slots(record.status, slots);
   });
 }
 
@@ -237,12 +239,10 @@ void Grm::on_update(const protocol::NodeStatus& status) {
   }
   it->second.status = status;
   it->second.last_update = engine_.now();
-  // Refresh the existing offer in place: every LRM heartbeat lands here, so
-  // rebuilding the property set from scratch each period is pure churn.
-  (void)trader_.refresh(it->second.offer,
-                        [&status](services::PropertySet& props) {
-                          protocol::update_properties(status, props);
-                        });
+  (void)trader_.write_slots(it->second.offer,
+                            [&status](services::SlotWriter& slots) {
+                              protocol::write_status_slots(status, slots);
+                            });
 }
 
 void Grm::sweep_stale_offers() {
@@ -634,13 +634,14 @@ std::vector<const Grm::NodeRecord*> Grm::candidates_for(const TaskRecord& task) 
                    : "query error");
   }
   if (!query.is_ok()) return {};  // validated at submit; belt and braces
-  // Each offer names its node, whose record holds the status the offer's
-  // properties were written from (offers and records are one-to-one).
+  // Each offer names its node in its node_id slot, whose record holds the
+  // status the offer's values were written from (offers and records are
+  // one-to-one).
   std::vector<const NodeRecord*> candidates;
   candidates.reserve(query.value().size());
   for (const services::ServiceOffer* offer : query.value()) {
     const auto node = NodeId(static_cast<std::uint64_t>(
-        offer->properties.get_int(protocol::kPropNodeId).value_or(-1)));
+        offer->slot(protocol::kSlotNodeId)->as_int()));
     candidates.push_back(&nodes_.at(node));
   }
 
@@ -1487,12 +1488,20 @@ void Grm::save(cdr::Writer& w) const {
 }
 
 Status Grm::load(std::uint32_t version, cdr::Reader& r) {
+  Result<Loaded> loaded = decode_snapshot(version, r);
+  if (!loaded.is_ok()) return loaded.status();
+  commit_snapshot(std::move(loaded).value());
+  return Status::ok();
+}
+
+Result<Grm::Loaded> Grm::decode_snapshot(std::uint32_t version,
+                                         cdr::Reader& r) const {
   if (version != kSnapshotVersion) {
     return Status(ErrorCode::kInvalidArgument,
                   "grm snapshot version " + std::to_string(version) +
                       " unsupported");
   }
-  // Decode everything into scratch state first: a malformed section must
+  // Decode everything into state of its own: a malformed section must
   // leave the live GRM untouched.
   Image image = cdr::Codec<Image>::decode(r);
   if (!r.exhausted()) return Status(ErrorCode::kInternal, "malformed grm snapshot");
@@ -1518,15 +1527,19 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
                                               refusal);
     }
   }
-  sched::FairQueue queue;
+  Loaded out;
+  out.next_reservation = image.next_reservation;
+  out.rng = image.rng;
+  sched::FairQueue& queue = out.queue;
   queue.configure(sched_);
   if (Status status = queue.load(image.queue); !status.is_ok()) return status;
 
   // Records arrive in export order, so re-exporting them in that order
   // gives the offers the primary's relative order: every query ranks,
   // breaks ties and shuffles as it did there.
-  std::unordered_map<NodeId, NodeRecord> nodes;
-  services::Trader trader;
+  std::unordered_map<NodeId, NodeRecord>& nodes = out.nodes;
+  services::Trader& trader = out.trader;
+  trader.declare_type(protocol::kNodeServiceType, protocol::kNodeSchema);
   for (NodeRecord& record : image.nodes) {
     const NodeId id = record.status.node;
     auto [it, fresh] = nodes.emplace(id, std::move(record));
@@ -1538,12 +1551,12 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
         protocol::kNodeServiceType, it->second.status.lrm,
         protocol::to_properties(it->second.status));
   }
-  std::map<AppId, AppRecord> apps;
+  std::map<AppId, AppRecord>& apps = out.apps;
   for (AppRecord& app : image.apps) {
     const AppId id = app.spec.id;
     apps.emplace_hint(apps.end(), id, std::move(app));
   }
-  std::map<TaskId, TaskRecord> tasks;
+  std::map<TaskId, TaskRecord>& tasks = out.tasks;
   std::size_t pending = 0;
   for (TaskRecord& task : image.tasks) {
     const TaskId id = task.desc.id;
@@ -1565,22 +1578,25 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
     return Status(ErrorCode::kInternal,
                   "grm snapshot queues a task it has no record of");
   }
-  std::map<ClusterId, protocol::ClusterSummary> child_summaries;
   for (protocol::ClusterSummary& summary : image.child_summaries) {
     const ClusterId id = summary.cluster;
-    child_summaries.emplace_hint(child_summaries.end(), id, std::move(summary));
+    out.child_summaries.emplace_hint(out.child_summaries.end(), id,
+                                     std::move(summary));
   }
+  return out;
+}
 
-  // Commit. Cancel timers owned by the records being replaced first.
+void Grm::commit_snapshot(Loaded loaded) {
+  // Cancel timers owned by the records being replaced first.
   for (auto& [_, task] : tasks_) task.remote_timeout.cancel();
-  next_reservation_ = image.next_reservation;
-  rng_.set_state(image.rng);
-  nodes_ = std::move(nodes);
-  trader_ = std::move(trader);
-  apps_ = std::move(apps);
-  tasks_ = std::move(tasks);
-  queue_ = std::move(queue);
-  child_summaries_ = std::move(child_summaries);
+  next_reservation_ = loaded.next_reservation;
+  rng_.set_state(loaded.rng);
+  nodes_ = std::move(loaded.nodes);
+  trader_ = std::move(loaded.trader);
+  apps_ = std::move(loaded.apps);
+  tasks_ = std::move(loaded.tasks);
+  queue_ = std::move(loaded.queue);
+  child_summaries_ = std::move(loaded.child_summaries);
   preempting_.clear();
 
   // The loaded state stays dormant — no timers armed, no scheduler kick —
@@ -1589,7 +1605,6 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   // here would let a remote-adoption timeout fire on the standby and start
   // scheduling tasks the primary still owns.
   restored_dormant_ = true;
-  return Status::ok();
 }
 
 void Grm::recover_in_flight() {

@@ -177,9 +177,19 @@ class Grm {
   /// record, and a queue that holds exactly the kPending tasks, once each.
   /// Exports each node record's offer into a fresh Trader in record order,
   /// so queries rank, break ties and shuffle as on the primary.
-  /// Decode-into-scratch: on any error the GRM and its Trader are
-  /// untouched. The loaded state is dormant until recover_in_flight().
+  /// decode_snapshot() then commit_snapshot(): on any error the GRM and its
+  /// Trader are untouched. The loaded state is dormant until
+  /// recover_in_flight().
   Status load(std::uint32_t version, cdr::Reader& r);
+  /// A "grm" section that decode_snapshot() accepted.
+  struct Loaded;
+  /// load()'s decode-and-check step: builds the section's state apart from
+  /// this GRM, which it leaves untouched.
+  [[nodiscard]] Result<Loaded> decode_snapshot(std::uint32_t version,
+                                               cdr::Reader& r) const;
+  /// load()'s apply step, which cannot fail: replaces this GRM's scheduler
+  /// state and Trader with `loaded`, dormant.
+  void commit_snapshot(Loaded loaded);
   /// After a failover load: tasks the snapshot froze mid-negotiation have
   /// no surviving wave callbacks on this GRM — return them to the pending
   /// queue (and clear in-flight counts) so the next scheduler pass retries
@@ -262,6 +272,19 @@ class Grm {
   /// The "grm" section (defined in grm.cpp).
   struct Image;
 
+ public:
+  struct Loaded {
+    std::uint64_t next_reservation = 1;
+    Rng::State rng;
+    std::unordered_map<NodeId, NodeRecord> nodes;
+    services::Trader trader;
+    std::map<AppId, AppRecord> apps;
+    std::map<TaskId, TaskRecord> tasks;
+    sched::FairQueue queue;
+    std::map<ClusterId, protocol::ClusterSummary> child_summaries;
+  };
+
+ private:
   // Negotiation wave state (heap-held; callbacks keep it alive).
   struct Wave;
 

@@ -297,27 +297,38 @@ void Orb::save_dedup(cdr::Writer& w) const {
 }
 
 Status Orb::load_dedup(std::uint32_t version, cdr::Reader& r) {
+  Result<DedupImage> image = decode_dedup(version, r);
+  if (!image.is_ok()) return image.status();
+  apply_dedup(std::move(image).value());
+  return Status::ok();
+}
+
+Result<Orb::DedupImage> Orb::decode_dedup(std::uint32_t version,
+                                          cdr::Reader& r) {
   if (version != kDedupSnapshotVersion) {
     return Status(ErrorCode::kInvalidArgument,
                   "orb_dedup snapshot version " + std::to_string(version) +
                       " unsupported");
   }
-  std::vector<DedupEntry> incoming = cdr::Codec<std::vector<DedupEntry>>::decode(r);
+  DedupImage image{cdr::Codec<std::vector<DedupEntry>>::decode(r)};
   if (!r.exhausted()) {
     return Status(ErrorCode::kInternal, "malformed orb_dedup snapshot");
   }
   std::unordered_set<DedupKey, DedupKeyHash> keys;
-  for (const DedupEntry& entry : incoming) {
+  for (const DedupEntry& entry : image.entries) {
     if (!keys.insert(entry.key).second) {
       return Status(ErrorCode::kInternal, "orb_dedup snapshot repeats a key");
     }
   }
-  for (DedupEntry& entry : incoming) {
+  return image;
+}
+
+void Orb::apply_dedup(DedupImage image) {
+  for (DedupEntry& entry : image.entries) {
     // A locally-present entry is newer than the snapshot: keep it.
     if (dedup_.contains(entry.key)) continue;
     dedup_.put(entry.key, std::move(entry.reply));
   }
-  return Status::ok();
 }
 
 void Orb::handle_reply(const FrameView& rep) {

@@ -183,8 +183,15 @@ class Orb {
   /// Merge a snapshotted dedup window into this ORB's window. Entries whose
   /// key is already present locally are kept (the local entry is newer).
   /// Rejects, merging nothing, any image but a whole kDedupSnapshotVersion
-  /// payload with no key twice.
+  /// payload with no key twice. decode_dedup() then apply_dedup().
   Status load_dedup(std::uint32_t version, cdr::Reader& r);
+  /// An "orb_dedup" section that decode_dedup() accepted.
+  struct DedupImage;
+  /// load_dedup()'s decode-and-check step; touches no window.
+  [[nodiscard]] static Result<DedupImage> decode_dedup(std::uint32_t version,
+                                                       cdr::Reader& r);
+  /// load_dedup()'s merge step, which cannot fail.
+  void apply_dedup(DedupImage image);
 
   // --- tracing (see docs/observability.md) -------------------------------
   /// Attach the process tracer. The tracer may be disabled; instrumented
@@ -254,6 +261,12 @@ class Orb {
     }
   };
 
+ public:
+  struct DedupImage {
+    std::vector<DedupEntry> entries;  // least-recent first
+  };
+
+ private:
   NodeAddress self_;
   Transport& transport_;
   sim::Engine* engine_;

@@ -1,10 +1,45 @@
 #include "protocol/properties.hpp"
 
+#include "services/trader.hpp"
+
 namespace integrade::protocol {
 
 namespace {
 
 std::int64_t to_mb(Bytes b) { return b / kMiB; }
+
+// The node schema's one mapping from status fields to slots: `put(slot,
+// value)` once per field, the nine dynamic ones in put_load.
+template <class Put>
+void put_load(const NodeStatus& s, Put&& put) {
+  put(kSlotOwnerCpu, s.owner_cpu);
+  put(kSlotGridCpu, s.grid_cpu);
+  put(kSlotExportableCpu, s.exportable_cpu);
+  put(kSlotExportableMips, s.exportable_cpu * s.cpu_mips);
+  put(kSlotFreeRam, to_mb(s.free_ram));
+  put(kSlotOwnerPresent, s.owner_present);
+  put(kSlotShareable, s.shareable);
+  put(kSlotRunningTasks, static_cast<std::int64_t>(s.running_tasks));
+  put(kSlotTimestamp, static_cast<std::int64_t>(s.timestamp));
+}
+
+template <class Put>
+void put_status(const NodeStatus& s, Put&& put) {
+  put(kSlotNodeId, static_cast<std::int64_t>(s.node.value));
+  put(kSlotHostname, s.hostname);
+  put(kSlotCpuMips, s.cpu_mips);
+  put(kSlotRamTotal, to_mb(s.ram_total));
+  put(kSlotDiskTotal, to_mb(s.disk_total));
+  put(kSlotOs, s.os);
+  put(kSlotArch, s.arch);
+  cdr::ValueList platforms;
+  platforms.reserve(s.platforms.size());
+  for (const auto& p : s.platforms) platforms.emplace_back(p);
+  put(kSlotPlatforms, std::move(platforms));
+  put(kSlotSegment, static_cast<std::int64_t>(s.segment));
+  put(kSlotDedicated, s.dedicated);
+  put_load(s, put);
+}
 
 }  // namespace
 
@@ -15,33 +50,22 @@ services::PropertySet to_properties(const NodeStatus& s) {
 }
 
 void update_properties(const NodeStatus& s, services::PropertySet& props) {
-  props.set(kPropNodeId, cdr::Value(static_cast<std::int64_t>(s.node.value)));
-  props.set(kPropHostname, cdr::Value(s.hostname));
-  props.set(kPropCpuMips, cdr::Value(s.cpu_mips));
-  props.set(kPropRamTotal, cdr::Value(to_mb(s.ram_total)));
-  props.set(kPropDiskTotal, cdr::Value(to_mb(s.disk_total)));
-  props.set(kPropOs, cdr::Value(s.os));
-  props.set(kPropArch, cdr::Value(s.arch));
-  cdr::ValueList platforms;
-  platforms.reserve(s.platforms.size());
-  for (const auto& p : s.platforms) platforms.emplace_back(p);
-  props.set(kPropPlatforms, cdr::Value(std::move(platforms)));
-  props.set(kPropSegment, cdr::Value(static_cast<std::int64_t>(s.segment)));
-  props.set(kPropDedicated, cdr::Value(s.dedicated));
-  update_load_properties(s, props);
+  put_status(s, [&props](NodeSlot slot, auto&& value) {
+    props.set(kNodeSchema[slot],
+              cdr::Value(std::forward<decltype(value)>(value)));
+  });
 }
 
-void update_load_properties(const NodeStatus& s, services::PropertySet& props) {
-  props.set(kPropOwnerCpu, cdr::Value(s.owner_cpu));
-  props.set(kPropGridCpu, cdr::Value(s.grid_cpu));
-  props.set(kPropExportableCpu, cdr::Value(s.exportable_cpu));
-  props.set(kPropExportableMips, cdr::Value(s.exportable_cpu * s.cpu_mips));
-  props.set(kPropFreeRam, cdr::Value(to_mb(s.free_ram)));
-  props.set(kPropOwnerPresent, cdr::Value(s.owner_present));
-  props.set(kPropShareable, cdr::Value(s.shareable));
-  props.set(kPropRunningTasks,
-            cdr::Value(static_cast<std::int64_t>(s.running_tasks)));
-  props.set(kPropTimestamp, cdr::Value(static_cast<std::int64_t>(s.timestamp)));
+void write_status_slots(const NodeStatus& s, services::SlotWriter& slots) {
+  put_status(s, [&slots](NodeSlot slot, auto&& value) {
+    slots.set(slot, std::forward<decltype(value)>(value));
+  });
+}
+
+void write_load_slots(const NodeStatus& s, services::SlotWriter& slots) {
+  put_load(s, [&slots](NodeSlot slot, auto&& value) {
+    slots.set(slot, std::forward<decltype(value)>(value));
+  });
 }
 
 NodeStatus from_properties(const services::PropertySet& props) {

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <forward_list>
 #include <sstream>
 
 namespace integrade::services {
@@ -201,7 +202,17 @@ class Parser {
 
   const Token& peek() const { return tokens_[pos_]; }
 
+  /// The distinct names parsed so far, in first-mention order.
+  std::vector<std::string> take_names() { return std::move(names_); }
+
  private:
+  std::uint32_t name_index(const std::string& name) {
+    const auto it = std::find(names_.begin(), names_.end(), name);
+    if (it != names_.end()) return static_cast<std::uint32_t>(it - names_.begin());
+    names_.push_back(name);
+    return static_cast<std::uint32_t>(names_.size() - 1);
+  }
+
   Result<ExprPtr> parse_and() {
     auto lhs = parse_not();
     if (!lhs.is_ok()) return lhs;
@@ -291,6 +302,7 @@ class Parser {
       }
       auto node = make_unary(UnaryOp::kExist, nullptr);
       node->property = peek().text;
+      node->name_index = name_index(node->property);
       advance();
       return node;
     }
@@ -319,6 +331,7 @@ class Parser {
         return make_literal(cdr::Value(false));
       case TokenKind::kIdent: {
         auto node = make_property(tok.text);
+        node->name_index = name_index(node->property);
         advance();
         return node;
       }
@@ -344,6 +357,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::vector<std::string> names_;
 };
 
 }  // namespace
@@ -403,13 +417,119 @@ std::string Expr::to_string() const {
 // ---------------------------------------------------------------------------
 namespace {
 
-EvalResult eval_compare(BinaryOp op, const EvalResult& l, const EvalResult& r) {
-  if (!l.defined || !r.defined) return EvalResult::undef();
-  const cdr::Value& a = l.value;
-  const cdr::Value& b = r.value;
+using cdr::ValueKind;
 
-  if (op == BinaryOp::kEq) return EvalResult::of(cdr::Value(a == b));
-  if (op == BinaryOp::kNe) return EvalResult::of(cdr::Value(!(a == b)));
+/// Where an evaluation keeps the strings it computes (concatenation):
+/// empty, and allocating nothing, for every other expression.
+using ComputedStrings = std::forward_list<std::string>;
+
+/// What one evaluation step yields: undefined, or a value of some
+/// ValueKind. A property's or literal's string or list is borrowed where it
+/// lives and its scalars are read out, so an Operand copies no stored value
+/// and is itself trivially copyable.
+class Operand {
+ public:
+  static Operand undefined() { return Operand(); }
+  static Operand borrow(const cdr::Value& value) {
+    Operand out(value.kind());
+    switch (out.kind_) {
+      case ValueKind::kNull: break;
+      case ValueKind::kBool: out.b_ = value.as_bool(); break;
+      case ValueKind::kInt: out.i_ = value.as_int(); break;
+      case ValueKind::kReal: out.d_ = value.as_real(); break;
+      case ValueKind::kString: out.s_ = &value.as_string(); break;
+      case ValueKind::kList: out.l_ = &value.as_list(); break;
+    }
+    return out;
+  }
+  static Operand of(bool b) {
+    Operand out(ValueKind::kBool);
+    out.b_ = b;
+    return out;
+  }
+  static Operand of(std::int64_t i) {
+    Operand out(ValueKind::kInt);
+    out.i_ = i;
+    return out;
+  }
+  static Operand of(double d) {
+    Operand out(ValueKind::kReal);
+    out.d_ = d;
+    return out;
+  }
+  static Operand of(std::string s, ComputedStrings& computed) {
+    Operand out(ValueKind::kString);
+    computed.push_front(std::move(s));
+    out.s_ = &computed.front();
+    return out;
+  }
+
+  [[nodiscard]] bool defined() const { return defined_; }
+  /// The accessors below mirror cdr::Value's; all but is_bool() require
+  /// defined().
+  [[nodiscard]] bool is_bool() const { return defined_ && kind_ == ValueKind::kBool; }
+  [[nodiscard]] bool is_bool(bool b) const { return is_bool() && b_ == b; }
+  [[nodiscard]] bool is_int() const { return kind_ == ValueKind::kInt; }
+  [[nodiscard]] bool is_numeric() const {
+    return kind_ == ValueKind::kInt || kind_ == ValueKind::kReal;
+  }
+  [[nodiscard]] bool is_string() const { return kind_ == ValueKind::kString; }
+  [[nodiscard]] bool is_list() const { return kind_ == ValueKind::kList; }
+  [[nodiscard]] bool as_bool() const { return b_; }
+  [[nodiscard]] std::int64_t as_int() const { return i_; }
+  [[nodiscard]] double to_real() const {
+    return kind_ == ValueKind::kInt ? static_cast<double>(i_) : d_;
+  }
+  [[nodiscard]] const std::string& as_string() const { return *s_; }
+  [[nodiscard]] const cdr::ValueList& as_list() const { return *l_; }
+
+  /// cdr::Value's equality: numerics by value, anything else by kind and
+  /// content.
+  friend bool operator==(const Operand& a, const Operand& b) {
+    if (a.is_numeric() && b.is_numeric()) return a.to_real() == b.to_real();
+    if (a.kind_ != b.kind_) return false;
+    switch (a.kind_) {
+      case ValueKind::kNull: return true;
+      case ValueKind::kBool: return a.b_ == b.b_;
+      case ValueKind::kString: return a.as_string() == b.as_string();
+      case ValueKind::kList: return *a.l_ == *b.l_;
+      default: return false;  // numerics compared above
+    }
+  }
+
+  /// The value as a cdr::Value (a copy). Requires defined().
+  [[nodiscard]] cdr::Value to_value() const {
+    switch (kind_) {
+      case ValueKind::kNull: return cdr::Value();
+      case ValueKind::kBool: return cdr::Value(b_);
+      case ValueKind::kInt: return cdr::Value(i_);
+      case ValueKind::kReal: return cdr::Value(d_);
+      case ValueKind::kString: return cdr::Value(as_string());
+      case ValueKind::kList: return cdr::Value(*l_);
+    }
+    return cdr::Value();
+  }
+
+ private:
+  Operand() = default;
+  explicit Operand(ValueKind kind) : kind_(kind), defined_(true) {}
+
+  ValueKind kind_ = ValueKind::kNull;
+  bool defined_ = false;
+  union {
+    bool b_;
+    std::int64_t i_;
+    double d_;
+    const std::string* s_;
+    const cdr::ValueList* l_ = nullptr;
+  };
+};
+
+Operand eval_compare(BinaryOp op, const Operand& a, const Operand& b) {
+  if (!a.defined() || !b.defined()) return Operand::undefined();
+
+  if (op == BinaryOp::kEq) return Operand::of(a == b);
+  if (op == BinaryOp::kNe) return Operand::of(!(a == b));
 
   // Ordering: numerics against numerics, strings against strings.
   if (a.is_numeric() && b.is_numeric()) {
@@ -421,9 +541,9 @@ EvalResult eval_compare(BinaryOp op, const EvalResult& l, const EvalResult& r) {
       case BinaryOp::kLe: out = x <= y; break;
       case BinaryOp::kGt: out = x > y; break;
       case BinaryOp::kGe: out = x >= y; break;
-      default: return EvalResult::undef();
+      default: return Operand::undefined();
     }
-    return EvalResult::of(cdr::Value(out));
+    return Operand::of(out);
   }
   if (a.is_string() && b.is_string()) {
     const int cmp = a.as_string().compare(b.as_string());
@@ -433,139 +553,140 @@ EvalResult eval_compare(BinaryOp op, const EvalResult& l, const EvalResult& r) {
       case BinaryOp::kLe: out = cmp <= 0; break;
       case BinaryOp::kGt: out = cmp > 0; break;
       case BinaryOp::kGe: out = cmp >= 0; break;
-      default: return EvalResult::undef();
+      default: return Operand::undefined();
     }
-    return EvalResult::of(cdr::Value(out));
+    return Operand::of(out);
   }
-  return EvalResult::undef();  // type mismatch
+  return Operand::undefined();  // type mismatch
 }
 
-EvalResult eval_arith(BinaryOp op, const EvalResult& l, const EvalResult& r) {
-  if (!l.defined || !r.defined) return EvalResult::undef();
+Operand eval_arith(BinaryOp op, const Operand& a, const Operand& b,
+                   ComputedStrings& computed) {
+  if (!a.defined() || !b.defined()) return Operand::undefined();
   // String concatenation with '+', like many trader implementations allow.
-  if (op == BinaryOp::kAdd && l.value.is_string() && r.value.is_string()) {
-    return EvalResult::of(cdr::Value(l.value.as_string() + r.value.as_string()));
+  if (op == BinaryOp::kAdd && a.is_string() && b.is_string()) {
+    return Operand::of(a.as_string() + b.as_string(), computed);
   }
-  if (!l.value.is_numeric() || !r.value.is_numeric()) return EvalResult::undef();
+  if (!a.is_numeric() || !b.is_numeric()) return Operand::undefined();
 
   // Preserve integer arithmetic when both sides are integers (division
   // excepted: it is always real, so `ram / 2` never truncates surprisingly).
   // Results that would overflow int64 fall through to double arithmetic.
-  if (l.value.is_int() && r.value.is_int() && op != BinaryOp::kDiv) {
-    const std::int64_t x = l.value.as_int();
-    const std::int64_t y = r.value.as_int();
+  if (a.is_int() && b.is_int() && op != BinaryOp::kDiv) {
+    const std::int64_t x = a.as_int();
+    const std::int64_t y = b.as_int();
     std::int64_t out = 0;
     switch (op) {
       case BinaryOp::kAdd:
-        if (!__builtin_add_overflow(x, y, &out)) return EvalResult::of(cdr::Value(out));
+        if (!__builtin_add_overflow(x, y, &out)) return Operand::of(out);
         break;
       case BinaryOp::kSub:
-        if (!__builtin_sub_overflow(x, y, &out)) return EvalResult::of(cdr::Value(out));
+        if (!__builtin_sub_overflow(x, y, &out)) return Operand::of(out);
         break;
       case BinaryOp::kMul:
-        if (!__builtin_mul_overflow(x, y, &out)) return EvalResult::of(cdr::Value(out));
+        if (!__builtin_mul_overflow(x, y, &out)) return Operand::of(out);
         break;
       default: break;
     }
   }
-  const double x = l.value.to_real();
-  const double y = r.value.to_real();
+  const double x = a.to_real();
+  const double y = b.to_real();
   switch (op) {
-    case BinaryOp::kAdd: return EvalResult::of(cdr::Value(x + y));
-    case BinaryOp::kSub: return EvalResult::of(cdr::Value(x - y));
-    case BinaryOp::kMul: return EvalResult::of(cdr::Value(x * y));
+    case BinaryOp::kAdd: return Operand::of(x + y);
+    case BinaryOp::kSub: return Operand::of(x - y);
+    case BinaryOp::kMul: return Operand::of(x * y);
     case BinaryOp::kDiv:
-      if (y == 0.0) return EvalResult::undef();
-      return EvalResult::of(cdr::Value(x / y));
+      if (y == 0.0) return Operand::undefined();
+      return Operand::of(x / y);
     default:
-      return EvalResult::undef();
+      return Operand::undefined();
   }
 }
 
-}  // namespace
+/// Reads a property by name: the reference path.
+class NameReader {
+ public:
+  explicit NameReader(const PropertySet& props) : props_(&props) {}
+  const cdr::Value* operator()(const Expr& expr) const {
+    return props_->find(expr.property);
+  }
 
-EvalResult evaluate(const Expr& expr, const PropertySet& props) {
+ private:
+  const PropertySet* props_;
+};
+
+/// The evaluator. `read(expr)` returns the value of the property a
+/// kProperty or kExist node names, or nullptr when the offer lacks it.
+template <class Read>
+Operand eval(const Expr& expr, const Read& read, ComputedStrings& computed) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
-      return EvalResult::of(expr.literal);
+      return Operand::borrow(expr.literal);
 
     case ExprKind::kProperty: {
-      if (!props.has(expr.property)) return EvalResult::undef();
-      return EvalResult::of(props.get(expr.property));
+      const cdr::Value* value = read(expr);
+      return value == nullptr ? Operand::undefined() : Operand::borrow(*value);
     }
 
     case ExprKind::kUnary:
       switch (expr.unary_op) {
         case UnaryOp::kExist:
-          return EvalResult::of(cdr::Value(props.has(expr.property)));
+          return Operand::of(read(expr) != nullptr);
         case UnaryOp::kNot: {
-          const EvalResult v = evaluate(*expr.lhs, props);
-          if (!v.defined || !v.value.is_bool()) return EvalResult::undef();
-          return EvalResult::of(cdr::Value(!v.value.as_bool()));
+          const Operand v = eval(*expr.lhs, read, computed);
+          if (!v.is_bool()) return Operand::undefined();
+          return Operand::of(!v.as_bool());
         }
         case UnaryOp::kNeg: {
-          const EvalResult v = evaluate(*expr.lhs, props);
-          if (!v.defined || !v.value.is_numeric()) return EvalResult::undef();
-          if (v.value.is_int() &&
-              v.value.as_int() != std::numeric_limits<std::int64_t>::min()) {
-            return EvalResult::of(cdr::Value(-v.value.as_int()));
+          const Operand v = eval(*expr.lhs, read, computed);
+          if (!v.defined() || !v.is_numeric()) return Operand::undefined();
+          if (v.is_int() && v.as_int() != std::numeric_limits<std::int64_t>::min()) {
+            return Operand::of(-v.as_int());
           }
-          return EvalResult::of(cdr::Value(-v.value.to_real()));
+          return Operand::of(-v.to_real());
         }
       }
-      return EvalResult::undef();
+      return Operand::undefined();
 
     case ExprKind::kBinary: {
       switch (expr.binary_op) {
         case BinaryOp::kAnd: {
           // Short-circuit with three-valued logic: false and X == false.
-          const EvalResult l = evaluate(*expr.lhs, props);
-          if (l.defined && l.value.is_bool() && !l.value.as_bool()) {
-            return EvalResult::of(cdr::Value(false));
-          }
-          const EvalResult r = evaluate(*expr.rhs, props);
-          if (r.defined && r.value.is_bool() && !r.value.as_bool()) {
-            return EvalResult::of(cdr::Value(false));
-          }
-          if (!l.defined || !l.value.is_bool() || !r.defined || !r.value.is_bool()) {
-            return EvalResult::undef();
-          }
-          return EvalResult::of(cdr::Value(true));
+          const Operand l = eval(*expr.lhs, read, computed);
+          if (l.is_bool(false)) return Operand::of(false);
+          const Operand r = eval(*expr.rhs, read, computed);
+          if (r.is_bool(false)) return Operand::of(false);
+          if (!l.is_bool() || !r.is_bool()) return Operand::undefined();
+          return Operand::of(true);
         }
         case BinaryOp::kOr: {
-          const EvalResult l = evaluate(*expr.lhs, props);
-          if (l.defined && l.value.is_bool() && l.value.as_bool()) {
-            return EvalResult::of(cdr::Value(true));
-          }
-          const EvalResult r = evaluate(*expr.rhs, props);
-          if (r.defined && r.value.is_bool() && r.value.as_bool()) {
-            return EvalResult::of(cdr::Value(true));
-          }
-          if (!l.defined || !l.value.is_bool() || !r.defined || !r.value.is_bool()) {
-            return EvalResult::undef();
-          }
-          return EvalResult::of(cdr::Value(false));
+          const Operand l = eval(*expr.lhs, read, computed);
+          if (l.is_bool(true)) return Operand::of(true);
+          const Operand r = eval(*expr.rhs, read, computed);
+          if (r.is_bool(true)) return Operand::of(true);
+          if (!l.is_bool() || !r.is_bool()) return Operand::undefined();
+          return Operand::of(false);
         }
         case BinaryOp::kSubstr: {
-          const EvalResult l = evaluate(*expr.lhs, props);
-          const EvalResult r = evaluate(*expr.rhs, props);
-          if (!l.defined || !r.defined || !l.value.is_string() ||
-              !r.value.is_string()) {
-            return EvalResult::undef();
+          const Operand l = eval(*expr.lhs, read, computed);
+          const Operand r = eval(*expr.rhs, read, computed);
+          if (!l.defined() || !r.defined() || !l.is_string() ||
+              !r.is_string()) {
+            return Operand::undefined();
           }
-          return EvalResult::of(cdr::Value(
-              r.value.as_string().find(l.value.as_string()) != std::string::npos));
+          return Operand::of(r.as_string().find(l.as_string()) !=
+                             std::string::npos);
         }
         case BinaryOp::kIn: {
-          const EvalResult l = evaluate(*expr.lhs, props);
-          const EvalResult r = evaluate(*expr.rhs, props);
-          if (!l.defined || !r.defined || !r.value.is_list()) {
-            return EvalResult::undef();
+          const Operand l = eval(*expr.lhs, read, computed);
+          const Operand r = eval(*expr.rhs, read, computed);
+          if (!l.defined() || !r.defined() || !r.is_list()) {
+            return Operand::undefined();
           }
-          for (const auto& item : r.value.as_list()) {
-            if (item == l.value) return EvalResult::of(cdr::Value(true));
+          for (const auto& item : r.as_list()) {
+            if (Operand::borrow(item) == l) return Operand::of(true);
           }
-          return EvalResult::of(cdr::Value(false));
+          return Operand::of(false);
         }
         case BinaryOp::kEq:
         case BinaryOp::kNe:
@@ -573,39 +694,66 @@ EvalResult evaluate(const Expr& expr, const PropertySet& props) {
         case BinaryOp::kLe:
         case BinaryOp::kGt:
         case BinaryOp::kGe:
-          return eval_compare(expr.binary_op, evaluate(*expr.lhs, props),
-                              evaluate(*expr.rhs, props));
+          return eval_compare(expr.binary_op, eval(*expr.lhs, read, computed),
+                              eval(*expr.rhs, read, computed));
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
         case BinaryOp::kMul:
         case BinaryOp::kDiv:
-          return eval_arith(expr.binary_op, evaluate(*expr.lhs, props),
-                            evaluate(*expr.rhs, props));
+          return eval_arith(expr.binary_op, eval(*expr.lhs, read, computed),
+                            eval(*expr.rhs, read, computed), computed);
       }
-      return EvalResult::undef();
+      return Operand::undefined();
     }
   }
-  return EvalResult::undef();
+  return Operand::undefined();
+}
+
+template <class Read>
+bool eval_matches(const Expr& expr, const Read& read) {
+  ComputedStrings computed;
+  return eval(expr, read, computed).is_bool(true);
+}
+
+}  // namespace
+
+EvalResult evaluate(const Expr& expr, const PropertySet& props) {
+  ComputedStrings computed;
+  const Operand out = eval(expr, NameReader(props), computed);
+  return out.defined() ? EvalResult::of(out.to_value()) : EvalResult::undef();
 }
 
 bool matches(const Expr& expr, const PropertySet& props) {
-  const EvalResult r = evaluate(expr, props);
-  return r.defined && r.value.is_bool() && r.value.as_bool();
+  return eval_matches(expr, NameReader(props));
 }
 
 // ---------------------------------------------------------------------------
 // Constraint / Preference
 // ---------------------------------------------------------------------------
-Constraint::Constraint(std::string source, ExprPtr root)
-    : source_(std::move(source)), root_(std::move(root)) {}
+namespace {
+
+/// Parse a whole token stream as one expression.
+Result<std::shared_ptr<const ParsedExpr>> parse_expr(std::vector<Token> tokens) {
+  Parser parser(std::move(tokens));
+  auto expr = parser.parse_full();
+  if (!expr.is_ok()) return expr.status();
+  auto parsed = std::make_shared<ParsedExpr>();
+  parsed->root = std::move(expr).value();
+  parsed->names = parser.take_names();
+  return std::shared_ptr<const ParsedExpr>(std::move(parsed));
+}
+
+}  // namespace
+
+Constraint::Constraint(std::string source, std::shared_ptr<const ParsedExpr> parsed)
+    : source_(std::move(source)), parsed_(std::move(parsed)) {}
 
 Result<Constraint> Constraint::parse(const std::string& source) {
   auto tokens = tokenize(source);
   if (!tokens.is_ok()) return tokens.status();
-  Parser parser(std::move(tokens).value());
-  auto expr = parser.parse_full();
-  if (!expr.is_ok()) return expr.status();
-  return Constraint(source, std::move(expr).value());
+  auto parsed = parse_expr(std::move(tokens).value());
+  if (!parsed.is_ok()) return parsed.status();
+  return Constraint(source, std::move(parsed).value());
 }
 
 Constraint Constraint::always() {
@@ -615,7 +763,11 @@ Constraint Constraint::always() {
 }
 
 bool Constraint::matches(const PropertySet& props) const {
-  return services::matches(*root_, props);
+  return eval_matches(*parsed_->root, NameReader(props));
+}
+
+bool Constraint::matches(const SlotReader& offer) const {
+  return eval_matches(*parsed_->root, offer);
 }
 
 Result<Preference> Preference::parse(const std::string& source) {
@@ -639,13 +791,17 @@ Result<Preference> Preference::parse(const std::string& source) {
                     "preference must start with max/min/with/random/first");
   }
   toks.erase(toks.begin());
-  Parser parser(std::move(toks));
-  auto expr = parser.parse_full();
-  if (!expr.is_ok()) return expr.status();
-  return Preference(kind, std::shared_ptr<const Expr>(std::move(expr).value()));
+  auto parsed = parse_expr(std::move(toks));
+  if (!parsed.is_ok()) return parsed.status();
+  return Preference(kind, std::move(parsed).value());
 }
 
 Preference Preference::first() { return Preference(Kind::kFirst, nullptr); }
+
+const std::vector<std::string>& Preference::names() const {
+  static const std::vector<std::string> kNone;
+  return expr_ != nullptr ? expr_->names : kNone;
+}
 
 std::vector<std::size_t> Preference::rank(
     const std::vector<const PropertySet*>& sets, Rng* rng) const {
@@ -655,6 +811,24 @@ std::vector<std::size_t> Preference::rank(
 std::vector<std::size_t> Preference::top(
     const std::vector<const PropertySet*>& sets, std::size_t k,
     Rng* rng) const {
+  return top_of(sets, k, rng);
+}
+
+std::vector<std::size_t> Preference::top(const std::vector<SlotReader>& offers,
+                                         std::size_t k, Rng* rng) const {
+  return top_of(offers, k, rng);
+}
+
+namespace {
+
+NameReader reader_of(const PropertySet* props) { return NameReader(*props); }
+const SlotReader& reader_of(const SlotReader& offer) { return offer; }
+
+}  // namespace
+
+template <class Offers>
+std::vector<std::size_t> Preference::top_of(const Offers& sets, std::size_t k,
+                                            Rng* rng) const {
   std::vector<std::size_t> order(sets.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   const bool partial = k > 0 && k < order.size();
@@ -673,7 +847,7 @@ std::vector<std::size_t> Preference::top(
     case Kind::kWith: {
       std::vector<char> match(sets.size());
       for (std::size_t i = 0; i < sets.size(); ++i) {
-        match[i] = services::matches(*expr_, *sets[i]) ? 1 : 0;
+        match[i] = eval_matches(*expr_->root, reader_of(sets[i])) ? 1 : 0;
       }
       if (partial) {
         // A stable sort under comparator c equals an ordinary sort under the
@@ -699,9 +873,10 @@ std::vector<std::size_t> Preference::top(
       // Score each offer once; undefined scores sort after defined ones.
       std::vector<std::pair<bool, double>> score(sets.size());
       for (std::size_t i = 0; i < sets.size(); ++i) {
-        const EvalResult r = evaluate(*expr_, *sets[i]);
-        if (r.defined && r.value.is_numeric()) {
-          score[i] = {true, r.value.to_real()};
+        ComputedStrings computed;
+        const Operand r = eval(*expr_->root, reader_of(sets[i]), computed);
+        if (r.defined() && r.is_numeric()) {
+          score[i] = {true, r.to_real()};
         } else {
           score[i] = {false, 0.0};
         }

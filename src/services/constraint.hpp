@@ -30,9 +30,17 @@
 // `cpu_mips > 500`, and never matches `not (cpu_mips > 500)` either, unless
 // guarded with `exist`). This matches the OMG semantics and is
 // property-tested in tests/constraint_test.cpp.
+//
+// One evaluator serves two ways of reading a property: by name from a
+// PropertySet (evaluate(), and the Trader's query_linear reference), and by
+// slot, for the Trader's typed offers — a query binds each name an
+// expression mentions to the offer type's slots once, then reads every
+// offer's values in place. Properties and literals are used by reference,
+// so evaluating an offer copies none of its values.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,6 +106,9 @@ struct Expr {
   ExprKind kind;
   cdr::Value literal;       // kLiteral
   std::string property;     // kProperty, and kUnary(kExist)
+  /// kProperty and kUnary(kExist): `property`'s index in the names() of the
+  /// Constraint or Preference it was parsed into.
+  std::uint32_t name_index = 0;
   UnaryOp unary_op{};       // kUnary
   BinaryOp binary_op{};     // kBinary
   ExprPtr lhs;              // kUnary operand / kBinary lhs
@@ -127,6 +138,39 @@ EvalResult evaluate(const Expr& expr, const PropertySet& props);
 /// "no match", per the OMG trader rules.
 bool matches(const Expr& expr, const PropertySet& props);
 
+/// Reads an offer's properties through a query's slot binding: the name a
+/// kProperty or kExist node mentions is bound to `binding[name_index]`, and
+/// `slots` holds the offer's values by slot, nullptr where it lacks the
+/// name. A name bound to no slot (kUnbound), or to a slot past the offer's
+/// last, reads as absent — as a missing name does by name.
+class SlotReader {
+ public:
+  static constexpr std::uint32_t kUnbound =
+      std::numeric_limits<std::uint32_t>::max();
+
+  SlotReader(const std::vector<std::uint32_t>& binding,
+             const std::vector<cdr::Value*>& slots)
+      : binding_(binding.data()), slots_(slots.data()), size_(slots.size()) {}
+
+  [[nodiscard]] const cdr::Value* operator()(const Expr& expr) const {
+    const std::uint32_t slot = binding_[expr.name_index];
+    return slot < size_ ? slots_[slot] : nullptr;
+  }
+
+ private:
+  const std::uint32_t* binding_;
+  cdr::Value* const* slots_;
+  std::size_t size_;
+};
+
+/// A parsed expression and the distinct property names it mentions, in
+/// first-mention order: each kProperty and kExist node's name_index
+/// indexes `names`.
+struct ParsedExpr {
+  ExprPtr root;
+  std::vector<std::string> names;
+};
+
 /// A parsed, reusable constraint. Parsing happens once per query; evaluation
 /// runs once per offer — the asymmetry the GRM relies on.
 class Constraint {
@@ -137,15 +181,21 @@ class Constraint {
   static Constraint always();
 
   [[nodiscard]] bool matches(const PropertySet& props) const;
+  [[nodiscard]] bool matches(const SlotReader& offer) const;
   [[nodiscard]] const std::string& source() const { return source_; }
+  /// The distinct property names the constraint mentions, in first-mention
+  /// order (Expr::name_index indexes this).
+  [[nodiscard]] const std::vector<std::string>& names() const {
+    return parsed_->names;
+  }
 
   Constraint(Constraint&&) = default;
   Constraint& operator=(Constraint&&) = default;
 
  private:
-  Constraint(std::string source, ExprPtr root);
+  Constraint(std::string source, std::shared_ptr<const ParsedExpr> parsed);
   std::string source_;
-  std::shared_ptr<const Expr> root_;  // shared: Constraint must be copyable
+  std::shared_ptr<const ParsedExpr> parsed_;  // shared: Constraint must be copyable
  public:
   Constraint(const Constraint&) = default;
   Constraint& operator=(const Constraint&) = default;
@@ -163,6 +213,10 @@ class Preference {
 
   [[nodiscard]] Kind kind() const { return kind_; }
 
+  /// The distinct property names the preference mentions, in
+  /// first-mention order (Expr::name_index indexes this).
+  [[nodiscard]] const std::vector<std::string>& names() const;
+
   /// Stable-sort indices [0, sets.size()) into preference order.
   [[nodiscard]] std::vector<std::size_t> rank(
       const std::vector<const PropertySet*>& sets, Rng* rng = nullptr) const;
@@ -175,12 +229,19 @@ class Preference {
   [[nodiscard]] std::vector<std::size_t> top(
       const std::vector<const PropertySet*>& sets, std::size_t k,
       Rng* rng = nullptr) const;
+  /// The same ranking over offers read by slot (Trader::query_compiled).
+  [[nodiscard]] std::vector<std::size_t> top(
+      const std::vector<SlotReader>& offers, std::size_t k,
+      Rng* rng = nullptr) const;
 
  private:
-  Preference(Kind kind, std::shared_ptr<const Expr> expr)
+  Preference(Kind kind, std::shared_ptr<const ParsedExpr> expr)
       : kind_(kind), expr_(std::move(expr)) {}
+  template <class Offers>
+  std::vector<std::size_t> top_of(const Offers& offers, std::size_t k,
+                                  Rng* rng) const;
   Kind kind_;
-  std::shared_ptr<const Expr> expr_;
+  std::shared_ptr<const ParsedExpr> expr_;  // null: random, first
 };
 
 }  // namespace integrade::services

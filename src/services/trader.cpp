@@ -21,23 +21,63 @@ std::size_t Trader::ProviderKeyHash::operator()(
   return seed;
 }
 
-void Trader::index_offer(const ServiceOffer& offer) {
+void SlotWriter::add(std::size_t slot, cdr::Value value) {
+  std::vector<cdr::Value*>& slots = offer_.slots_;
+  if (slot >= slots.size()) slots.resize(slot + 1, nullptr);
+  // The one pointer that changes: adding a name moves no other value.
+  slots[slot] = &offer_.properties.set(offer_.type_->names.at(slot),
+                                       std::move(value));
+  offer_.bound_version_ = offer_.properties.names_version();
+}
+
+void Trader::declare_type(const std::string& service_type,
+                          std::span<const char* const> names) {
+  OfferType& type = types_[service_type];
+  type.declared = true;
+  for (const char* name : names) {
+    if (type.slot_of.try_emplace(name, type.names.size()).second) {
+      type.names.emplace_back(name);
+    }
+  }
+}
+
+void Trader::bind_slots(ServiceOffer& offer) {
+  OfferType& type = *offer.type_;
+  std::vector<cdr::Value*>& slots = offer.slots_;
+  slots.assign(type.names.size(), nullptr);
+  offer.properties.for_each_value([&](const std::string& name,
+                                      cdr::Value& value) {
+    // try_emplace: a name the table has allocates nothing.
+    auto [it, added] = type.slot_of.try_emplace(name, type.names.size());
+    if (added) {
+      type.names.push_back(name);
+      slots.push_back(nullptr);
+    }
+    slots[it->second] = &value;
+  });
+  offer.bound_version_ = offer.properties.names_version();
+}
+
+void Trader::index_offer(ServiceOffer& offer) {
+  OfferType& type = types_[offer.service_type];
+  offer.type_ = &type;
   // Ids are handed out monotonically, so appending keeps buckets id-sorted.
-  by_type_[offer.service_type].push_back(&offer);
+  type.offers.push_back(&offer);
   by_provider_[ProviderKey{offer.service_type, offer.provider}].push_back(
       offer.id);
+  bind_slots(offer);
 }
 
 void Trader::unindex_offer(const ServiceOffer& offer) {
-  auto type_it = by_type_.find(offer.service_type);
-  if (type_it != by_type_.end()) {
-    auto& bucket = type_it->second;
+  auto type_it = types_.find(offer.service_type);
+  if (type_it != types_.end()) {
+    auto& bucket = type_it->second.offers;
     auto pos = std::lower_bound(bucket.begin(), bucket.end(), offer.id,
                                 [](const ServiceOffer* o, OfferId id) {
                                   return o->id < id;
                                 });
     if (pos != bucket.end() && (*pos)->id == offer.id) bucket.erase(pos);
-    if (bucket.empty()) by_type_.erase(type_it);
+    if (bucket.empty() && !type_it->second.declared) types_.erase(type_it);
   }
   auto prov_it = by_provider_.find(ProviderKey{offer.service_type, offer.provider});
   if (prov_it != by_provider_.end()) {
@@ -79,6 +119,7 @@ Status Trader::modify(OfferId id, PropertySet properties) {
     return Status(ErrorCode::kNotFound, "no offer " + to_string(id));
   }
   it->second.properties = std::move(properties);
+  bind_slots(it->second);
   return Status::ok();
 }
 
@@ -127,11 +168,32 @@ Result<std::vector<const ServiceOffer*>> Trader::query(
                         max_matches, rng);
 }
 
+namespace {
+
+/// Each name's slot in `type`, or SlotReader::kUnbound where the type has
+/// no such name (it reads as absent on every offer).
+std::vector<std::uint32_t> bind(const OfferType& type,
+                                const std::vector<std::string>& names) {
+  std::vector<std::uint32_t> binding;
+  binding.reserve(names.size());
+  for (const std::string& name : names) {
+    auto it = type.slot_of.find(name);
+    binding.push_back(it == type.slot_of.end() ? SlotReader::kUnbound
+                                               : it->second);
+  }
+  return binding;
+}
+
+}  // namespace
+
 std::vector<const ServiceOffer*> Trader::query_compiled(
     const std::string& service_type, const Constraint& constraint,
     const Preference& preference, std::size_t max_matches, Rng* rng) const {
-  auto type_it = by_type_.find(service_type);
-  if (type_it == by_type_.end()) return {};
+  auto type_it = types_.find(service_type);
+  if (type_it == types_.end()) return {};
+  const OfferType& type = type_it->second;
+  const std::vector<std::uint32_t> constraint_slots = bind(type, constraint.names());
+  const std::vector<std::uint32_t> preference_slots = bind(type, preference.names());
 
   // `first` preference keeps discovery (id) order, so a bounded query can
   // stop scanning at the max_matches-th match — the dominant cost of a
@@ -142,18 +204,25 @@ std::vector<const ServiceOffer*> Trader::query_compiled(
   const bool stop_at_limit =
       max_matches > 0 && preference.kind() == Preference::Kind::kFirst;
 
+  // Sized once, so a query's allocations do not grow with the offers it
+  // matches.
   std::vector<const ServiceOffer*> matched;
-  for (const ServiceOffer* offer : type_it->second) {
-    if (constraint.matches(offer->properties)) {
+  matched.reserve(stop_at_limit ? std::min(max_matches, type.offers.size())
+                                : type.offers.size());
+  for (const ServiceOffer* offer : type.offers) {
+    if (constraint.matches(SlotReader(constraint_slots, offer->slots_))) {
       matched.push_back(offer);
       if (stop_at_limit && matched.size() == max_matches) break;
     }
   }
 
-  std::vector<const PropertySet*> sets;
-  sets.reserve(matched.size());
-  for (const auto* offer : matched) sets.push_back(&offer->properties);
-  const std::vector<std::size_t> order = preference.top(sets, max_matches, rng);
+  std::vector<SlotReader> readers;
+  readers.reserve(matched.size());
+  for (const ServiceOffer* offer : matched) {
+    readers.emplace_back(preference_slots, offer->slots_);
+  }
+  const std::vector<std::size_t> order =
+      preference.top(readers, max_matches, rng);
 
   std::vector<const ServiceOffer*> out;
   out.reserve(order.size());
@@ -184,22 +253,60 @@ std::vector<const ServiceOffer*> Trader::query_linear(
 }
 
 std::size_t Trader::offer_count(const std::string& service_type) const {
-  auto it = by_type_.find(service_type);
-  return it == by_type_.end() ? 0 : it->second.size();
+  auto it = types_.find(service_type);
+  return it == types_.end() ? 0 : it->second.offers.size();
 }
 
 std::vector<const ServiceOffer*> Trader::offers_of_type(
     const std::string& service_type) const {
-  auto it = by_type_.find(service_type);
-  if (it == by_type_.end()) return {};
-  return it->second;
+  auto it = types_.find(service_type);
+  if (it == types_.end()) return {};
+  return it->second.offers;
 }
+
+namespace {
+
+/// The slot table's own consistency, and the offer's slots against its
+/// properties: each slot points at the offer's value of that slot's name,
+/// or is null where the offer lacks it, and the table names every property.
+Status check_slots(const std::string& type_name, const OfferType& type,
+                   const ServiceOffer& offer,
+                   const std::vector<cdr::Value*>& slots) {
+  const auto fail = [&](const std::string& what) {
+    return Status(ErrorCode::kInternal,
+                  "offer " + to_string(offer.id) + " of " + type_name + what);
+  };
+  if (slots.size() > type.names.size()) return fail(" has more slots than names");
+  for (std::size_t slot = 0; slot < type.names.size(); ++slot) {
+    const cdr::Value* bound = slot < slots.size() ? slots[slot] : nullptr;
+    if (bound != offer.properties.find(type.names[slot])) {
+      return fail(" has a stale slot for " + type.names[slot]);
+    }
+  }
+  for (const auto& [name, _] : offer.properties.entries()) {
+    if (!type.slot_of.contains(name)) return fail(" has unslotted " + name);
+  }
+  return Status::ok();
+}
+
+}  // namespace
 
 Status Trader::check_invariants() const {
   std::size_t bucketed = 0;
-  for (const auto& [type, bucket] : by_type_) {
-    if (bucket.empty()) {
+  for (const auto& [type, entry] : types_) {
+    const auto& bucket = entry.offers;
+    if (bucket.empty() && !entry.declared) {
       return Status(ErrorCode::kInternal, "empty type bucket for " + type);
+    }
+    if (entry.slot_of.size() != entry.names.size()) {
+      return Status(ErrorCode::kInternal, "type " + type + " repeats a name");
+    }
+    for (std::size_t slot = 0; slot < entry.names.size(); ++slot) {
+      auto it = entry.slot_of.find(entry.names[slot]);
+      if (it == entry.slot_of.end() || it->second != slot) {
+        return Status(ErrorCode::kInternal,
+                      "type " + type + " misfiles " + entry.names[slot]);
+      }
     }
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const ServiceOffer* offer = bucket[i];
@@ -208,13 +315,21 @@ Status Trader::check_invariants() const {
         return Status(ErrorCode::kInternal,
                       "type bucket " + type + " holds stale offer pointer");
       }
-      if (offer->service_type != type) {
+      if (offer->service_type != type || offer->type_ != &entry) {
         return Status(ErrorCode::kInternal,
                       "offer " + to_string(offer->id) + " in wrong bucket " + type);
       }
       if (i > 0 && !(bucket[i - 1]->id < offer->id)) {
         return Status(ErrorCode::kInternal,
                       "type bucket " + type + " not id-ascending");
+      }
+      if (offer->bound_version_ != offer->properties.names_version()) {
+        return Status(ErrorCode::kInternal,
+                      "offer " + to_string(offer->id) + " has unbound names");
+      }
+      if (Status status = check_slots(type, entry, *offer, offer->slots_);
+          !status.is_ok()) {
+        return status;
       }
     }
     bucketed += bucket.size();

@@ -8,17 +8,28 @@
 // Protocol as fresh LRM status arrives.
 //
 // Hot-path structure: offers live in an id-keyed map (stable addresses), and
-// two secondary indexes keep query traffic off the full map — a per-type
-// bucket of offer pointers in id order (so type-scoped scans touch only that
-// type's offers) and a (service_type, provider) hash index for the
-// Information Update Protocol's "which offer is this LRM's?" lookup. String
-// queries additionally memoize their compiled constraint/preference in an
-// LRU keyed by source text, since schedulers re-issue the same handful of
-// expressions every round.
+// three secondary indexes keep traffic off names and the full map:
+//   * per service type, a property table (name -> slot, in the order the
+//     type was declared or its names first arrived) and a bucket of its
+//     offers in id order, so type-scoped scans touch only that type's
+//     offers;
+//   * per offer, slots: pointers to the values in its own PropertySet, by
+//     the slot of its type — the PropertySet stays the offer's only store
+//     and its import/export form. A query binds each name its constraint
+//     and preference mention to slots once and then reads every offer's
+//     values in place; a writer of a declared type writes by slot.
+//     Slots are rebound only when an offer's names can change (export,
+//     modify, a refresh that adds or erases a name);
+//   * a (service_type, provider) hash index for the Information Update
+//     Protocol's "which offer is this LRM's?" lookup.
+// String queries additionally memoize their compiled constraint/preference
+// in an LRU keyed by source text, since schedulers re-issue the same handful
+// of expressions every round.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -37,15 +48,80 @@ namespace integrade::services {
 struct OfferTag {};
 using OfferId = Id<OfferTag>;
 
+struct ServiceOffer;
+
+/// One service type's property table, kept by the Trader: its names by
+/// slot — first the ones declare_type() listed, then others in the order
+/// they first arrived — and its offers in id order.
+struct OfferType {
+  bool declared = false;
+  std::vector<std::string> names;
+  std::unordered_map<std::string, std::uint32_t> slot_of;
+  std::vector<const ServiceOffer*> offers;
+};
+
 struct ServiceOffer {
   OfferId id;
   std::string service_type;
   orb::ObjectRef provider;
   PropertySet properties;
+
+  /// The value in slot `index` of the offer's type, or nullptr when the
+  /// offer lacks that slot's name.
+  [[nodiscard]] const cdr::Value* slot(std::size_t index) const {
+    return index < slots_.size() ? slots_[index] : nullptr;
+  }
+
+ private:
+  friend class Trader;
+  friend class SlotWriter;
+  OfferType* type_ = nullptr;
+  /// Pointers into `properties`, by slot of type_; valid while
+  /// properties.names_version() equals bound_version_.
+  std::vector<cdr::Value*> slots_;
+  std::uint64_t bound_version_ = 0;
+};
+
+/// Writes one offer's values by the slot of its declared type, in place
+/// (Trader::write_slots).
+class SlotWriter {
+ public:
+  /// Overwrite the value in `slot` in place; a name the offer lacks is
+  /// added.
+  template <class T>
+  void set(std::size_t slot, T&& value) {
+    if (slot < offer_.slots_.size() && offer_.slots_[slot] != nullptr) {
+      *offer_.slots_[slot] = cdr::Value(std::forward<T>(value));
+    } else {
+      add(slot, cdr::Value(std::forward<T>(value)));
+    }
+  }
+
+ private:
+  friend class Trader;
+  explicit SlotWriter(ServiceOffer& offer) : offer_(offer) {}
+  void add(std::size_t slot, cdr::Value value);
+  ServiceOffer& offer_;
 };
 
 class Trader {
  public:
+  Trader() = default;
+  // Indexes and slots point into offers_: moving keeps them valid, copying
+  // would not.
+  Trader(const Trader&) = delete;
+  Trader& operator=(const Trader&) = delete;
+  Trader(Trader&&) = default;
+  Trader& operator=(Trader&&) = default;
+
+  /// Declare `service_type`'s property names in slot order, as the CORBA
+  /// Trading Service's service-type repository does. Names the type already
+  /// has keep their slots; the others are appended. Exporting under an
+  /// undeclared type is accepted too; its slots follow arrival order, so
+  /// only a declared type can be written by slot.
+  void declare_type(const std::string& service_type,
+                    std::span<const char* const> names);
+
   /// Register an offer; returns its id for later modify/withdraw.
   OfferId export_offer(const std::string& service_type,
                        const orb::ObjectRef& provider, PropertySet properties);
@@ -56,17 +132,39 @@ class Trader {
   /// refresh from an LRM).
   Status modify(OfferId id, PropertySet properties);
 
-  /// In-place property refresh: apply `fn` to the offer's existing property
-  /// set instead of building a replacement. The Information Update Protocol
-  /// uses this so a heartbeat reuses the offer's map nodes and key strings
-  /// rather than reallocating the whole set every period.
+  /// In-place property refresh by name: apply `fn` to the offer's existing
+  /// property set instead of building a replacement, reusing its map nodes
+  /// and key strings. Slots are rebound only if `fn` added or erased a name.
   template <class Fn>
   Status refresh(OfferId id, Fn&& fn) {
     auto it = offers_.find(id);
     if (it == offers_.end()) {
       return Status(ErrorCode::kNotFound, "no offer " + to_string(id));
     }
-    fn(it->second.properties);
+    ServiceOffer& offer = it->second;
+    fn(offer.properties);
+    if (offer.properties.names_version() != offer.bound_version_) {
+      bind_slots(offer);
+    }
+    return Status::ok();
+  }
+
+  /// In-place refresh by slot: `fn(SlotWriter&)` overwrites values by the
+  /// slot of the offer's type, which must be declared (FailedPrecondition
+  /// otherwise). The GRM's heartbeat path.
+  template <class Fn>
+  Status write_slots(OfferId id, Fn&& fn) {
+    auto it = offers_.find(id);
+    if (it == offers_.end()) {
+      return Status(ErrorCode::kNotFound, "no offer " + to_string(id));
+    }
+    if (!it->second.type_->declared) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    "service type " + it->second.service_type +
+                        " is not declared");
+    }
+    SlotWriter writer(it->second);
+    fn(writer);
     return Status::ok();
   }
 
@@ -88,8 +186,9 @@ class Trader {
                                                  Rng* rng = nullptr) const;
 
   /// Pre-compiled variant, used by the GRM on its scheduling fast path.
-  /// Scans only the type's bucket; `max_matches > 0` ranks via top-k
-  /// selection instead of sorting every match, and with the `first`
+  /// Binds the expressions' names to the type's slots once, then scans only
+  /// the type's bucket reading values by slot; `max_matches > 0` ranks via
+  /// top-k selection instead of sorting every match, and with the `first`
   /// preference additionally stops scanning at the max_matches-th match.
   /// Results are byte-identical to the linear reference below for every
   /// input.
@@ -98,9 +197,10 @@ class Trader {
       const Preference& preference, std::size_t max_matches = 0,
       Rng* rng = nullptr) const;
 
-  /// Reference implementation: full-map scan + full rank, exactly the
-  /// pre-index code path. Kept for the equivalence tests and the
-  /// bench_trader before/after comparison — not for production callers.
+  /// Reference implementation: full-map scan + full rank, reading every
+  /// property by name — the pre-index code path. Kept for the equivalence
+  /// tests and the bench_trader before/after comparison — not for
+  /// production callers.
   [[nodiscard]] std::vector<const ServiceOffer*> query_linear(
       const std::string& service_type, const Constraint& constraint,
       const Preference& preference, std::size_t max_matches = 0,
@@ -123,10 +223,12 @@ class Trader {
     return constraint_cache_.capacity();
   }
 
-  /// Verify both secondary indexes against the offer map: every offer in
-  /// exactly one type bucket (id-ascending), every provider entry backed by
-  /// live offers, no strays. Used by tests and debug builds; returns the
-  /// first violation found.
+  /// Verify the secondary indexes against the offer map: every offer in
+  /// exactly one type bucket (id-ascending) whose table names each of its
+  /// properties, every slot pointing at the offer's own value of its name
+  /// (or null where it lacks it), every provider entry backed by live
+  /// offers, no strays. Used by tests and perfbench; returns the first
+  /// violation found.
   [[nodiscard]] Status check_invariants() const;
 
  private:
@@ -139,12 +241,17 @@ class Trader {
     std::size_t operator()(const ProviderKey& k) const noexcept;
   };
 
-  void index_offer(const ServiceOffer& offer);
+  void index_offer(ServiceOffer& offer);
   void unindex_offer(const ServiceOffer& offer);
+  /// Point the offer's slots at its values, extending its type's table
+  /// with any name it does not have yet.
+  static void bind_slots(ServiceOffer& offer);
 
   std::map<OfferId, ServiceOffer> offers_;  // node-based: stable addresses
-  /// Offers of each type, id-ascending (= export order; ids are monotonic).
-  std::unordered_map<std::string, std::vector<const ServiceOffer*>> by_type_;
+  /// Each type's table and offers, id-ascending (= export order; ids are
+  /// monotonic). Node-based: offers point at their type. An undeclared
+  /// type leaves with its last offer.
+  std::unordered_map<std::string, OfferType> types_;
   /// Offer ids per (service_type, provider), id-ascending.
   std::unordered_map<ProviderKey, std::vector<OfferId>, ProviderKeyHash>
       by_provider_;

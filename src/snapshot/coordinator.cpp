@@ -1,5 +1,6 @@
 #include "snapshot/coordinator.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "protocol/messages.hpp"
@@ -103,21 +104,43 @@ SnapshotStore::~SnapshotStore() {
 }
 
 Status SnapshotStore::load(const Envelope& envelope) {
+  bool seen_grm = false;
+  bool seen_dedup = false;
   for (const Section& s : envelope.sections) {
     if (s.name != kGrm && s.name != kOrbDedup) {
       return Status(ErrorCode::kInvalidArgument,
                     "unknown section '" + s.name + "'");
     }
+    bool& seen = s.name == kGrm ? seen_grm : seen_dedup;
+    if (seen) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "section '" + s.name + "' repeated");
+    }
+    seen = true;
   }
+  // Decode and check every section before applying any, so a refused
+  // image loads nothing; applying cannot fail.
+  std::optional<grm::Grm::Loaded> grm;
+  std::optional<orb::Orb::DedupImage> dedup;
   for (const Section& s : envelope.sections) {
     cdr::Reader r(s.payload);
-    const Status status = s.name == kGrm ? standby_.load(s.version, r)
-                                         : orb_.load_dedup(s.version, r);
+    Status status = Status::ok();
+    if (s.name == kGrm) {
+      auto loaded = standby_.decode_snapshot(s.version, r);
+      if (loaded.is_ok()) grm.emplace(std::move(loaded).value());
+      status = loaded.status();
+    } else {
+      auto loaded = orb::Orb::decode_dedup(s.version, r);
+      if (loaded.is_ok()) dedup.emplace(std::move(loaded).value());
+      status = loaded.status();
+    }
     if (!status.is_ok()) {
       return Status(status.code(),
                     "section '" + s.name + "': " + status.message());
     }
   }
+  if (grm) standby_.commit_snapshot(std::move(*grm));
+  if (dedup) orb_.apply_dedup(std::move(*dedup));
   return Status::ok();
 }
 
@@ -126,9 +149,8 @@ Status SnapshotStore::install(const std::vector<std::uint8_t>& image) {
   const Status status =
       decoded.is_ok() ? load(decoded.value()) : decoded.status();
   if (!status.is_ok()) {
-    // Each load validates before mutating, so the failing section's
-    // component is untouched; the next period's full image supersedes this
-    // one.
+    // Every section is checked before any is applied, so a refused image
+    // changed nothing; the next period's full image supersedes this one.
     metrics_.counter("installs_rejected").add();
     return status;
   }

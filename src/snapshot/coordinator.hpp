@@ -8,10 +8,11 @@
 // image: a standby that missed one (timeout, rejection) holds the whole
 // control plane again after the next period.
 //
-// The store validates (checksum, version) before loading anything, refuses
-// an image that names any other section whole, and loads the sections into
-// the standby GRM and its ORB in envelope order. A refused `grm` section
-// loads nothing.
+// The store validates the envelope (checksum, version) and then decodes and
+// checks every section before applying any: an image that names any other
+// section, names one twice, or carries a section its loader refuses loads
+// nothing. Applying the checked sections to the standby GRM and its ORB
+// cannot fail.
 //
 // Both exist only in a cluster whose standby mode is kSnapshot.
 #pragma once
@@ -82,7 +83,7 @@ class SnapshotStore {
 
   [[nodiscard]] const orb::ObjectRef& ref() const { return self_ref_; }
 
-  /// Validate an encoded envelope and load its sections in order.
+  /// Validate an encoded envelope and load its sections, all or none.
   Status install(const std::vector<std::uint8_t>& image);
 
   /// True once some image has been installed.
@@ -90,8 +91,9 @@ class SnapshotStore {
   [[nodiscard]] MetricRegistry& metrics() { return metrics_; }
 
  private:
-  /// Refuse an image naming an unknown section before loading anything,
-  /// then load its sections in envelope order; stops at the first error.
+  /// Refuse an image naming an unknown or repeated section, decode and
+  /// check every section, and only then apply them all; the first error
+  /// refuses the image with nothing applied.
   Status load(const Envelope& envelope);
 
   orb::Orb& orb_;

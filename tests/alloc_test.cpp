@@ -1,10 +1,12 @@
-// Heap allocations on the Information Update Protocol's hot path.
+// Heap allocations on the Information Update Protocol's hot path, and on
+// the Trader query a scheduling wave makes.
 //
 // This binary replaces the global operator new and delete with counting
 // versions, so it runs alone: the counts below are of everything the
 // process allocates while a test's window is open. A heartbeat (LRM push ->
 // engine -> network -> ORB -> CDR -> GRM -> Trader refresh) keeps two
-// allocations: its one-buffer frame and the decoded reference's type id.
+// allocations: its one-buffer frame and the decoded reference's type id. A
+// query allocates per query, never per offer it evaluates.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,6 +17,8 @@
 #include "core/workloads.hpp"
 #include "orb/orb.hpp"
 #include "orb/transport.hpp"
+#include "protocol/properties.hpp"
+#include "services/trader.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 
@@ -98,6 +102,55 @@ TEST(Allocations, SteadyStateHeartbeatAllocatesAtMostTwice) {
   EXPECT_LE(allocations, 2 * static_cast<std::size_t>(heartbeats))
       << static_cast<double>(allocations) / static_cast<double>(heartbeats)
       << " allocations per heartbeat";
+}
+
+/// Allocations of `queries` GRM-shaped queries over `nodes` node offers,
+/// two thirds of which match (fewer than the depth, so every count ranks
+/// its matches the same way).
+std::size_t query_allocations(int nodes, int queries) {
+  services::Trader trader;
+  for (int i = 0; i < nodes; ++i) {
+    protocol::NodeStatus status;
+    status.node = NodeId(static_cast<std::uint64_t>(i + 1));
+    status.hostname = "node-" + std::to_string(i);
+    status.cpu_mips = 500.0 + 10.0 * i;
+    status.os = "linux";
+    status.arch = "x86";
+    status.platforms = {"linux-x86", "java"};
+    status.exportable_cpu = 0.5;
+    status.free_ram = 64 * kMiB;
+    status.shareable = i % 3 != 0;
+    status.lrm.host = static_cast<std::uint64_t>(i + 1);
+    status.lrm.key = ObjectId(static_cast<std::uint64_t>(i + 1));
+    trader.export_offer(protocol::kNodeServiceType, status.lrm,
+                        protocol::to_properties(status));
+  }
+  const std::string constraint =
+      "shareable == true and exportable_cpu > 0 and free_ram_mb >= 32 and "
+      "'linux-x86' in platforms";
+  const std::string preference = "max exportable_mips";
+  constexpr std::size_t kDepth = 128;
+  // Warm-up: the compiled-expression caches hold both expressions.
+  const auto first =
+      trader.query(protocol::kNodeServiceType, constraint, preference, kDepth);
+  EXPECT_TRUE(first.is_ok());
+  EXPECT_EQ(first.value().size(), static_cast<std::size_t>(nodes - (nodes + 2) / 3));
+
+  const std::size_t before = g_allocations;
+  for (int q = 0; q < queries; ++q) {
+    (void)trader.query(protocol::kNodeServiceType, constraint, preference, kDepth);
+  }
+  return g_allocations - before;
+}
+
+TEST(Allocations, TraderQueryAllocatesNothingPerOffer) {
+  constexpr int kQueries = 20;
+  const std::size_t few = query_allocations(15, kQueries);
+  const std::size_t many = query_allocations(150, kQueries);
+  EXPECT_EQ(many, few) << "150 offers: "
+                       << static_cast<double>(many) / kQueries
+                       << " allocations per query; 15 offers: "
+                       << static_cast<double>(few) / kQueries;
 }
 
 struct Ping {

@@ -973,6 +973,85 @@ TEST_F(LoadPullFixture, LoadRewritesOnlyDynamicProperties) {
   EXPECT_EQ(view->timestamp, next.timestamp);
 }
 
+/// Every offer holds exactly what its node record says. The GRM writes
+/// offers by slot, so a value written to the wrong slot, or a write refused
+/// by a Trader on which the node type was never declared, shows here.
+void expect_offers_match_records(Grm& grm) {
+  const auto offers = grm.trader().offers_of_type(protocol::kNodeServiceType);
+  ASSERT_EQ(offers.size(), grm.known_nodes());
+  for (const services::ServiceOffer* offer : offers) {
+    const auto node = NodeId(static_cast<std::uint64_t>(
+        offer->properties.get_int(protocol::kPropNodeId).value_or(-1)));
+    const auto view = grm.node_view(node);
+    ASSERT_TRUE(view.has_value()) << to_string(node);
+    EXPECT_EQ(offer->properties, protocol::to_properties(*view))
+        << to_string(node);
+  }
+  const Status invariants = grm.trader().check_invariants();
+  EXPECT_TRUE(invariants.is_ok()) << invariants.message();
+}
+
+TEST_F(GrmFixture, OffersEqualTheirNodeRecordsAfterHeartbeatsAndAPull) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(4, 9));
+  grid.run_for(90 * kSecond);  // each node registered by a pull, then loads
+  ASSERT_EQ(cluster.grm().known_nodes(), 4u);
+  // Placements and completions move the GRM's hints between loads.
+  AppBuilder app("slots");
+  app.tasks(6, 200'000.0);
+  cluster.asct().submit(cluster.grm_ref(), app.build(cluster.asct().ref()));
+  grid.run_for(20 * kSecond);
+  EXPECT_GT(cluster.grm().running_tasks(), 0);
+  expect_offers_match_records(cluster.grm());
+
+  // A node swept and pulled again, then a full refresh of a known node.
+  cluster.lrm(0).crash();
+  grid.run_for(5 * kMinute);
+  cluster.lrm(0).restart();
+  grid.run_for(30 * kSecond);
+  ASSERT_EQ(cluster.grm().known_nodes(), 4u);
+  EXPECT_GE(cluster.grm().metrics().counter_value("status_pulls"), 5);
+  protocol::NodeStatus full = cluster.lrm(1).current_status();
+  full.hostname = "renamed";
+  full.segment = 5;
+  full.platforms = {"java"};
+  full.owner_cpu = 0.125;
+  cluster.grm().handle_update_status(full);
+  expect_offers_match_records(cluster.grm());
+  EXPECT_EQ(cluster.grm().node_view(full.node)->hostname, "renamed");
+}
+
+TEST_F(GrmFixture, StandbyOffersEqualTheirNodeRecordsAfterLoadAndHeartbeats) {
+  auto& cluster = grid.add_cluster(core::quiet_cluster(4, 10));
+  grid.run_for(90 * kSecond);
+  ASSERT_EQ(cluster.grm().known_nodes(), 4u);
+  cdr::Writer image;
+  cluster.grm().save(image);
+  const auto bytes = image.take_buffer();
+
+  sim::Engine engine;
+  orb::DirectTransport transport;
+  orb::Orb orb(1, transport, &engine);
+  Grm standby(engine, orb, ClusterId(1), Rng(5));
+  standby.start(nullptr, nullptr, nullptr);
+  cdr::Reader r(bytes);
+  ASSERT_TRUE(standby.load(Grm::kSnapshotVersion, r).is_ok());
+  expect_offers_match_records(standby);
+
+  // Heartbeats after the load rewrite the rebuilt Trader's offers.
+  for (std::size_t i = 0; i < 4; ++i) {
+    protocol::NodeLoad load = protocol::load_of(cluster.lrm(i).current_status());
+    load.owner_cpu = 0.5;
+    load.grid_cpu = 0.25;
+    load.exportable_cpu = 0.25;
+    load.free_ram = 96 * kMiB;
+    load.running_tasks = 1;
+    load.timestamp += kMinute;
+    standby.handle_node_load(load);
+  }
+  ASSERT_EQ(standby.known_nodes(), 4u);
+  expect_offers_match_records(standby);
+}
+
 TEST_F(GrmFixture, SweptNodeRegistersAgainWhenLoadsResume) {
   auto& cluster = grid.add_cluster(core::quiet_cluster(3, 2));
   grid.run_for(90 * kSecond);

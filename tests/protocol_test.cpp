@@ -7,6 +7,7 @@
 #include "protocol/messages.hpp"
 #include "protocol/properties.hpp"
 #include "services/servants.hpp"
+#include "services/trader.hpp"
 #include "snapshot/state_codecs.hpp"
 
 namespace integrade::protocol {
@@ -519,7 +520,13 @@ TEST(Properties, StatusToPropertiesExposesSchema) {
 
 TEST(Properties, LoadPropertiesRewriteOnlyDynamicFields) {
   const NodeStatus registered = sample_status();
-  services::PropertySet props = to_properties(registered);
+  services::Trader trader;
+  trader.declare_type(kNodeServiceType, kNodeSchema);
+  // An offer that lacks a dynamic name gains it from the write.
+  services::PropertySet exported = to_properties(registered);
+  exported.erase(kPropGridCpu);
+  const services::OfferId offer =
+      trader.export_offer(kNodeServiceType, registered.lrm, std::move(exported));
   NodeStatus next = registered;
   next.hostname = "renamed";  // static: must not reach the offer
   next.platforms = {"java"};
@@ -532,12 +539,22 @@ TEST(Properties, LoadPropertiesRewriteOnlyDynamicFields) {
   next.shareable = true;
   next.running_tasks = 0;
   next.timestamp += kSecond;
-  update_load_properties(next, props);
+  ASSERT_TRUE(trader
+                  .write_slots(offer,
+                               [&next](services::SlotWriter& slots) {
+                                 write_load_slots(next, slots);
+                               })
+                  .is_ok());
+  const services::PropertySet& props = trader.lookup(offer)->properties;
 
   NodeStatus expected = registered;
   apply_load(load_of(next), expected);
   EXPECT_EQ(props, to_properties(expected));
   EXPECT_DOUBLE_EQ(*props.get_real(kPropExportableMips), 0.5 * 1400.5);
+  // By name too: the slot writer and to_properties share one mapping.
+  EXPECT_DOUBLE_EQ(*props.get_real(kPropOwnerCpu), 0.0);
+  EXPECT_DOUBLE_EQ(*props.get_real(kPropGridCpu), 0.75);
+  EXPECT_TRUE(trader.check_invariants().is_ok());
 }
 
 TEST(Properties, RoundTripPreservesSchedulingFields) {

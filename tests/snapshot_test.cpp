@@ -597,6 +597,25 @@ TEST(SnapshotShipping, StoreRejectsOutOfSequenceAndCorruptImages) {
     EXPECT_EQ(cluster.standby_grm()->trader().offer_count(), nodes) << name;
   }
 
+  // An image naming a known section twice is refused whole too, though
+  // each copy would load: not even the empty grm section is applied.
+  const snapshot::Envelope captured = cluster.snapshot_coordinator()->capture();
+  auto dedup = std::find_if(
+      captured.sections.begin(), captured.sections.end(),
+      [](const snapshot::Section& s) { return s.name == "orb_dedup"; });
+  ASSERT_NE(dedup, captured.sections.end());
+  const snapshot::Section grm_section{"grm", grm::Grm::kSnapshotVersion,
+                                      empty_grm};
+  for (const char* name : {"grm", "orb_dedup"}) {
+    snapshot::Envelope repeated;
+    repeated.captured_at = grid.engine().now();
+    repeated.sections = {grm_section, *dedup,
+                         name == std::string("grm") ? grm_section : *dedup};
+    EXPECT_FALSE(store.install(snapshot::encode(repeated)).is_ok()) << name;
+    EXPECT_EQ(standby.known_nodes(), nodes) << name;
+    EXPECT_EQ(cluster.standby_grm()->trader().offer_count(), nodes) << name;
+  }
+
   // A corrupted full image is refused by the checksum before any loader
   // runs, and the store (and the standby behind it) keeps working: the next
   // clean periodic ship installs fine.
@@ -615,29 +634,32 @@ TEST(SnapshotShipping, StoreRejectsOutOfSequenceAndCorruptImages) {
 
 TEST(SnapshotShipping, RefusedGrmSectionLeavesTheStandbyWhole) {
   // With the coordinator stopped the standby installs nothing by itself;
-  // the one image it sees carries a grm section it must refuse.
-  core::Grid grid(5);
-  auto config = core::quiet_cluster(8, 5);
-  config.standby = core::Standby::kSnapshot;
-  auto& cluster = grid.add_cluster(config);
-  cluster.snapshot_coordinator()->stop();
-  grid.run_for(kMinute);
-  ASSERT_EQ(cluster.grm().known_nodes(), 8u);
+  // the one image it sees carries a section it must refuse: the grm
+  // section, or the orb_dedup section behind an acceptable grm section.
+  for (const char* refused : {"grm", "orb_dedup"}) {
+    core::Grid grid(5);
+    auto config = core::quiet_cluster(8, 5);
+    config.standby = core::Standby::kSnapshot;
+    auto& cluster = grid.add_cluster(config);
+    cluster.snapshot_coordinator()->stop();
+    grid.run_for(kMinute);
+    ASSERT_EQ(cluster.grm().known_nodes(), 8u);
 
-  snapshot::Envelope envelope = cluster.snapshot_coordinator()->capture();
-  auto grm_section = std::find_if(
-      envelope.sections.begin(), envelope.sections.end(),
-      [](const snapshot::Section& s) { return s.name == "grm"; });
-  ASSERT_NE(grm_section, envelope.sections.end());
-  grm_section->version = 999;
+    snapshot::Envelope envelope = cluster.snapshot_coordinator()->capture();
+    auto section = std::find_if(
+        envelope.sections.begin(), envelope.sections.end(),
+        [refused](const snapshot::Section& s) { return s.name == refused; });
+    ASSERT_NE(section, envelope.sections.end()) << refused;
+    section->version = 999;
 
-  snapshot::SnapshotStore& store = *cluster.snapshot_store();
-  EXPECT_FALSE(store.install(snapshot::encode(envelope)).is_ok());
-  EXPECT_EQ(store.metrics().counter_value("installs_rejected"), 1);
-  EXPECT_FALSE(store.has_image());
-  grm::Grm& standby = *cluster.standby_grm();
-  EXPECT_EQ(standby.trader().offer_count(), 0u);
-  EXPECT_EQ(standby.known_nodes(), 0u);
+    snapshot::SnapshotStore& store = *cluster.snapshot_store();
+    EXPECT_FALSE(store.install(snapshot::encode(envelope)).is_ok()) << refused;
+    EXPECT_EQ(store.metrics().counter_value("installs_rejected"), 1) << refused;
+    EXPECT_FALSE(store.has_image()) << refused;
+    grm::Grm& standby = *cluster.standby_grm();
+    EXPECT_EQ(standby.trader().offer_count(), 0u) << refused;
+    EXPECT_EQ(standby.known_nodes(), 0u) << refused;
+  }
 }
 
 TEST(SnapshotFailover, RestoredStandbyLosesNoTaskAndDuplicatesNone) {

@@ -32,6 +32,18 @@ PropertySet random_props(Rng& rng) {
     // both constraint matching and preference scoring.
     props.set("exportable_mips", cdr::Value(rng.uniform(0.0, 3000.0)));
   }
+  // A list, a null value (defined, unlike a missing name), and a string
+  // only some offers have: each type's slot table meets its names in
+  // whatever order offers bring them.
+  cdr::ValueList platforms;
+  for (const char* platform : {"linux-x86", "java", "win32"}) {
+    if (rng.bernoulli(0.5)) platforms.emplace_back(platform);
+  }
+  props.set("platforms", cdr::Value(std::move(platforms)));
+  props.set("retired", cdr::Value());
+  if (rng.bernoulli(0.4)) {
+    props.set("gpu", cdr::Value(rng.bernoulli(0.5) ? "gtx-1080" : "rx-480"));
+  }
   return props;
 }
 
@@ -67,6 +79,12 @@ const QueryCase kCases[] = {
     {"exist exportable_mips and cpu_mips > 500", "random"},
     {"cpu_mips > 2900", "max exportable_mips"},  // highly selective
     {"cpu_mips > 99999", "first"},               // matches nothing
+    {"'java' in platforms and not ('win32' in platforms)", "max free_ram_mb"},
+    {"'gtx' ~ gpu or segment * 2 + 1 > 9", "min cpu_mips - exportable_mips"},
+    {"not (exist gpu) and free_ram_mb / 2 >= 500", "with 'java' in platforms"},
+    {"exist retired and retired == retired", "max segment - free_ram_mb / 100"},
+    {"no_such_name > 3 or shareable == true", "max no_such_name"},
+    {"not (no_such_name == 1) or exist no_such_name", "first"},
 };
 
 TEST(TraderIndexTest, IndexedQueryEqualsLinearOnRandomOfferSets) {
@@ -153,6 +171,12 @@ TEST(TraderIndexTest, WithdrawModifyExportInterleavingsKeepIndexesConsistent) {
   Trader trader;
   std::vector<OfferId> live = populate(trader, 100, rng);
   std::uint64_t next = 100;
+  // Mentions names that modify and refresh add and erase, so a slot left
+  // pointing at an erased value is read (and reported under ASan).
+  auto churn_constraint =
+      Constraint::parse("free_ram_mb >= 1000 or exist late or cpu_mips < 500");
+  auto churn_preference = Preference::parse("max free_ram_mb + late");
+  ASSERT_TRUE(churn_constraint.is_ok() && churn_preference.is_ok());
 
   for (int step = 0; step < 2000; ++step) {
     const double dice = rng.next_double();
@@ -163,15 +187,28 @@ TEST(TraderIndexTest, WithdrawModifyExportInterleavingsKeepIndexesConsistent) {
     } else if (dice < 0.65) {
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      EXPECT_TRUE(trader.modify(live[pick], random_props(rng)).is_ok());
+      PropertySet replacement = random_props(rng);
+      if (rng.bernoulli(0.3)) replacement.erase("free_ram_mb");
+      if (rng.bernoulli(0.3)) replacement.set("late", cdr::Value(std::int64_t{7}));
+      EXPECT_TRUE(trader.modify(live[pick], std::move(replacement)).is_ok());
     } else if (dice < 0.8) {
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const double names = rng.next_double();
       EXPECT_TRUE(trader
                       .refresh(live[pick],
                                [&](PropertySet& p) {
                                  p.set("cpu_mips",
                                        cdr::Value(rng.uniform(1, 999)));
+                                 if (names < 0.25) {
+                                   p.erase("free_ram_mb");
+                                 } else if (names < 0.5) {
+                                   p.set("late", cdr::Value(std::int64_t{3}));
+                                 } else if (names < 0.6) {
+                                   p.erase("late");
+                                   p.set("free_ram_mb",
+                                         cdr::Value(std::int64_t{2048}));
+                                 }
                                })
                       .is_ok());
     } else {
@@ -183,6 +220,13 @@ TEST(TraderIndexTest, WithdrawModifyExportInterleavingsKeepIndexesConsistent) {
     if (step % 100 == 0) {
       const Status invariants = trader.check_invariants();
       ASSERT_TRUE(invariants.is_ok()) << invariants.message();
+    }
+    if (step % 10 == 0) {
+      ASSERT_EQ(trader.query_compiled("integrade::Node", churn_constraint.value(),
+                                      churn_preference.value()),
+                trader.query_linear("integrade::Node", churn_constraint.value(),
+                                    churn_preference.value()))
+          << "step " << step;
     }
   }
   const Status invariants = trader.check_invariants();
