@@ -20,9 +20,9 @@
 // The Trader declares the node type as the GRM's does, so offers have the
 // GRM's slot order. Each query workload runs through both the indexed path
 // (string query with the compiled-expression LRU, as production callers use
-// it, reading values by slot) and the linear reference `query_linear` with a
-// parse per call and every property read by name, exactly the pre-PR
-// Trader::query. Results are asserted equal before timing. The table prints
+// it, reading values by slot) and the by-name reference `query_linear`
+// (tests/trader_reference.hpp) with a parse per call and every property read
+// by name, as the Trader queried before its indexes. Results are asserted equal before timing. The table prints
 // the indexed/linear ratio; the same numbers are written as JSON (argv[1],
 // default BENCH_trader.json) for the perf trajectory.
 //
@@ -44,6 +44,7 @@
 #include "common/rng.hpp"
 #include "protocol/properties.hpp"
 #include "services/trader.hpp"
+#include "trader_reference.hpp"
 
 // Keep the correctness gates alive in Release builds (assert is compiled
 // out under NDEBUG).
@@ -187,9 +188,9 @@ SizeResult run_size(std::size_t n) {
     auto compiled_pref = services::Preference::parse(pref);
     if (!compiled_pref.is_ok()) std::abort();
     // Equivalence gate before timing: indexed results must be byte-identical.
-    const auto expect = trader.query_linear(protocol::kNodeServiceType,
-                                            compiled_constraint.value(),
-                                            compiled_pref.value(), 8, nullptr);
+    const auto expect = services::query_linear(
+        trader, protocol::kNodeServiceType, compiled_constraint.value(),
+        compiled_pref.value(), 8, nullptr);
     const auto got =
         trader.query(protocol::kNodeServiceType, constraint, pref, 8, nullptr);
     if (!got.is_ok() || !(got.value() == expect)) {
@@ -201,12 +202,12 @@ SizeResult run_size(std::size_t n) {
     auto start = Clock::now();
     std::size_t sink = 0;
     for (std::size_t q = 0; q < query_rounds; ++q) {
-      // Pre-PR string query: parse both expressions, then scan the full map.
+      // The unindexed string query: parse both expressions, then evaluate
+      // every offer by name and rank them all.
       auto c = services::Constraint::parse(constraint);
       auto p = services::Preference::parse(pref);
-      sink += trader
-                  .query_linear(protocol::kNodeServiceType, c.value(),
-                                p.value(), 8, nullptr)
+      sink += services::query_linear(trader, protocol::kNodeServiceType,
+                                     c.value(), p.value(), 8, nullptr)
                   .size();
     }
     linear_qps = static_cast<double>(query_rounds) / seconds_since(start);

@@ -211,7 +211,8 @@ void CkptAgent::abort_inflight() {
 protocol::CkptManifest CkptAgent::build_manifest(AppId app, std::int32_t rank,
                                                  std::int64_t model_step,
                                                  std::int64_t version,
-                                                 Bytes image_bytes) {
+                                                 Bytes image_bytes,
+                                                 std::int64_t prune_below) {
   if (image_bytes < 0) image_bytes = 0;
   protocol::CkptManifest manifest;
   manifest.app = app;
@@ -299,7 +300,7 @@ protocol::CkptManifest CkptAgent::build_manifest(AppId app, std::int32_t rank,
       manifest.chunks.push_back({store_raw(raw), span.size});
     }
   }
-  (void)store_.install(manifest);
+  (void)store_.install(manifest, prune_below);
   return manifest;
 }
 
@@ -321,7 +322,8 @@ void CkptAgent::handle_save(const protocol::CkptSaveRequest& request) {
   // image-model step.
   op->manifest = build_manifest(request.app, request.rank,
                                 /*model_step=*/request.version, request.version,
-                                static_cast<Bytes>(request.image_bytes));
+                                static_cast<Bytes>(request.image_bytes),
+                                request.prune_below);
   op->done.chunks_total = static_cast<std::int32_t>(op->manifest.chunks.size());
   if (request.repository.valid()) {
     op->destinations.push_back(request.repository);
@@ -441,14 +443,17 @@ void CkptAgent::save_sequential(AppId app, std::int32_t rank,
   op->request.image_bytes = static_cast<std::int64_t>(image_bytes);
   op->request.repository = repository_;
   // Sequential tasks only roll back to their latest checkpoint, so each save
-  // trims the line behind itself (refcounted GC reclaims the chunks).
+  // trims the line behind itself in every store that installs it, this
+  // agent's own included (refcounted GC reclaims the chunks; chunks an
+  // in-flight restore pins stay until it ends). A later save re-packs what
+  // the trim reclaimed and the new content needs again.
   op->request.prune_below = version;
   op->done.app = app;
   op->done.rank = rank;
   op->done.version = version;
   op->done.image_bytes = static_cast<std::int64_t>(image_bytes);
   op->manifest = build_manifest(app, rank, /*model_step=*/ordinal, version,
-                                image_bytes);
+                                image_bytes, op->request.prune_below);
   op->done.chunks_total = static_cast<std::int32_t>(op->manifest.chunks.size());
   op->destinations.push_back(repository_);
   for (const auto& peer : peers) {

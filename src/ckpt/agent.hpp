@@ -129,11 +129,14 @@ class CkptAgent {
   struct RestoreOp;
 
   /// Build + locally install the manifest for (app, rank) at image state
-  /// `model_step`, storing any new chunks. Returns the installed manifest.
+  /// `model_step`, storing any new chunks; the install trims the line below
+  /// `prune_below` as the destinations' installs do (-1 keeps it whole).
+  /// Returns the installed manifest.
   protocol::CkptManifest build_manifest(AppId app, std::int32_t rank,
                                         std::int64_t model_step,
                                         std::int64_t version,
-                                        Bytes image_bytes);
+                                        Bytes image_bytes,
+                                        std::int64_t prune_below);
   void ship_next(const std::shared_ptr<SaveOp>& op);
   void finish_save(const std::shared_ptr<SaveOp>& op, bool ok);
   void restore_step(const std::shared_ptr<RestoreOp>& op);

@@ -70,7 +70,9 @@ class ChunkStore {
 
   /// Commit a manifest. All referenced chunks must be resident; versions
   /// must not regress per (app, rank). Re-installing the same version is
-  /// idempotent. prune_below >= 0 also prunes this app below that version.
+  /// idempotent. prune_below >= 0 also trims this (app, rank) line below
+  /// that version (prune_line): how every store that installs a sequential
+  /// save, the writer's own included, keeps only the line's newest version.
   Status install(protocol::CkptManifest manifest, std::int64_t prune_below = -1);
 
   [[nodiscard]] const protocol::CkptManifest* manifest(

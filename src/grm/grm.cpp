@@ -366,7 +366,7 @@ protocol::SubmitReply Grm::handle_submit(const protocol::ApplicationSpec& spec) 
   // than letting one tenant's backlog grow without bound.
   if (sched_.enabled) {
     const int incoming = static_cast<int>(spec.tasks.size());
-    const sched::TenantSpec quota = tenant_registry_.spec(spec.tenant);
+    const sched::TenantSpec& quota = tenant_registry_.spec(spec.tenant);
     if (quota.max_queued > 0 &&
         static_cast<int>(queue_.tenant_size(spec.tenant)) + incoming >
             quota.max_queued) {
@@ -521,7 +521,7 @@ void Grm::scheduler_pass() {
   // its slot from dispatch on, so one pass cannot open more waves than the
   // quota has room for.
   auto blocked = [&](const std::string& tenant) {
-    const sched::TenantSpec quota = tenant_registry_.spec(tenant);
+    const sched::TenantSpec& quota = tenant_registry_.spec(tenant);
     if (quota.max_running <= 0) return false;
     const auto it = committed.find(tenant);
     return it != committed.end() && it->second >= quota.max_running;

@@ -19,10 +19,10 @@ void TenantRegistry::configure(const SchedOptions& options) {
   }
 }
 
-TenantSpec TenantRegistry::spec(const std::string& tenant) const {
+const TenantSpec& TenantRegistry::spec(const std::string& tenant) const {
+  static const TenantSpec kUnlisted;
   auto it = specs_.find(tenant);
-  if (it != specs_.end()) return it->second;
-  return TenantSpec{.name = tenant};
+  return it != specs_.end() ? it->second : kUnlisted;
 }
 
 double TenantRegistry::weight(const std::string& tenant) const {

@@ -77,7 +77,9 @@ class TenantRegistry {
  public:
   void configure(const SchedOptions& options);
 
-  [[nodiscard]] TenantSpec spec(const std::string& tenant) const;
+  /// The tenant's spec; an unlisted tenant shares one default spec (weight
+  /// 1, no quotas, empty name).
+  [[nodiscard]] const TenantSpec& spec(const std::string& tenant) const;
   [[nodiscard]] double weight(const std::string& tenant) const;
 
   /// Weight-proportional entitlement of `tenant` out of `slots` total

@@ -32,7 +32,7 @@
 // property-tested in tests/constraint_test.cpp.
 //
 // One evaluator serves two ways of reading a property: by name from a
-// PropertySet (evaluate(), and the Trader's query_linear reference), and by
+// PropertySet (evaluate(), and the tests' by-name query reference), and by
 // slot, for the Trader's typed offers — a query binds each name an
 // expression mentions to the offer type's slots once, then reads every
 // offer's values in place. Properties and literals are used by reference,

@@ -30,13 +30,38 @@ void SlotWriter::add(std::size_t slot, cdr::Value value) {
   offer_.bound_version_ = offer_.properties.names_version();
 }
 
+namespace {
+
+/// Where `name` is, or belongs, in a type's name-ordered (name, slot) table.
+auto name_position(const OfferType& type, const std::string& name) {
+  return std::lower_bound(type.by_name.begin(), type.by_name.end(), name,
+                          [](const auto& entry, const std::string& key) {
+                            return entry.first < key;
+                          });
+}
+
+}  // namespace
+
+std::uint32_t OfferType::slot_of(const std::string& name) const {
+  const auto it = name_position(*this, name);
+  return it != by_name.end() && it->first == name ? it->second
+                                                  : SlotReader::kUnbound;
+}
+
+void OfferType::append(std::size_t at, const std::string& name) {
+  by_name.emplace(by_name.begin() + static_cast<std::ptrdiff_t>(at), name,
+                  static_cast<std::uint32_t>(names.size()));
+  names.push_back(name);
+}
+
 void Trader::declare_type(const std::string& service_type,
                           std::span<const char* const> names) {
   OfferType& type = types_[service_type];
   type.declared = true;
   for (const char* name : names) {
-    if (type.slot_of.try_emplace(name, type.names.size()).second) {
-      type.names.emplace_back(name);
+    const auto it = name_position(type, name);
+    if (it == type.by_name.end() || it->first != name) {
+      type.append(static_cast<std::size_t>(it - type.by_name.begin()), name);
     }
   }
 }
@@ -45,15 +70,22 @@ void Trader::bind_slots(ServiceOffer& offer) {
   OfferType& type = *offer.type_;
   std::vector<cdr::Value*>& slots = offer.slots_;
   slots.assign(type.names.size(), nullptr);
+  // The set visits its names in name order, so one walk along the table's
+  // name order finds every slot, and a name the table lacks is inserted
+  // where the walk stands.
+  std::size_t at = 0;
   offer.properties.for_each_value([&](const std::string& name,
                                       cdr::Value& value) {
-    // try_emplace: a name the table has allocates nothing.
-    auto [it, added] = type.slot_of.try_emplace(name, type.names.size());
-    if (added) {
-      type.names.push_back(name);
+    int order = -1;  // stays negative when the walk is past the table's end
+    while (at < type.by_name.size() &&
+           (order = type.by_name[at].first.compare(name)) < 0) {
+      ++at;
+    }
+    if (order != 0) {
+      type.append(at, name);
       slots.push_back(nullptr);
     }
-    slots[it->second] = &value;
+    slots[type.by_name[at++].second] = &value;
   });
   offer.bound_version_ = offer.properties.names_version();
 }
@@ -176,11 +208,7 @@ std::vector<std::uint32_t> bind(const OfferType& type,
                                 const std::vector<std::string>& names) {
   std::vector<std::uint32_t> binding;
   binding.reserve(names.size());
-  for (const std::string& name : names) {
-    auto it = type.slot_of.find(name);
-    binding.push_back(it == type.slot_of.end() ? SlotReader::kUnbound
-                                               : it->second);
-  }
+  for (const std::string& name : names) binding.push_back(type.slot_of(name));
   return binding;
 }
 
@@ -230,28 +258,6 @@ std::vector<const ServiceOffer*> Trader::query_compiled(
   return out;
 }
 
-std::vector<const ServiceOffer*> Trader::query_linear(
-    const std::string& service_type, const Constraint& constraint,
-    const Preference& preference, std::size_t max_matches, Rng* rng) const {
-  std::vector<const ServiceOffer*> matched;
-  for (const auto& [_, offer] : offers_) {
-    if (offer.service_type != service_type) continue;
-    if (constraint.matches(offer.properties)) matched.push_back(&offer);
-  }
-
-  std::vector<const PropertySet*> sets;
-  sets.reserve(matched.size());
-  for (const auto* offer : matched) sets.push_back(&offer->properties);
-  const std::vector<std::size_t> order = preference.rank(sets, rng);
-
-  std::vector<const ServiceOffer*> out;
-  const std::size_t limit =
-      max_matches == 0 ? matched.size() : std::min(max_matches, matched.size());
-  out.reserve(limit);
-  for (std::size_t i = 0; i < limit; ++i) out.push_back(matched[order[i]]);
-  return out;
-}
-
 std::size_t Trader::offer_count(const std::string& service_type) const {
   auto it = types_.find(service_type);
   return it == types_.end() ? 0 : it->second.offers.size();
@@ -284,7 +290,9 @@ Status check_slots(const std::string& type_name, const OfferType& type,
     }
   }
   for (const auto& [name, _] : offer.properties.entries()) {
-    if (!type.slot_of.contains(name)) return fail(" has unslotted " + name);
+    if (type.slot_of(name) == SlotReader::kUnbound) {
+      return fail(" has unslotted " + name);
+    }
   }
   return Status::ok();
 }
@@ -298,14 +306,19 @@ Status Trader::check_invariants() const {
     if (bucket.empty() && !entry.declared) {
       return Status(ErrorCode::kInternal, "empty type bucket for " + type);
     }
-    if (entry.slot_of.size() != entry.names.size()) {
-      return Status(ErrorCode::kInternal, "type " + type + " repeats a name");
+    if (entry.by_name.size() != entry.names.size()) {
+      return Status(ErrorCode::kInternal,
+                    "type " + type + " has a name table of the wrong size");
     }
-    for (std::size_t slot = 0; slot < entry.names.size(); ++slot) {
-      auto it = entry.slot_of.find(entry.names[slot]);
-      if (it == entry.slot_of.end() || it->second != slot) {
+    for (std::size_t i = 0; i < entry.by_name.size(); ++i) {
+      const auto& [name, slot] = entry.by_name[i];
+      if (i > 0 && !(entry.by_name[i - 1].first < name)) {
         return Status(ErrorCode::kInternal,
-                      "type " + type + " misfiles " + entry.names[slot]);
+                      "type " + type + " repeats or misorders " + name);
+      }
+      if (slot >= entry.names.size() || entry.names[slot] != name) {
+        return Status(ErrorCode::kInternal,
+                      "type " + type + " misfiles " + name);
       }
     }
     for (std::size_t i = 0; i < bucket.size(); ++i) {

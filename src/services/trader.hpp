@@ -56,8 +56,16 @@ struct ServiceOffer;
 struct OfferType {
   bool declared = false;
   std::vector<std::string> names;
-  std::unordered_map<std::string, std::uint32_t> slot_of;
+  /// (name, slot) for every name, in name order: a PropertySet visits its
+  /// names in that order too, so binding an offer is one merge walk.
+  std::vector<std::pair<std::string, std::uint32_t>> by_name;
   std::vector<const ServiceOffer*> offers;
+
+  /// The slot of `name`, or SlotReader::kUnbound when the type lacks it.
+  [[nodiscard]] std::uint32_t slot_of(const std::string& name) const;
+  /// Give `name` the next slot, inserting it at `at` in by_name (its place
+  /// in name order).
+  void append(std::size_t at, const std::string& name);
 };
 
 struct ServiceOffer {
@@ -190,18 +198,9 @@ class Trader {
   /// the type's bucket reading values by slot; `max_matches > 0` ranks via
   /// top-k selection instead of sorting every match, and with the `first`
   /// preference additionally stops scanning at the max_matches-th match.
-  /// Results are byte-identical to the linear reference below for every
-  /// input.
+  /// Results are byte-identical to the by-name reference
+  /// (tests/trader_reference.hpp) for every input.
   [[nodiscard]] std::vector<const ServiceOffer*> query_compiled(
-      const std::string& service_type, const Constraint& constraint,
-      const Preference& preference, std::size_t max_matches = 0,
-      Rng* rng = nullptr) const;
-
-  /// Reference implementation: full-map scan + full rank, reading every
-  /// property by name — the pre-index code path. Kept for the equivalence
-  /// tests and the bench_trader before/after comparison — not for
-  /// production callers.
-  [[nodiscard]] std::vector<const ServiceOffer*> query_linear(
       const std::string& service_type, const Constraint& constraint,
       const Preference& preference, std::size_t max_matches = 0,
       Rng* rng = nullptr) const;

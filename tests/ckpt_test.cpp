@@ -929,5 +929,187 @@ TEST(CkptAgent, SequentialSaveAfterWarmRestoreEqualsFreshSave) {
   EXPECT_EQ(*after_restore, *without_restore);
 }
 
+// --- agent: one version of a sequential line in every store ---
+
+constexpr Bytes kSeqImage = 1 * kMiB;
+
+ImageModel seq_model(AppId app) {
+  ImageModelParams params;
+  params.image_bytes = kSeqImage;
+  return ImageModel(app, 0, params);
+}
+
+TEST(CkptAgent, SequentialSavesKeepOneVersionInTheWritersStore) {
+  // A sequential save trims its line in the writer's own store, as the
+  // repository's and the peers' installs do: after any number of saves the
+  // writer holds the newest version and no chunk beyond that one image's.
+  AgentLan lan(1);
+  CkptAgent& writer = lan.agent(0);
+  const AppId app(33);
+  for (std::int64_t save = 1; save <= 12; ++save) {
+    writer.save_sequential(app, 0, /*version=*/60 * save, kSeqImage);
+    lan.engine.run();
+    const ChunkStore& store = writer.store();
+    const protocol::CkptManifest* newest = store.latest_manifest(app, 0);
+    ASSERT_NE(newest, nullptr);
+    EXPECT_EQ(newest->version, 60 * save);
+    EXPECT_EQ(store.manifest_count(), 1u) << "after save " << save;
+    EXPECT_LE(store.chunk_count(), newest->chunks.size())
+        << "after save " << save;
+    EXPECT_EQ(lan.repo_store.manifest_count(), 1u) << "after save " << save;
+  }
+  EXPECT_EQ(writer.metrics().counter_value("saves_ok"), 12);
+  auto image = writer.store().materialize(app, 0, 720);
+  ASSERT_TRUE(image.is_ok());
+  EXPECT_EQ(image.value(), seq_model(app).render(12));
+}
+
+TEST(CkptAgent, WritersTrimLeavesAnInFlightRestoreItsPinnedChunks) {
+  // A restore pins the chunks of its manifest that are already resident. A
+  // save of the same line landing mid-restore trims the version those
+  // chunks belong to; the pinned ones stay, so the restore still installs
+  // an intact image.
+  AgentLan lan(2);
+  CkptAgent& node = lan.agent(0);
+  CkptAgent& peer = lan.agent(1);
+  const AppId app(34);
+  for (std::int64_t version : {10, 20}) {  // the node's content steps 1, 2
+    node.save_sequential(app, 0, version, kSeqImage);
+    lan.engine.run();
+  }
+  for (std::int64_t version : {30, 40, 1000}) {  // the peer's steps 1, 2, 3
+    peer.save_sequential(app, 0, version, kSeqImage);
+    lan.engine.run();
+  }
+  const protocol::CkptManifest target = *peer.store().latest_manifest(app, 0);
+  std::vector<protocol::CkptHash> pinned;
+  for (const auto& ref : target.chunks) {
+    if (node.store().has(ref.hash)) pinned.push_back(ref.hash);
+  }
+  ASSERT_FALSE(pinned.empty());
+  ASSERT_LT(pinned.size(), target.chunks.size());  // the rest must be pulled
+
+  protocol::CkptRestoreRequest restore;
+  restore.app = app;
+  restore.rank = 0;
+  restore.version = target.version;
+  restore.manifest = target;
+  restore.repository = lan.repo_ref;
+  restore.peers = {peer.ref()};
+  node.handle_restore(restore);
+  // A restore resets the writer's image cache, so this save renders content
+  // step 1 and trimming version 20 releases chunks the restore pinned.
+  node.save_sequential(app, 0, 50, kSeqImage);
+  EXPECT_EQ(node.store().manifest(app, 0, 20), nullptr);
+  const protocol::CkptManifest* saved = node.store().manifest(app, 0, 50);
+  ASSERT_NE(saved, nullptr);
+  std::size_t released = 0;
+  for (const auto& hash : pinned) {
+    EXPECT_TRUE(node.store().has(hash));
+    released += std::none_of(saved->chunks.begin(), saved->chunks.end(),
+                             [&](const protocol::CkptChunkRef& ref) {
+                               return ref.hash == hash;
+                             });
+  }
+  ASSERT_GT(released, 0u);
+
+  lan.engine.run();
+  EXPECT_EQ(node.metrics().counter_value("restores_ok"), 1);
+  auto image = node.store().materialize(app, 0, 1000);
+  ASSERT_TRUE(image.is_ok());
+  EXPECT_EQ(image.value(), seq_model(app).render(3));
+}
+
+TEST(CkptAgent, SaveThatReachesNoDestinationLeavesTheWriterItsNewestVersion) {
+  // The writer trims at its own install, before any destination answers.
+  // A save that every destination misses still leaves the writer its
+  // newest version, and a restore on that node completes from the local
+  // store alone.
+  AgentLan lan(2);
+  sim::FaultInjector faults(lan.engine, lan.network, Rng(43));
+  CkptAgent& writer = lan.agent(0);
+  CkptAgent& peer = lan.agent(1);
+  const AppId app(35);
+  writer.save_sequential(app, 0, 10, kSeqImage, {peer.ref()});
+  lan.engine.run();
+  ASSERT_NE(lan.repo_store.manifest(app, 0, 10), nullptr);
+
+  faults.crash_endpoint(1);  // the repository
+  faults.crash_endpoint(3);  // the peer
+  writer.save_sequential(app, 0, 20, kSeqImage, {peer.ref()});
+  lan.engine.run();
+  EXPECT_EQ(writer.metrics().counter_value("save_failures"), 1);
+  const protocol::CkptManifest* newest = writer.store().latest_manifest(app, 0);
+  ASSERT_NE(newest, nullptr);
+  EXPECT_EQ(newest->version, 20);
+  EXPECT_EQ(writer.store().manifest_count(), 1u);
+
+  protocol::CkptRestoreRequest restore;
+  restore.app = app;
+  restore.rank = 0;
+  restore.version = 20;
+  restore.manifest = *newest;
+  restore.repository = lan.repo_ref;
+  restore.peers = {peer.ref()};
+  writer.handle_restore(restore);
+  lan.engine.run();
+  EXPECT_EQ(writer.metrics().counter_value("restores_ok"), 1);
+  auto image = writer.store().materialize(app, 0, 20);
+  ASSERT_TRUE(image.is_ok());
+  EXPECT_EQ(image.value(), seq_model(app).render(2));
+}
+
+TEST(CkptAgent, MigratedSequentialLineLeavesOneVersionOnEveryNode) {
+  // A sequential task checkpoints on A, is preempted (its last save
+  // replicates to B and C), restarts warm on B, is preempted again and
+  // finishes on C. Every store, the nodes it left included, holds at most
+  // one version of its line until the app's drop empties them all.
+  AgentLan lan(3);
+  CkptAgent& a = lan.agent(0);
+  CkptAgent& b = lan.agent(1);
+  CkptAgent& c = lan.agent(2);
+  const AppId app(36);
+  const auto expect_one_version = [&](const std::string& after) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      const ChunkStore& store = lan.agent(i).store();
+      EXPECT_LE(store.manifest_count(), 1u) << after << ", node " << i;
+      if (const auto* held = store.latest_manifest(app, 0)) {
+        EXPECT_LE(store.chunk_count(), held->chunks.size())
+            << after << ", node " << i;
+      }
+    }
+    EXPECT_LE(lan.repo_store.manifest_count(), 1u) << after;
+  };
+  std::int64_t version = 0;
+  const auto run_on = [&](CkptAgent& host,
+                          const std::vector<orb::ObjectRef>& successors) {
+    for (int save = 0; save < 3; ++save) {
+      host.save_sequential(app, 0, version += 60, kSeqImage);
+      lan.engine.run();
+      expect_one_version("save at " + std::to_string(version));
+    }
+    if (successors.empty()) return;
+    host.save_sequential(app, 0, version += 60, kSeqImage, successors);
+    lan.engine.run();
+    expect_one_version("preemption at " + std::to_string(version));
+  };
+
+  run_on(a, {b.ref(), c.ref()});
+  b.warm_restore(app, 0, {b.ref(), c.ref()});
+  lan.engine.run();
+  run_on(b, {a.ref(), c.ref()});
+  c.warm_restore(app, 0, {a.ref(), c.ref()});
+  lan.engine.run();
+  run_on(c, {});
+  EXPECT_NE(a.store().latest_manifest(app, 0), nullptr);
+  EXPECT_NE(b.store().latest_manifest(app, 0), nullptr);
+
+  for (std::size_t i = 0; i < 3; ++i) {
+    lan.agent(i).handle_drop(protocol::CkptDrop{app});
+    EXPECT_EQ(lan.agent(i).store().manifest_count(), 0u) << "node " << i;
+    EXPECT_EQ(lan.agent(i).store().chunk_count(), 0u) << "node " << i;
+  }
+}
+
 }  // namespace
 }  // namespace integrade::ckpt

@@ -9,6 +9,7 @@
 #include "services/constraint.hpp"
 #include "services/property.hpp"
 #include "services/trader.hpp"
+#include "trader_reference.hpp"
 
 namespace integrade::services {
 namespace {
@@ -103,8 +104,8 @@ TEST(TraderIndexTest, IndexedQueryEqualsLinearOnRandomOfferSets) {
         Rng rng_linear(seed * 1000 + max_matches);
         Rng rng_indexed(seed * 1000 + max_matches);
         const auto expect =
-            trader.query_linear("integrade::Node", constraint.value(),
-                                preference.value(), max_matches, &rng_linear);
+            query_linear(trader, "integrade::Node", constraint.value(),
+                         preference.value(), max_matches, &rng_linear);
         const auto got =
             trader.query_compiled("integrade::Node", constraint.value(),
                                   preference.value(), max_matches, &rng_indexed);
@@ -224,8 +225,8 @@ TEST(TraderIndexTest, WithdrawModifyExportInterleavingsKeepIndexesConsistent) {
     if (step % 10 == 0) {
       ASSERT_EQ(trader.query_compiled("integrade::Node", churn_constraint.value(),
                                       churn_preference.value()),
-                trader.query_linear("integrade::Node", churn_constraint.value(),
-                                    churn_preference.value()))
+                query_linear(trader, "integrade::Node",
+                             churn_constraint.value(), churn_preference.value()))
           << "step " << step;
     }
   }
@@ -239,8 +240,8 @@ TEST(TraderIndexTest, WithdrawModifyExportInterleavingsKeepIndexesConsistent) {
   ASSERT_TRUE(constraint.is_ok() && preference.is_ok());
   EXPECT_EQ(trader.query_compiled("integrade::Node", constraint.value(),
                                   preference.value()),
-            trader.query_linear("integrade::Node", constraint.value(),
-                                preference.value()));
+            query_linear(trader, "integrade::Node", constraint.value(),
+                         preference.value()));
 }
 
 TEST(TraderIndexTest, FindByProviderUsesIndexAndSurvivesWithdraw) {
@@ -336,8 +337,8 @@ TEST(TraderIndexTest, CapacityOneCompiledCacheSurvivesConstantEviction) {
       auto compiled_c = Constraint::parse(c);
       auto compiled_p = Preference::parse(p);
       ASSERT_TRUE(compiled_c.is_ok() && compiled_p.is_ok());
-      const auto reference = trader.query_linear(
-          "integrade::Node", compiled_c.value(), compiled_p.value());
+      const auto reference = query_linear(
+          trader, "integrade::Node", compiled_c.value(), compiled_p.value());
       EXPECT_EQ(via_cache.value(), reference) << c << " / " << p;
     }
   }
@@ -349,7 +350,7 @@ TEST(TraderIndexTest, CapacityOneCompiledCacheSurvivesConstantEviction) {
   auto c0 = Constraint::parse(constraints[0]);
   auto p0 = Preference::parse(preferences[0]);
   EXPECT_EQ(again.value(),
-            trader.query_linear("integrade::Node", c0.value(), p0.value()));
+            query_linear(trader, "integrade::Node", c0.value(), p0.value()));
 }
 
 }  // namespace

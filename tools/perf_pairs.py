@@ -10,8 +10,11 @@ BASE then CHANGE, swapping the order every other pair so that a drifting host
 favours neither side. For every host-time metric (the end-to-end set-up and
 wall times and peak RSS, plus the per-layer metrics with --trace) it prints
 each side's median and quartiles, the median ratio CHANGE/BASE and in how many
-pairs CHANGE was better. It also reports any modelled end-to-end metric that
-differs between the two sides.
+pairs CHANGE was better. It also compares every other end-to-end metric
+perfbench_rep prints (the modelled outcomes: wire bytes, turnaround,
+makespan, failed and refused fractions, deadline hits), as read from each
+run's JSON, and reports any that differs between runs or is missing from
+one.
 
 Exits 1 if any run's digest differs from the first run's (the two builds must
 simulate the same thing), 2 on a usage or run error, 0 otherwise.
@@ -24,8 +27,6 @@ import subprocess
 import sys
 
 HOST_E2E = ["setup_s", "wall_s", "peak_rss_mb"]
-MODELLED_E2E = ["wire_bytes_per_node_s", "turnaround_p50_s",
-                "turnaround_tail_s", "makespan_s"]
 REP_TIMEOUT_S = 600
 BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCHMARK.json")
@@ -105,11 +106,19 @@ def main():
                  "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]), ratio, wins,
                  args.pairs))
 
-    for name in MODELLED_E2E:
-        base = sides["base"][0]["e2e"][name][0]
-        change = sides["change"][0]["e2e"][name][0]
-        if base != change:
-            print("modelled %s differs: base %r, change %r" % (name, base, change))
+    def readings(side, name):
+        """The distinct values `name` took over one side's runs."""
+        return sorted({repr(r["e2e"].get(name, [None])[0]) for r in sides[side]})
+
+    modelled = sorted({name for side in sides.values() for r in side
+                       for name in r["e2e"]} - set(HOST_E2E))
+    for name in modelled:
+        base = readings("base", name)
+        change = readings("change", name)
+        if base != change or len(base) != 1:
+            print("modelled %s differs: base %s, change %s"
+                  % (name, ", ".join(base), ", ".join(change)))
+    print("modelled metrics compared: %s" % ", ".join(modelled))
     print("failed runs: %d" % failed)
     if len(digests) != 1:
         print("DIGESTS DIFFER: %s" % sorted(digests))
